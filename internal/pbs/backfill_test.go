@@ -10,21 +10,8 @@ import (
 // This file pins the EASY backfill guarantees against the starvation
 // bug the old greedy backfill shipped: under a continuous stream of
 // narrow jobs, a blocked wide head job must start no later than its
-// reservation (shadow) time. scheduleGreedy below is a verbatim
-// replica of the old greedy pass, kept here so the starvation it
-// causes stays demonstrable.
-
-// scheduleGreedy replicates the pre-EASY greedy backfill: place
-// anything that fits, in queue order, with no reservation for the
-// blocked head.
-func (s *Server) scheduleGreedy() {
-	for _, j := range s.QueuedJobs() {
-		if !s.schedulable(j) {
-			continue
-		}
-		s.tryPlace(j)
-	}
-}
+// reservation (shadow) time. The greedy replica that demonstrates the
+// starvation lives with the scheduling core, in internal/sched.
 
 // starvationWorkload builds the canonical starvation scenario on a
 // 2-node×4-CPU server: a blocker pins node 1 for two hours, a wide
@@ -107,28 +94,4 @@ func TestEASYRejectsCandidatesThatWouldDelayTheHead(t *testing.T) {
 	if late.State != StateComplete {
 		t.Fatalf("late narrow job state = %v", late.State)
 	}
-}
-
-func TestGreedyBackfillReplicaStarvesWideJob(t *testing.T) {
-	eng, s := newTestServer(t, 2)
-	s.Backfill = true
-	s.schedOverride = s.scheduleGreedy
-	wide, narrows := starvationWorkload(eng, s)
-	eng.RunUntil(6 * time.Hour)
-
-	// The greedy replica keeps feeding narrow jobs onto the free node:
-	// the wide head is still queued past the whole six-hour stream.
-	if wide.State != StateQueued {
-		t.Fatalf("wide job state = %v, want starved in queue under greedy backfill", wide.State)
-	}
-	started := 0
-	for _, n := range *narrows {
-		if n.StartTime > 0 {
-			started++
-		}
-	}
-	if started < 20 {
-		t.Fatalf("greedy replica only started %d narrow jobs", started)
-	}
-	eng.Run()
 }

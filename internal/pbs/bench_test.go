@@ -8,27 +8,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// Micro-benchmarks for the Torque simulation: scheduling throughput,
-// text rendering and scraping at cluster scale.
-
-func BenchmarkSchedulerThroughput(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := simtime.NewEngine()
-		s := NewServer(eng, "bench.example")
-		for n := 1; n <= 64; n++ {
-			s.AddNode(fmt.Sprintf("n%03d", n), 4, true)
-		}
-		for j := 0; j < 1000; j++ {
-			s.Qsub(SubmitRequest{Name: "j", Nodes: 1 + j%4, PPN: 1 + j%4,
-				Runtime: time.Duration(j%120+1) * time.Minute})
-		}
-		eng.Run()
-		if len(s.RunningJobs()) != 0 || len(s.QueuedJobs()) != 0 {
-			b.Fatal("jobs left behind")
-		}
-	}
-}
+// Micro-benchmarks for the Torque face: text rendering and scraping at
+// cluster scale. Scheduling throughput is measured on the shared core,
+// by internal/sched's BenchmarkScheduler.
 
 func BenchmarkQstatFRender(b *testing.B) {
 	eng := simtime.NewEngine()

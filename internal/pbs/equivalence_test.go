@@ -3,116 +3,87 @@ package pbs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/simtime"
 )
 
-// scratchRebuild throws away every piece of incremental scheduler
-// state and recomputes it from the ground truth (the job map and the
-// node table): the queued and running ledgers, the census counters,
-// the per-queue running counts, and the free-CPU segment tree. The
-// equivalence tests rebuild before every scheduling pass on one of two
-// twin servers; if the incremental state ever drifted from a
-// from-scratch recompute, the twins' placement decisions would
-// diverge.
-func scratchRebuild(s *Server) {
-	for _, j := range s.queued {
-		j.inQueue = false
-	}
-	s.queued = s.queued[:0]
-	s.queuedDead, s.queuedHead = 0, 0
-	s.queuedN, s.queuedCPUs = 0, 0
-	s.running = s.running[:0]
-	for _, q := range s.queues {
-		q.running = 0
-	}
-	all := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		all = append(all, s.jobs[id])
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].SeqNo < all[j].SeqNo })
-	for _, j := range all {
+// The scheduling core (internal/sched) carries its own twin-core
+// check: an incremental core against one rebuilt from scratch before
+// every pass. This file checks what the Torque face keeps on top of
+// the core — the census it reports, its queued and running views, the
+// per-queue running counts behind queue admission, and the CPU slots
+// behind pbsnodes' "cpu/jobid" lists — against a recompute from the
+// ground truth: the job table and the node table.
+
+// checkAgainstScratch recomputes the face's bookkeeping from the job
+// and node tables and reports the first disagreement.
+func checkAgainstScratch(s *Server) error {
+	var queued, running []*Job
+	queuedCPUs := 0
+	perQueue := map[string]int{}
+	owner := map[ExecSlot]*Job{}
+	for _, j := range s.Jobs() {
 		switch j.State {
 		case StateQueued:
-			j.inQueue = true
-			s.queued = append(s.queued, j)
-			s.queuedN++
-			s.queuedCPUs += j.Nodes * j.PPN
-		case StateHeld:
-			j.inQueue = true
-			s.queued = append(s.queued, j)
+			queued = append(queued, j)
+			queuedCPUs += j.CPUs()
 		case StateRunning:
-			j.runIdx = len(s.running)
-			s.running = append(s.running, j)
-			if q, ok := s.queues[j.Queue]; ok {
-				q.running++
+			running = append(running, j)
+			perQueue[j.Queue]++
+			for _, slot := range j.ExecHost {
+				owner[slot] = j
 			}
 		}
 	}
-	s.cpusUp, s.nodesUp = 0, 0
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		if n.state != NodeDown {
-			s.cpusUp += n.NP
-		}
-		if n.state != NodeDown && n.state != NodeOffline {
-			s.nodesUp++
-		}
+	if got, want := s.QueueStats(), (Stats{Running: len(running), Queued: len(queued), QueuedCPUs: queuedCPUs}); got != want {
+		return fmt.Errorf("census %+v, scratch %+v", got, want)
 	}
-	s.rebuildFreeTree()
-}
-
-// assertLedgersMatchScratch cross-checks the incremental state against
-// a non-mutating recompute from the ground truth.
-func assertLedgersMatchScratch(t *testing.T, s *Server) {
-	t.Helper()
-	wantQ, wantCPUs := 0, 0
-	wantRunning := map[string]bool{}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		switch j.State {
-		case StateQueued:
-			wantQ++
-			wantCPUs += j.Nodes * j.PPN
-		case StateRunning:
-			wantRunning[j.ID] = true
+	if got := s.QueuedJobs(); !slices.Equal(got, queued) {
+		return fmt.Errorf("queued view has %d jobs, scratch %d", len(got), len(queued))
+	}
+	if got := s.RunningJobs(); !slices.Equal(got, running) {
+		return fmt.Errorf("running view has %d jobs, scratch %d", len(got), len(running))
+	}
+	if head := s.FirstQueued(); len(queued) > 0 && head != queued[0] || len(queued) == 0 && head != nil {
+		return fmt.Errorf("FirstQueued = %v, want the oldest queued job", head)
+	}
+	for _, q := range s.Queues() {
+		if q.running != perQueue[q.Name] {
+			return fmt.Errorf("queue %s counts %d running, scratch %d", q.Name, q.running, perQueue[q.Name])
 		}
 	}
-	if s.queuedN != wantQ || s.queuedCPUs != wantCPUs {
-		t.Fatalf("queue census: got (%d jobs, %d cpus), scratch (%d, %d)",
-			s.queuedN, s.queuedCPUs, wantQ, wantCPUs)
-	}
-	if len(s.running) != len(wantRunning) {
-		t.Fatalf("running ledger has %d jobs, scratch %d", len(s.running), len(wantRunning))
-	}
-	for _, j := range s.running {
-		if !wantRunning[j.ID] {
-			t.Fatalf("running ledger holds %s which is in state %v", j.ID, j.State)
-		}
-	}
-	cpus, nodes := 0, 0
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		if n.state != NodeDown {
+	cpus, up := 0, 0
+	for _, n := range s.Nodes() {
+		st := n.State()
+		if st != NodeDown {
 			cpus += n.NP
 		}
-		if n.state != NodeDown && n.state != NodeOffline {
-			nodes++
+		if st != NodeDown && st != NodeOffline {
+			up++
 		}
-		if got := s.freeTree[s.treeCap+n.idx]; got != n.effFree() {
-			t.Fatalf("free tree leaf for %s = %d, node has %d", name, got, n.effFree())
+		used := 0
+		for c, j := range n.busy {
+			if j != owner[ExecSlot{Node: n.Name, CPU: c}] {
+				return fmt.Errorf("%s cpu %d held by %v, exec hosts say %v", n.Name, c, j, owner[ExecSlot{Node: n.Name, CPU: c}])
+			}
+			if j != nil {
+				used++
+			}
+		}
+		if n.UsedCPUs() != used {
+			return fmt.Errorf("%s reports %d used CPUs, slots say %d", n.Name, n.UsedCPUs(), used)
 		}
 	}
-	if s.cpusUp != cpus || s.nodesUp != nodes {
-		t.Fatalf("census: got (%d cpus, %d nodes), scratch (%d, %d)", s.cpusUp, s.nodesUp, cpus, nodes)
+	if s.TotalCPUs() != cpus || s.AvailableNodes() != up {
+		return fmt.Errorf("node census (%d cpus, %d up), scratch (%d, %d)", s.TotalCPUs(), s.AvailableNodes(), cpus, up)
 	}
+	return nil
 }
 
-// pbsAction is one scripted step of the randomized workload; the same
-// script drives both twin servers.
+// pbsAction is one scripted step of the randomized workload.
 type pbsAction struct {
 	at   time.Duration
 	kind int // 0 submit, 1 hold, 2 release, 3 delete, 4 node down, 5 node up
@@ -137,6 +108,9 @@ func pbsScript(seed int64, nodes, jobs int) []pbsAction {
 			Runtime: time.Duration(rng.Int63n(int64(2*time.Hour))) + 5*time.Minute,
 			Rerun:   rng.Intn(4) != 0,
 		}
+		if i%5 == 0 {
+			req.Queue = "capped" // exercises per-queue admission
+		}
 		if rng.Intn(3) == 0 {
 			req.Walltime = req.Runtime + time.Duration(rng.Int63n(int64(time.Hour)))
 		}
@@ -159,37 +133,25 @@ func pbsScript(seed int64, nodes, jobs int) []pbsAction {
 	return script
 }
 
-// runPBSScript drives one server through the script. When rebuild is
-// set, every scheduling pass is preceded by a from-scratch state
-// recompute.
-func runPBSScript(t *testing.T, script []pbsAction, nodes int, backfill, rebuild bool) *Server {
+// runPBSScript drives one server through the script, checking its
+// bookkeeping against the ground truth after every action.
+func runPBSScript(t *testing.T, script []pbsAction, nodes int, backfill bool) *Server {
 	t.Helper()
 	eng := simtime.NewEngine()
 	s := NewServer(eng, "eq.test")
 	s.Backfill = backfill
-	if rebuild {
-		var wrap func()
-		wrap = func() {
-			scratchRebuild(s)
-			s.schedOverride = nil
-			s.schedule()
-			s.schedOverride = wrap
-		}
-		s.schedOverride = wrap
+	q, err := s.CreateQueue("capped")
+	if err != nil {
+		t.Fatal(err)
 	}
+	q.MaxRunning = 3
 	for i := 1; i <= nodes; i++ {
 		if _, err := s.AddNode(fmt.Sprintf("eqnode%02d", i), 4, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ids := make([]string, 0, len(script))
-	for i := 0; i < len(script); i++ {
-		if script[i].kind == 0 {
-			ids = append(ids, "")
-		}
-	}
+	ids := make([]string, len(script))
 	for _, a := range script {
-		a := a
 		eng.After(a.at, func() {
 			switch a.kind {
 			case 0:
@@ -210,17 +172,20 @@ func runPBSScript(t *testing.T, script []pbsAction, nodes int, backfill, rebuild
 			case 5:
 				_ = s.SetNodeAvailable(a.node, true)
 			}
+			if err := checkAgainstScratch(s); err != nil {
+				t.Fatalf("after action %+v at %v: %v", a.kind, eng.Now(), err)
+			}
 		})
 	}
 	eng.Run()
 	return s
 }
 
-// TestPBSIncrementalMatchesScratchRecompute runs the identical
-// randomized workload on twin servers — one scheduling off its
-// incremental ledgers and free-slot profile, one rebuilding all of it
-// from scratch before every pass — and requires byte-identical
-// outcomes: same start times, same placements, same final states.
+// TestPBSIncrementalMatchesScratchRecompute runs a randomized workload
+// of mixed-width jobs, holds, deletions, a capped queue and node
+// outages through the server and requires its incremental bookkeeping
+// to match a from-scratch recompute after every action, and every job
+// to finish.
 func TestPBSIncrementalMatchesScratchRecompute(t *testing.T) {
 	for _, backfill := range []bool{false, true} {
 		name := "fcfs"
@@ -228,21 +193,13 @@ func TestPBSIncrementalMatchesScratchRecompute(t *testing.T) {
 			name = "backfill"
 		}
 		t.Run(name, func(t *testing.T) {
-			script := pbsScript(421, 12, 120)
-			inc := runPBSScript(t, script, 12, backfill, false)
-			ref := runPBSScript(t, script, 12, backfill, true)
-			assertLedgersMatchScratch(t, inc)
-			if len(inc.order) != len(ref.order) {
-				t.Fatalf("job counts diverged: %d vs %d", len(inc.order), len(ref.order))
+			s := runPBSScript(t, pbsScript(421, 12, 120), 12, backfill)
+			if err := checkAgainstScratch(s); err != nil {
+				t.Fatal(err)
 			}
-			for _, id := range inc.order {
-				a, b := inc.jobs[id], ref.jobs[id]
-				if a.State != b.State || a.StartTime != b.StartTime || a.EndTime != b.EndTime {
-					t.Fatalf("job %s diverged: incremental (%v start=%v end=%v) vs scratch (%v start=%v end=%v)",
-						id, a.State, a.StartTime, a.EndTime, b.State, b.StartTime, b.EndTime)
-				}
-				if fmt.Sprint(a.ExecHost) != fmt.Sprint(b.ExecHost) {
-					t.Fatalf("job %s placement diverged:\n%v\nvs\n%v", id, a.ExecHost, b.ExecHost)
+			for _, j := range s.Jobs() {
+				if j.State != StateComplete {
+					t.Fatalf("job %s ended in state %v", j.ID, j.State)
 				}
 			}
 		})

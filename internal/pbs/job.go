@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // JobState is the single-letter PBS job state.
@@ -76,12 +78,8 @@ type Job struct {
 	killedAtLimit bool
 	failed        bool
 
-	// Scheduler ledger bookkeeping: inQueue flags an entry in the
-	// server's queued slice (states Q and H, plus stale entries waiting
-	// for compaction); runIdx is the job's slot in the running slice
-	// while in state R.
-	inQueue bool
-	runIdx  int
+	// e is the job's entry in the server's scheduling core.
+	e sched.Entry
 }
 
 // CPUs returns the total virtual processors the job needs.

@@ -83,18 +83,9 @@ func (s *Server) SetQueueStarted(name string, started bool) error {
 	}
 	q.started = started
 	if started {
-		s.kick()
+		s.core.Kick()
 	}
 	return nil
-}
-
-// runningInQueue counts running jobs belonging to a queue.
-func (s *Server) runningInQueue(name string) int {
-	q, ok := s.queues[name]
-	if !ok {
-		return 0
-	}
-	return q.running
 }
 
 // schedulable reports whether a queued job may be considered in this
@@ -104,10 +95,7 @@ func (s *Server) schedulable(j *Job) bool {
 	if !ok || !q.started {
 		return false
 	}
-	if q.MaxRunning > 0 && s.runningInQueue(q.Name) >= q.MaxRunning {
-		return false
-	}
-	return true
+	return q.MaxRunning <= 0 || q.running < q.MaxRunning
 }
 
 // QstatSummary renders the classic tabular `qstat` output:

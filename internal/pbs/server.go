@@ -2,9 +2,12 @@ package pbs
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/simtime"
 )
 
@@ -18,27 +21,31 @@ const (
 	NodeDown      NodeState = "down"
 )
 
-// Node is a pbs_mom as seen by the server.
+// Node is a pbs_mom as seen by the server. Its state and slot
+// occupancy live in the server's scheduling core; the node keeps the
+// CPU-slot identities Torque reports as "cpu/jobid".
 type Node struct {
 	Name       string
 	NP         int
 	Properties []string
-	state      NodeState
-	idx        int // position in Server.nodeOrder
+	core       *sched.Core
+	idx        int // index in the core's node table
 	// busy[cpu] holds the job occupying that virtual processor (nil
-	// when the slot is free); used counts occupied slots.
+	// when the slot is free).
 	busy []*Job
-	used int
 }
 
 // State derives the reported state: offline/down are administrative or
 // connectivity conditions; otherwise free vs job-exclusive depends on
 // occupancy.
 func (n *Node) State() NodeState {
-	if n.state == NodeOffline || n.state == NodeDown {
-		return n.state
+	switch n.core.State(n.idx) {
+	case sched.Offline:
+		return NodeOffline
+	case sched.Down:
+		return NodeDown
 	}
-	if n.used >= n.NP {
+	if n.UsedCPUs() >= n.NP {
 		return NodeExclusive
 	}
 	return NodeFree
@@ -46,29 +53,19 @@ func (n *Node) State() NodeState {
 
 // FreeCPUs counts unoccupied virtual processors (0 when offline/down).
 func (n *Node) FreeCPUs() int {
-	if n.state == NodeOffline || n.state == NodeDown {
+	if n.core.State(n.idx) != sched.Up {
 		return 0
 	}
-	return n.NP - n.used
-}
-
-// effFree is the schedulable free-CPU count maintained in the free-CPU
-// index: identical to FreeCPUs but spelled out here because it defines
-// the segment-tree leaf value.
-func (n *Node) effFree() int {
-	if n.state == NodeOffline || n.state == NodeDown {
-		return 0
-	}
-	return n.NP - n.used
+	return n.NP - n.UsedCPUs()
 }
 
 // UsedCPUs counts occupied virtual processors.
-func (n *Node) UsedCPUs() int { return n.used }
+func (n *Node) UsedCPUs() int { return n.core.Used(n.idx) }
 
 // Jobs lists IDs of jobs with slots on this node, PBS-style
 // "cpu/jobid" pairs sorted by CPU.
 func (n *Node) Jobs() []string {
-	out := make([]string, 0, n.used)
+	out := make([]string, 0, n.UsedCPUs())
 	for c, j := range n.busy {
 		if j != nil {
 			out = append(out, fmt.Sprintf("%d/%s", c, j.ID))
@@ -80,63 +77,27 @@ func (n *Node) Jobs() []string {
 // Server is the pbs_server plus a strict-FCFS scheduler (the paper's
 // deployment ran stock OSCAR scheduling: first-come first-served, no
 // backfill — which is exactly what lets the head of the queue wedge
-// the whole system and makes the "stuck" signal meaningful).
-//
-// Scheduler state is incremental: the server maintains live queued and
-// running job lists, per-queue running counts, an indexed free-CPU
-// profile over the node table, and O(1) census counters, so a
-// scheduling pass or a controller poll never rescans the full job
-// history.
+// the whole system and makes the "stuck" signal meaningful). The
+// queueing itself is the shared scheduling core (internal/sched); the
+// server keeps Torque's job IDs, queues, validation and renderings.
 type Server struct {
 	eng *simtime.Engine
 	// domain is the cluster FQDN ("eridani.qgg.hud.ac.uk"): the head
 	// node's own name, the suffix of job IDs, and the domain compute
 	// node names are qualified with.
 	domain string
+	core   *sched.Core
 
-	seq       int
-	jobs      map[string]*Job
-	order     []string // submission order of job IDs
-	nodes     map[string]*Node
-	nodeOrder []string
+	list     []*Job // submission order; job n is list[n-1]
+	nodes    map[string]*Node
+	nodeList []*Node // registration order, indexed like the core's table
 
 	queues       map[string]*Queue
 	defaultQueue string
 
-	// queued holds jobs with queue presence (states Q and H) in SeqNo
-	// order. Entries whose job has moved on (started, finished) are
-	// dead weight until compactQueue sweeps them; Job.inQueue flags
-	// membership so a requeued job revives its stale entry instead of
-	// duplicating it.
-	queued     []*Job
-	queuedDead int // entries in queued whose state is neither Q nor H
-	queuedHead int // index of the first possibly-live entry in queued
-	queuedN    int // jobs currently in state Q
-	queuedCPUs int // sum of Nodes*PPN over state-Q jobs
-
-	// running holds executing jobs in start order; removal swaps the
-	// tail into the vacated slot via Job.runIdx.
-	running []*Job
-
-	// cpusUp / nodesUp are the O(1) forms of TotalCPUs / AvailableNodes.
-	cpusUp  int
-	nodesUp int
-
 	// npHist[c] counts configured nodes with NP == c (regardless of
 	// state), giving Qsub's feasibility check without a node scan.
 	npHist []int
-
-	// freeTree is a max segment tree over node indices keyed by
-	// effective free CPUs: chooseNodes jumps straight to the next node
-	// that fits instead of walking the whole table.
-	freeTree []int
-	treeCap  int
-
-	// Scratch buffers reused across scheduling passes.
-	candBuf  []cand
-	cpuArena []int
-	rsvFree  []int
-	rsvRun   []*Job
 
 	// Backfill enables reservation-based EASY backfill: later jobs may
 	// jump a blocked queue head only when they cannot delay its
@@ -154,11 +115,6 @@ type Server struct {
 	OnJobEnd     func(*Job)
 	OnJobRequeue func(*Job)
 
-	schedPending bool
-	// schedOverride replaces the scheduling pass; tests use it to run
-	// a replica of historical policies against the same server.
-	schedOverride func()
-
 	// BaseDate maps virtual time zero to a wall-clock date for the
 	// qstat/pbsnodes renderings. The default matches the paper's
 	// trace captures (April 2010).
@@ -172,12 +128,18 @@ func NewServer(eng *simtime.Engine, fqdn string) *Server {
 	s := &Server{
 		eng:          eng,
 		domain:       fqdn,
-		jobs:         make(map[string]*Job),
 		nodes:        make(map[string]*Node),
 		queues:       make(map[string]*Queue),
 		defaultQueue: "default",
 		BaseDate:     time.Date(2010, time.April, 16, 8, 0, 0, 0, time.UTC),
 	}
+	s.core = sched.New(eng, sched.Face{
+		Backfill: &s.Backfill,
+		// Jobs in stopped or capped queues wait without blocking.
+		Skip:     func(e *sched.Entry) bool { return !s.schedulable(s.job(e)) },
+		Started:  s.started,
+		Finished: s.finished,
+	})
 	if _, err := s.CreateQueue("default"); err != nil {
 		panic(err) // cannot happen: fresh map
 	}
@@ -199,24 +161,18 @@ func (s *Server) AddNode(name string, np int, avail bool) (*Node, error) {
 	if np <= 0 {
 		return nil, fmt.Errorf("pbs: node %s: bad np %d", name, np)
 	}
-	n := &Node{Name: name, NP: np, Properties: []string{"all"}, busy: make([]*Job, np), idx: len(s.nodeOrder)}
-	if !avail {
-		n.state = NodeDown
-	}
+	n := &Node{Name: name, NP: np, Properties: []string{"all"}, core: s.core, busy: make([]*Job, np)}
 	s.nodes[name] = n
-	s.nodeOrder = append(s.nodeOrder, name)
+	s.nodeList = append(s.nodeList, n)
 	for len(s.npHist) <= np {
 		s.npHist = append(s.npHist, 0)
 	}
 	s.npHist[np]++
-	if n.state != NodeDown {
-		s.cpusUp += np
-		s.nodesUp++
-	}
-	s.refreshNodeFree(n)
+	st := sched.Down
 	if avail {
-		s.kick()
+		st = sched.Up
 	}
+	n.idx = s.core.AddNode(np, st)
 	return n, nil
 }
 
@@ -230,42 +186,7 @@ func (s *Server) Node(name string) (*Node, error) {
 }
 
 // Nodes lists nodes in registration order.
-func (s *Server) Nodes() []*Node {
-	out := make([]*Node, len(s.nodeOrder))
-	for i, name := range s.nodeOrder {
-		out[i] = s.nodes[name]
-	}
-	return out
-}
-
-// setNodeState applies an administrative/connectivity state change and
-// keeps the up-CPU and up-node counters plus the free-CPU index
-// consistent.
-func (s *Server) setNodeState(n *Node, st NodeState) {
-	old := n.state
-	if old == st {
-		return
-	}
-	wasDown, isDown := old == NodeDown, st == NodeDown
-	if wasDown != isDown {
-		if isDown {
-			s.cpusUp -= n.NP
-		} else {
-			s.cpusUp += n.NP
-		}
-	}
-	wasUp := old != NodeDown && old != NodeOffline
-	isUp := st != NodeDown && st != NodeOffline
-	if wasUp != isUp {
-		if isUp {
-			s.nodesUp++
-		} else {
-			s.nodesUp--
-		}
-	}
-	n.state = st
-	s.refreshNodeFree(n)
-}
+func (s *Server) Nodes() []*Node { return slices.Clone(s.nodeList) }
 
 // SetNodeAvailable brings a node up (it re-registered after booting
 // Linux) or marks it down (it rebooted away). Jobs running on a node
@@ -276,24 +197,14 @@ func (s *Server) SetNodeAvailable(name string, avail bool) error {
 		return fmt.Errorf("pbs: unknown node %s", name)
 	}
 	if avail {
-		s.setNodeState(n, NodeFree)
-		s.kick()
+		s.core.SetNode(n.idx, sched.Up)
 		return nil
 	}
-	s.setNodeState(n, NodeDown)
-	// Collect affected jobs before mutating — in slot order, not map
-	// order, so the interrupt/requeue sequence (and the hooks it
-	// fires) is deterministic across runs.
-	seen := map[string]bool{}
-	var affected []*Job
-	for _, j := range n.busy {
-		if j != nil && !seen[j.ID] {
-			seen[j.ID] = true
-			affected = append(affected, j)
-		}
-	}
-	for _, j := range affected {
-		s.interruptJob(j)
+	s.core.SetNode(n.idx, sched.Down)
+	// Victims in submission order, so the interrupt/requeue sequence
+	// (and the hooks it fires) is deterministic.
+	for _, e := range s.core.Holding(n.idx) {
+		s.interruptJob(s.job(e))
 	}
 	return nil
 }
@@ -306,10 +217,9 @@ func (s *Server) SetNodeOffline(name string, offline bool) error {
 		return fmt.Errorf("pbs: unknown node %s", name)
 	}
 	if offline {
-		s.setNodeState(n, NodeOffline)
+		s.core.SetNode(n.idx, sched.Offline)
 	} else {
-		s.setNodeState(n, NodeFree)
-		s.kick()
+		s.core.SetNode(n.idx, sched.Up)
 	}
 	return nil
 }
@@ -318,28 +228,18 @@ func (s *Server) SetNodeOffline(name string, offline bool) error {
 // requeues; anything else dies mid-run and is marked failed so the
 // accounting upstream cannot mistake it for a completed job.
 func (s *Server) interruptJob(j *Job) {
-	s.releaseSlots(j)
-	s.noteStopped(j)
-	if j.Rerunnable {
+	s.vacate(j)
+	if s.core.Interrupt(&j.e) {
 		j.State = StateQueued
 		j.ExecHost = nil
-		s.noteRequeued(j)
 		if s.OnJobRequeue != nil {
 			s.OnJobRequeue(j)
 		}
-		s.kick()
-		return
+	} else {
+		j.failed = true
+		s.end(j)
 	}
-	j.State = StateComplete
-	j.failed = true
-	j.EndTime = s.eng.Now()
-	if s.OnJobEnd != nil {
-		s.OnJobEnd(j)
-	}
-	if j.OnEnd != nil {
-		j.OnEnd(j)
-	}
-	s.kick()
+	s.core.Kick()
 }
 
 // Qsub submits a job. Requests that could never run on the configured
@@ -368,10 +268,10 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 	if !q.enabled {
 		return nil, fmt.Errorf("pbs: qsub: queue %q is not enabled", req.Queue)
 	}
-	s.seq++
+	seq := len(s.list) + 1
 	j := &Job{
-		ID:         fmt.Sprintf("%d.%s", s.seq, s.Name()),
-		SeqNo:      s.seq,
+		ID:         fmt.Sprintf("%d.%s", seq, s.Name()),
+		SeqNo:      seq,
 		Name:       req.Name,
 		Owner:      req.Owner,
 		State:      StateQueued,
@@ -389,13 +289,12 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 		Exec:       req.Exec,
 		OnEnd:      req.OnEnd,
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	j.inQueue = true
-	s.queued = append(s.queued, j) // SeqNo is monotonic: append keeps order
-	s.queuedN++
-	s.queuedCPUs += j.Nodes * j.PPN
-	s.kick()
+	// Torque's -p priority is reported, not scheduled on: the queue is
+	// strict submission order.
+	j.e = sched.Entry{Seq: seq, Shape: sched.PerNode, Count: j.Nodes, PPN: j.PPN,
+		Runtime: j.Runtime, Walltime: j.Walltime, Rerun: j.Rerunnable}
+	s.list = append(s.list, j)
+	s.core.Submit(&j.e)
 	return j, nil
 }
 
@@ -416,95 +315,87 @@ func (s *Server) QsubScript(script, owner string, runtime time.Duration, exec fu
 
 // Qdel removes a queued job or kills a running one.
 func (s *Server) Qdel(id string) error {
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("pbs: unknown job %s", id)
+	j, err := s.Job(id)
+	if err != nil {
+		return err
 	}
 	switch j.State {
-	case StateQueued:
+	case StateQueued, StateHeld:
+		if j.State == StateQueued {
+			s.core.Withdraw(&j.e)
+		}
 		j.State = StateComplete
 		j.EndTime = s.eng.Now()
-		s.queuedN--
-		s.queuedCPUs -= j.Nodes * j.PPN
-		s.queuedDead++
-	case StateHeld:
-		j.State = StateComplete
-		j.EndTime = s.eng.Now()
-		s.queuedDead++
 	case StateRunning:
-		s.finishJob(j, true)
+		s.core.Stop(&j.e)
+		s.vacate(j)
+		j.killedAtLimit = true
+		s.end(j)
+		s.core.Kick()
 	}
 	return nil
 }
 
-// Qhold places a user hold on a queued job (state H); held jobs are
-// not scheduled. Running jobs cannot be held in this model.
+// Qhold places a user hold on a queued job (state H); held jobs leave
+// the scheduling queue until released. Running jobs cannot be held in
+// this model.
 func (s *Server) Qhold(id string) error {
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("pbs: unknown job %s", id)
+	j, err := s.Job(id)
+	if err != nil {
+		return err
 	}
 	if j.State != StateQueued {
 		return fmt.Errorf("pbs: qhold: job %s is %s, not queued", id, j.State)
 	}
 	j.State = StateHeld
-	s.queuedN--
-	s.queuedCPUs -= j.Nodes * j.PPN
+	s.core.Withdraw(&j.e)
 	return nil
 }
 
-// Qrls releases a held job back to the queue.
+// Qrls releases a held job back to its place in the queue.
 func (s *Server) Qrls(id string) error {
-	j, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("pbs: unknown job %s", id)
+	j, err := s.Job(id)
+	if err != nil {
+		return err
 	}
 	if j.State != StateHeld {
 		return fmt.Errorf("pbs: qrls: job %s is %s, not held", id, j.State)
 	}
 	j.State = StateQueued
-	s.queuedN++
-	s.queuedCPUs += j.Nodes * j.PPN
-	s.kick()
+	s.core.Submit(&j.e)
 	return nil
 }
 
-// Job returns a job by ID.
+// Job returns a job by ID. IDs are "<SeqNo>.<server>", and SeqNo
+// indexes the submission list.
 func (s *Server) Job(id string) (*Job, error) {
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("pbs: unknown job %s", id)
+	seq, _, _ := strings.Cut(id, ".")
+	if n, err := strconv.Atoi(seq); err == nil && n >= 1 && n <= len(s.list) && s.list[n-1].ID == id {
+		return s.list[n-1], nil
 	}
-	return j, nil
+	return nil, fmt.Errorf("pbs: unknown job %s", id)
 }
 
 // Jobs returns all jobs in submission order.
-func (s *Server) Jobs() []*Job {
-	out := make([]*Job, len(s.order))
-	for i, id := range s.order {
-		out[i] = s.jobs[id]
+func (s *Server) Jobs() []*Job { return slices.Clone(s.list) }
+
+// job maps a core entry to its job: entries carry the job's SeqNo.
+func (s *Server) job(e *sched.Entry) *Job { return s.list[e.Seq-1] }
+
+// jobsOf maps core entries to their jobs.
+func (s *Server) jobsOf(es []*sched.Entry) []*Job {
+	out := make([]*Job, len(es))
+	for i, e := range es {
+		out[i] = s.job(e)
 	}
 	return out
 }
 
 // QueuedJobs returns jobs waiting to run, in submission order.
-func (s *Server) QueuedJobs() []*Job {
-	out := make([]*Job, 0, s.queuedN)
-	for _, j := range s.queued {
-		if j.State == StateQueued {
-			out = append(out, j)
-		}
-	}
-	return out
-}
+func (s *Server) QueuedJobs() []*Job { return s.jobsOf(s.core.Queue()) }
 
 // RunningJobs returns jobs currently executing, in submission order.
-func (s *Server) RunningJobs() []*Job {
-	out := make([]*Job, len(s.running))
-	copy(out, s.running)
-	sort.Slice(out, func(i, j int) bool { return out[i].SeqNo < out[j].SeqNo })
-	return out
-}
+func (s *Server) RunningJobs() []*Job { return s.jobsOf(s.core.Running()) }
 
 // Stats is the O(1) scheduler census: what the controller's polling
 // cycle needs, without rendering or rescanning anything.
@@ -516,478 +407,70 @@ type Stats struct {
 
 // QueueStats returns the maintained census counters.
 func (s *Server) QueueStats() Stats {
-	return Stats{Running: len(s.running), Queued: s.queuedN, QueuedCPUs: s.queuedCPUs}
+	c := s.core.Census()
+	return Stats{Running: c.Running, Queued: c.Queued, QueuedCPUs: c.QueuedSlots}
 }
 
 // FirstQueued returns the oldest job in state Q, or nil when the queue
 // is empty — the detector's head-of-line candidate.
 func (s *Server) FirstQueued() *Job {
-	s.advanceQueueHead()
-	for _, j := range s.queued[s.queuedHead:] {
-		if j.State == StateQueued {
-			return j
-		}
+	if e := s.core.First(); e != nil {
+		return s.job(e)
 	}
 	return nil
 }
 
-// advanceQueueHead slides the live-queue cursor past leading stale
-// entries — exactly the states compactQueue drops. Under a deep
-// backlog the stale prefix grows by one per started job while
-// compaction waits for its majority threshold, and rescanning that
-// prefix on every kick made scheduling O(backlog) per event; the
-// cursor keeps each pass proportional to live work. It never skips
-// states Q or H: a held entry can revive in place via Qrls.
-func (s *Server) advanceQueueHead() {
-	for s.queuedHead < len(s.queued) {
-		st := s.queued[s.queuedHead].State
-		if st == StateQueued || st == StateHeld {
-			return
-		}
-		s.queuedHead++
-	}
-}
-
 // TotalCPUs sums np over nodes that are not down.
-func (s *Server) TotalCPUs() int { return s.cpusUp }
+func (s *Server) TotalCPUs() int { return s.core.Census().SlotsUp }
 
 // AvailableNodes counts nodes that are up (free or busy).
-func (s *Server) AvailableNodes() int { return s.nodesUp }
+func (s *Server) AvailableNodes() int { return s.core.Census().NodesOnline }
 
-// noteStarted moves a job into the running ledger as it leaves the
-// queue.
-func (s *Server) noteStarted(j *Job) {
-	s.queuedN--
-	s.queuedCPUs -= j.Nodes * j.PPN
-	s.queuedDead++ // its queue entry is now stale
-	j.runIdx = len(s.running)
-	s.running = append(s.running, j)
+// started binds the core's grants to CPU slots — the highest free
+// virtual processors on each node — and starts the job.
+func (s *Server) started(e *sched.Entry) {
+	j := s.job(e)
+	grants := s.core.Grants(e)
+	j.ExecHost = make([]ExecSlot, 0, j.CPUs())
+	for _, g := range grants {
+		n := s.nodeList[g.Node]
+		for c, left := n.NP-1, g.Slots; left > 0; c-- {
+			if n.busy[c] == nil {
+				n.busy[c] = j
+				j.ExecHost = append(j.ExecHost, ExecSlot{Node: n.Name, CPU: c})
+				left--
+			}
+		}
+	}
+	j.State = StateRunning
+	j.StartTime = s.eng.Now()
 	if q, ok := s.queues[j.Queue]; ok {
 		q.running++
 	}
-}
-
-// noteStopped removes a job from the running ledger (finish, kill, or
-// node-loss interruption).
-func (s *Server) noteStopped(j *Job) {
-	last := len(s.running) - 1
-	tail := s.running[last]
-	s.running[j.runIdx] = tail
-	tail.runIdx = j.runIdx
-	s.running[last] = nil
-	s.running = s.running[:last]
-	if q, ok := s.queues[j.Queue]; ok {
-		q.running--
-	}
-}
-
-// noteRequeued returns an interrupted job to the queue ledger at its
-// original submission position.
-func (s *Server) noteRequeued(j *Job) {
-	s.queuedN++
-	s.queuedCPUs += j.Nodes * j.PPN
-	if j.inQueue {
-		s.queuedDead-- // its stale entry is live again
-		// The revived entry may sit below the head cursor; pull the
-		// cursor back to its SeqNo-ordered position so the next pass
-		// sees it.
-		at := sort.Search(len(s.queued), func(i int) bool { return s.queued[i].SeqNo >= j.SeqNo })
-		if at < s.queuedHead {
-			s.queuedHead = at
-		}
-		return
-	}
-	j.inQueue = true
-	if n := len(s.queued); n == 0 || s.queued[n-1].SeqNo < j.SeqNo {
-		s.queued = append(s.queued, j)
-		return
-	}
-	at := sort.Search(len(s.queued), func(i int) bool { return s.queued[i].SeqNo > j.SeqNo })
-	s.queued = append(s.queued, nil)
-	copy(s.queued[at+1:], s.queued[at:])
-	s.queued[at] = j
-	if at < s.queuedHead {
-		s.queuedHead = at
-	}
-}
-
-// compactQueue sweeps stale entries once they dominate the queue
-// slice. Entries in states Q and H stay; everything else is dropped
-// and unflagged so a later requeue re-inserts cleanly.
-func (s *Server) compactQueue() {
-	if s.queuedDead <= 64 || s.queuedDead*2 <= len(s.queued) {
-		return
-	}
-	kept := s.queued[:0]
-	for _, j := range s.queued {
-		if j.State == StateQueued || j.State == StateHeld {
-			kept = append(kept, j)
-		} else {
-			j.inQueue = false
-		}
-	}
-	for i := len(kept); i < len(s.queued); i++ {
-		s.queued[i] = nil
-	}
-	s.queued = kept
-	s.queuedDead = 0
-	s.queuedHead = 0
-}
-
-// kick coalesces scheduling passes into a single immediate event.
-func (s *Server) kick() {
-	if s.schedPending {
-		return
-	}
-	s.schedPending = true
-	s.eng.After(0, func() {
-		s.schedPending = false
-		s.schedule()
-	})
-}
-
-// schedule runs one scheduling pass. FCFS: place the head of the
-// queue and stop at the first job that does not fit. With Backfill
-// the pass is EASY: the first blocked job becomes the pivot and gets
-// a reservation at its shadow time — the earliest instant it fits
-// once running jobs release their slots at their projected ends — and
-// later jobs may start only if doing so cannot delay that
-// reservation. Jobs in stopped or capped queues are skipped without
-// blocking the rest.
-func (s *Server) schedule() {
-	if s.schedOverride != nil {
-		s.schedOverride()
-		return
-	}
-	s.compactQueue()
-	s.advanceQueueHead()
-	var pivot *Job
-	var rsv reservation
-	// Iterate the live queue ledger directly; the bound snapshots the
-	// pass the way the old QueuedJobs() copy did, so jobs submitted by
-	// an Exec callback mid-pass wait for the next kick.
-	bound := len(s.queued)
-	for i := s.queuedHead; i < bound; i++ {
-		j := s.queued[i]
-		if j.State != StateQueued || !s.schedulable(j) {
-			continue
-		}
-		if pivot == nil {
-			if s.tryPlace(j) {
-				continue
-			}
-			if !s.Backfill {
-				return
-			}
-			pivot = j
-			rsv = s.reserve(pivot)
-			continue
-		}
-		s.tryBackfill(j, pivot, &rsv)
-	}
-}
-
-// reservation is the pivot's EASY booking: the shadow time and the
-// per-node free-CPU projection at that instant, indexed by node
-// registration order (-1 marks nodes that are not up). fit counts
-// nodes whose projected free CPUs satisfy the pivot's PPN, so
-// tryBackfill can test "does the pivot still fit" by threshold
-// crossings instead of a node-table scan. When ok is false no
-// projected future fits the pivot (its nodes are down or booted into
-// the other OS) — there is nothing to protect, so backfill runs
-// unrestricted, which preserves the hybrid's behaviour of packing
-// narrow work while the controller fetches nodes for the wide head.
-type reservation struct {
-	shadow time.Duration
-	free   []int
-	fit    int
-	ok     bool
-}
-
-// projectedEnd bounds when a running job releases its slots: the
-// walltime contract when the user gave one (the job is killed there
-// at the latest), otherwise the simulator's known runtime. Both are
-// upper bounds, so a reservation computed from them can only be
-// pessimistic — the pivot never starts later than its shadow time.
-func projectedEnd(j *Job) time.Duration {
-	d := j.Runtime
-	if j.Walltime > 0 {
-		d = j.Walltime
-	}
-	return j.StartTime + d
-}
-
-// reserve computes the pivot's shadow state by replaying the running
-// jobs' projected releases onto the current per-node free CPUs, in
-// release order, until the pivot fits. The projection and the job
-// copy live in pooled buffers; the fit counter makes each release
-// O(slots) instead of O(nodes).
-func (s *Server) reserve(pivot *Job) reservation {
-	if cap(s.rsvFree) < len(s.nodeOrder) {
-		s.rsvFree = make([]int, len(s.nodeOrder))
-	}
-	free := s.rsvFree[:len(s.nodeOrder)]
-	fit := 0
-	for i, name := range s.nodeOrder {
-		n := s.nodes[name]
-		if n.state == NodeOffline || n.state == NodeDown {
-			free[i] = -1
-			continue
-		}
-		free[i] = n.NP - n.used
-		if free[i] >= pivot.PPN {
-			fit++
-		}
-	}
-	running := append(s.rsvRun[:0], s.running...)
-	s.rsvRun = running
-	sort.Slice(running, func(i, j int) bool {
-		ei, ej := projectedEnd(running[i]), projectedEnd(running[j])
-		if ei != ej {
-			return ei < ej
-		}
-		return running[i].SeqNo < running[j].SeqNo
-	})
-	for i := 0; i < len(running); {
-		end := projectedEnd(running[i])
-		for ; i < len(running) && projectedEnd(running[i]) == end; i++ {
-			for _, slot := range running[i].ExecHost {
-				if n, ok := s.nodes[slot.Node]; ok && free[n.idx] >= 0 {
-					free[n.idx]++
-					if free[n.idx] == pivot.PPN {
-						fit++
-					}
-				}
-			}
-		}
-		if fit >= pivot.Nodes {
-			return reservation{shadow: end, free: free, fit: fit, ok: true}
-		}
-	}
-	return reservation{}
-}
-
-// tryBackfill starts a candidate behind the blocked pivot if it
-// cannot delay the pivot's reservation: either it releases its slots
-// by the shadow time, or the pivot still fits at the shadow time with
-// the candidate's slots subtracted. Long candidates that pass stay
-// subtracted, so later candidates in the same pass see the remaining
-// slack only.
-func (s *Server) tryBackfill(j *Job, pivot *Job, rsv *reservation) bool {
-	chosen := s.chooseNodes(j)
-	if chosen == nil {
-		return false
-	}
-	if rsv.ok && s.eng.Now()+backfillDemand(j) > rsv.shadow {
-		for _, c := range chosen {
-			i := c.node.idx
-			if rsv.free[i] >= pivot.PPN && rsv.free[i]-len(c.cpus) < pivot.PPN {
-				rsv.fit--
-			}
-			rsv.free[i] -= len(c.cpus)
-		}
-		if rsv.fit < pivot.Nodes {
-			for _, c := range chosen {
-				i := c.node.idx
-				if rsv.free[i] < pivot.PPN && rsv.free[i]+len(c.cpus) >= pivot.PPN {
-					rsv.fit++
-				}
-				rsv.free[i] += len(c.cpus)
-			}
-			return false
-		}
-	}
-	s.commit(j, chosen)
-	return true
-}
-
-// backfillDemand is how long a candidate would hold its slots if
-// started now — its walltime request when given, else its runtime.
-func backfillDemand(j *Job) time.Duration {
-	if j.Walltime > 0 {
-		return j.Walltime
-	}
-	return j.Runtime
-}
-
-// cand is one node's contribution to a placement.
-type cand struct {
-	node *Node
-	cpus []int
-}
-
-// refreshNodeFree re-derives the node's leaf in the free-CPU segment
-// tree after a busy or state mutation.
-func (s *Server) refreshNodeFree(n *Node) {
-	if n.idx >= s.treeCap {
-		s.rebuildFreeTree()
-		return
-	}
-	i := s.treeCap + n.idx
-	v := n.effFree()
-	if s.freeTree[i] == v {
-		return
-	}
-	s.freeTree[i] = v
-	for i >>= 1; i >= 1; i >>= 1 {
-		m := s.freeTree[2*i]
-		if r := s.freeTree[2*i+1]; r > m {
-			m = r
-		}
-		if s.freeTree[i] == m {
-			break
-		}
-		s.freeTree[i] = m
-	}
-}
-
-// rebuildFreeTree resizes the segment tree to the node count and
-// recomputes every level.
-func (s *Server) rebuildFreeTree() {
-	capacity := 1
-	for capacity < len(s.nodeOrder) {
-		capacity <<= 1
-	}
-	s.treeCap = capacity
-	s.freeTree = make([]int, 2*capacity)
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		s.freeTree[capacity+n.idx] = n.effFree()
-	}
-	for i := capacity - 1; i >= 1; i-- {
-		m := s.freeTree[2*i]
-		if r := s.freeTree[2*i+1]; r > m {
-			m = r
-		}
-		s.freeTree[i] = m
-	}
-}
-
-// nextFit returns the first node index >= from whose effective free
-// CPUs reach want, or -1. O(log nodes) via the segment tree.
-func (s *Server) nextFit(from, want int) int {
-	if s.treeCap == 0 || from >= len(s.nodeOrder) {
-		return -1
-	}
-	i := s.treeCap + from
-	for {
-		if s.freeTree[i] >= want {
-			for i < s.treeCap {
-				if s.freeTree[2*i] >= want {
-					i = 2 * i
-				} else {
-					i = 2*i + 1
-				}
-			}
-			idx := i - s.treeCap
-			if idx < len(s.nodeOrder) {
-				return idx
-			}
-			return -1
-		}
-		for {
-			if i == 1 {
-				return -1
-			}
-			if i%2 == 0 {
-				i++
-				break
-			}
-			i >>= 1
-		}
-	}
-}
-
-// chooseNodes selects nodes and CPU slots for a job without
-// committing them; nil when the job does not fit right now. The
-// free-CPU index jumps between qualifying nodes, preserving the
-// first-fit-in-registration-order placement of the linear scan; the
-// candidate list and CPU slots come from pooled buffers valid until
-// the next chooseNodes call.
-func (s *Server) chooseNodes(j *Job) []cand {
-	s.candBuf = s.candBuf[:0]
-	s.cpuArena = s.cpuArena[:0]
-	from := 0
-	for len(s.candBuf) < j.Nodes {
-		i := s.nextFit(from, j.PPN)
-		if i < 0 {
-			return nil
-		}
-		n := s.nodes[s.nodeOrder[i]]
-		start := len(s.cpuArena)
-		for c := n.NP - 1; c >= 0 && len(s.cpuArena)-start < j.PPN; c-- {
-			if n.busy[c] == nil {
-				s.cpuArena = append(s.cpuArena, c)
-			}
-		}
-		s.candBuf = append(s.candBuf, cand{n, s.cpuArena[start:len(s.cpuArena):len(s.cpuArena)]})
-		from = i + 1
-	}
-	return s.candBuf
-}
-
-// commit occupies the chosen slots and starts the job.
-func (s *Server) commit(j *Job, chosen []cand) {
-	for _, c := range chosen {
-		for _, cpu := range c.cpus {
-			c.node.busy[cpu] = j
-			j.ExecHost = append(j.ExecHost, ExecSlot{Node: c.node.Name, CPU: cpu})
-		}
-		c.node.used += len(c.cpus)
-		s.refreshNodeFree(c.node)
-	}
-	s.startJob(j)
-}
-
-// tryPlace attempts to allocate nodes for a job and start it.
-func (s *Server) tryPlace(j *Job) bool {
-	chosen := s.chooseNodes(j)
-	if chosen == nil {
-		return false
-	}
-	s.commit(j, chosen)
-	return true
-}
-
-func (s *Server) startJob(j *Job) {
-	j.State = StateRunning
-	j.StartTime = s.eng.Now()
-	s.noteStarted(j)
 	if s.OnJobStart != nil {
 		s.OnJobStart(j)
 	}
 	if j.Exec != nil {
-		hosts := make([]string, 0, len(j.ExecHost))
-		seen := map[string]bool{}
-		for _, slot := range j.ExecHost {
-			if !seen[slot.Node] {
-				seen[slot.Node] = true
-				hosts = append(hosts, slot.Node)
-			}
+		hosts := make([]string, len(grants))
+		for i, g := range grants {
+			hosts[i] = s.nodeList[g.Node].Name
 		}
 		j.Exec(hosts)
 	}
-	dur := j.Runtime
-	killed := false
-	if j.Walltime > 0 && dur > j.Walltime {
-		dur = j.Walltime
-		killed = true
-	}
-	s.eng.After(dur, func() {
-		if j.State != StateRunning {
-			return // interrupted in the meantime (node went down)
-		}
-		j.killedAtLimit = killed
-		s.finishJob(j, false)
-	})
 }
 
-func (s *Server) finishJob(j *Job, killed bool) {
-	if killed {
-		j.killedAtLimit = true
-	}
-	s.releaseSlots(j)
-	s.noteStopped(j)
+// finished completes a job that ran to its end, which is its walltime
+// when the runtime overran it.
+func (s *Server) finished(e *sched.Entry) {
+	j := s.job(e)
+	j.killedAtLimit = j.Walltime > 0 && j.Runtime > j.Walltime
+	s.vacate(j)
+	s.end(j)
+}
+
+// end moves a stopped, vacated job to state C and fires the end
+// hooks.
+func (s *Server) end(j *Job) {
 	j.State = StateComplete
 	j.EndTime = s.eng.Now()
 	if s.OnJobEnd != nil {
@@ -996,18 +479,16 @@ func (s *Server) finishJob(j *Job, killed bool) {
 	if j.OnEnd != nil {
 		j.OnEnd(j)
 	}
-	s.kick()
 }
 
-func (s *Server) releaseSlots(j *Job) {
+// vacate frees a stopped job's CPU slots and its queue's running
+// count; the core releases the slot counts themselves.
+func (s *Server) vacate(j *Job) {
 	for _, slot := range j.ExecHost {
-		if n, ok := s.nodes[slot.Node]; ok {
-			if n.busy[slot.CPU] == j {
-				n.busy[slot.CPU] = nil
-				n.used--
-				s.refreshNodeFree(n)
-			}
-		}
+		s.nodes[slot.Node].busy[slot.CPU] = nil
+	}
+	if q, ok := s.queues[j.Queue]; ok {
+		q.running--
 	}
 }
 

@@ -386,8 +386,10 @@ func (m *manager) finish(job *Job, cached bool) {
 		m.fail(job, err)
 		return
 	}
-	m.bc.emit(Event{Type: "done", Job: job.ID, Done: total, Total: total, Cached: cached})
+	// Checkpoints go before the announcement: the terminal event ends
+	// every SSE stream, so a waiter must find the disk already final.
 	m.st.clearCheckpoints(job.SpecHash)
+	m.bc.emit(Event{Type: "done", Job: job.ID, Done: total, Total: total, Cached: cached})
 }
 
 func (m *manager) fail(job *Job, ferr error) {

@@ -9,18 +9,9 @@ import (
 
 // This file pins the EASY backfill guarantees on the Windows HPC
 // side, for both resource units: a blocked wide head must start no
-// later than its reservation under a continuous narrow stream.
-// scheduleGreedy is a verbatim replica of the old greedy pass, kept
-// here so the starvation it causes stays demonstrable.
-
-// scheduleGreedy replicates the pre-EASY greedy backfill: place
-// anything that fits, in queue order, with no reservation for the
-// blocked head.
-func (s *Scheduler) scheduleGreedy() {
-	for _, j := range s.QueuedJobs() {
-		s.tryPlace(j)
-	}
-}
+// later than its reservation under a continuous narrow stream. The
+// greedy replica that demonstrates the starvation lives with the
+// scheduling core, in internal/sched.
 
 // starvationWorkload builds the canonical scenario on a 2-node×4-core
 // scheduler: a node-exclusive blocker pins node 1 for two hours, a
@@ -100,28 +91,6 @@ func TestEASYBackfillBoundsCoreJobWait(t *testing.T) {
 	eng.RunUntil(3 * time.Hour)
 	if pivot.StartTime != wideReservation {
 		t.Fatalf("pivot started at %v, want exactly its %v reservation", pivot.StartTime, wideReservation)
-	}
-	eng.Run()
-}
-
-func TestGreedyBackfillReplicaStarvesNodeJob(t *testing.T) {
-	eng, s := newTestScheduler(t, 2)
-	s.Backfill = true
-	s.schedOverride = s.scheduleGreedy
-	wide, narrows := starvationWorkload(eng, s)
-	eng.RunUntil(6 * time.Hour)
-
-	if wide.State != JobQueued {
-		t.Fatalf("wide job state = %v, want starved in queue under greedy backfill", wide.State)
-	}
-	started := 0
-	for _, n := range *narrows {
-		if n.StartTime > 0 {
-			started++
-		}
-	}
-	if started < 20 {
-		t.Fatalf("greedy replica only started %d narrow jobs", started)
 	}
 	eng.Run()
 }

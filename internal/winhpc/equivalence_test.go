@@ -3,6 +3,7 @@ package winhpc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -10,64 +11,66 @@ import (
 	"repro/internal/simtime"
 )
 
-// scratchRebuild throws away every piece of incremental scheduler
-// state and recomputes it from the ground truth (the job map and the
-// node table): the queued and running ledgers, the pending-demand and
-// node census counters, and both segment trees. The equivalence test
-// rebuilds before every scheduling pass on one of two twin schedulers;
-// if the incremental state ever drifted from a from-scratch recompute,
-// the twins' placement decisions would diverge.
-func scratchRebuild(s *Scheduler) {
-	for _, j := range s.queued {
-		j.inQueue = false
-	}
-	s.queued = s.queued[:0]
-	s.queuedDead, s.queuedHead, s.queuedN = 0, 0, 0
-	s.queuedCores, s.queuedNodeUnits = 0, 0
-	s.running = s.running[:0]
-	queued := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id]
+// The scheduling core (internal/sched) carries its own twin-core
+// check: an incremental core against one rebuilt from scratch before
+// every pass. This file checks what the HPC Pack face reports on top
+// of the core — the Snapshot census and queue head, the queued and
+// running views, and per-node core use — against a recompute from the
+// ground truth: the job table and the node table.
+
+// checkAgainstScratch recomputes the face's views from the job and
+// node tables and reports the first disagreement.
+func checkAgainstScratch(s *Scheduler) error {
+	var queued, running []*Job
+	pending := 0
+	used := map[string]int{}
+	for _, j := range s.Jobs() {
 		switch j.State {
 		case JobQueued:
 			queued = append(queued, j)
+			pending += j.Cores(s.typicalCores())
 		case JobRunning:
-			j.runIdx = len(s.running)
-			s.running = append(s.running, j)
-		}
-	}
-	sort.Slice(queued, func(i, k int) bool { return queueLess(queued[i], queued[k]) })
-	for _, j := range queued {
-		j.inQueue = true
-		s.queued = append(s.queued, j)
-		s.queuedN++
-		if j.Unit == UnitNode {
-			s.queuedNodeUnits += j.Count
-		} else {
-			s.queuedCores += j.Count
-		}
-	}
-	s.allCores, s.coresUp = 0, 0
-	s.onlineNodes, s.onlineCores, s.freeCores, s.idleNodes = 0, 0, 0, 0
-	for _, name := range s.nodeOrder {
-		n := s.nodes[name]
-		s.allCores += n.Cores
-		if n.state != NodeUnreachable {
-			s.coresUp += n.Cores
-		}
-		if n.state == NodeOnline {
-			s.onlineNodes++
-			s.onlineCores += n.Cores
-			s.freeCores += n.Cores - n.used
-			if n.used == 0 {
-				s.idleNodes++
+			running = append(running, j)
+			for _, a := range j.Alloc {
+				used[a.Node] += a.Cores
 			}
 		}
 	}
-	s.rebuildTrees()
+	sort.SliceStable(queued, func(i, k int) bool { return queued[i].Priority > queued[k].Priority })
+	cores, online, onlineCores := 0, 0, 0
+	for _, n := range s.Nodes() {
+		if n.State() != NodeUnreachable {
+			cores += n.Cores
+		}
+		if n.State() == NodeOnline {
+			online++
+			onlineCores += n.Cores
+		}
+		if n.UsedCores() != used[n.Name] {
+			return fmt.Errorf("%s reports %d used cores, allocations say %d", n.Name, n.UsedCores(), used[n.Name])
+		}
+	}
+	want := QueueSnapshot{Running: len(running), Queued: len(queued), OnlineCores: onlineCores, PendingCores: pending}
+	if len(queued) > 0 {
+		want.FirstQueued, want.FirstName = queued[0].ID, queued[0].Name
+		want.NeededCores = queued[0].Cores(s.typicalCores())
+	}
+	if got := s.Snapshot(); got != want {
+		return fmt.Errorf("snapshot %+v, scratch %+v", got, want)
+	}
+	if got := s.QueuedJobs(); !slices.Equal(got, queued) {
+		return fmt.Errorf("queued view has %d jobs, scratch %d", len(got), len(queued))
+	}
+	if got := s.RunningJobs(); !slices.Equal(got, running) {
+		return fmt.Errorf("running view has %d jobs, scratch %d", len(got), len(running))
+	}
+	if s.TotalCores() != cores || s.OnlineNodes() != online {
+		return fmt.Errorf("node census (%d cores, %d online), scratch (%d, %d)", s.TotalCores(), s.OnlineNodes(), cores, online)
+	}
+	return nil
 }
 
-// winAction is one scripted step; the same script drives both twins.
+// winAction is one scripted step of the randomized workload.
 type winAction struct {
 	at   time.Duration
 	kind int // 0 submit, 1 cancel, 2 node unreachable, 3 node online
@@ -113,24 +116,13 @@ func winScript(seed int64, nodes, jobs int) []winAction {
 	return script
 }
 
-// runWinScript drives one scheduler through the script. When rebuild
-// is set, every scheduling pass is preceded by a from-scratch state
-// recompute.
-func runWinScript(t *testing.T, script []winAction, nodes int, backfill, rebuild bool) *Scheduler {
+// runWinScript drives one scheduler through the script, checking its
+// views against the ground truth after every action.
+func runWinScript(t *testing.T, script []winAction, nodes int, backfill bool) *Scheduler {
 	t.Helper()
 	eng := simtime.NewEngine()
 	s := NewScheduler(eng, "EQHEAD")
 	s.Backfill = backfill
-	if rebuild {
-		var wrap func()
-		wrap = func() {
-			scratchRebuild(s)
-			s.schedOverride = nil
-			s.schedule()
-			s.schedOverride = wrap
-		}
-		s.schedOverride = wrap
-	}
 	for i := 1; i <= nodes; i++ {
 		if _, err := s.AddNode(fmt.Sprintf("eqwin%02d", i), 4, true); err != nil {
 			t.Fatal(err)
@@ -138,7 +130,6 @@ func runWinScript(t *testing.T, script []winAction, nodes int, backfill, rebuild
 	}
 	ids := make([]int, len(script))
 	for _, a := range script {
-		a := a
 		eng.After(a.at, func() {
 			switch a.kind {
 			case 0:
@@ -155,17 +146,20 @@ func runWinScript(t *testing.T, script []winAction, nodes int, backfill, rebuild
 			case 3:
 				_ = s.SetNodeOnline(a.node, true)
 			}
+			if err := checkAgainstScratch(s); err != nil {
+				t.Fatalf("after action %d at %v: %v", a.kind, eng.Now(), err)
+			}
 		})
 	}
 	eng.Run()
 	return s
 }
 
-// TestWinHPCIncrementalMatchesScratchRecompute runs the identical
-// randomized workload on twin schedulers — one scheduling off its
-// incremental ledgers and free-core profile, one rebuilding all of it
-// from scratch before every pass — and requires identical outcomes:
-// same start times, same allocations, same final states.
+// TestWinHPCIncrementalMatchesScratchRecompute runs a randomized
+// workload of core- and node-unit jobs at every priority, with
+// cancellations and node outages, through the scheduler and requires
+// its views to match a from-scratch recompute after every action, and
+// every job to reach a terminal state.
 func TestWinHPCIncrementalMatchesScratchRecompute(t *testing.T) {
 	for _, backfill := range []bool{false, true} {
 		name := "fcfs"
@@ -173,20 +167,13 @@ func TestWinHPCIncrementalMatchesScratchRecompute(t *testing.T) {
 			name = "backfill"
 		}
 		t.Run(name, func(t *testing.T) {
-			script := winScript(733, 12, 120)
-			inc := runWinScript(t, script, 12, backfill, false)
-			ref := runWinScript(t, script, 12, backfill, true)
-			if len(inc.order) != len(ref.order) {
-				t.Fatalf("job counts diverged: %d vs %d", len(inc.order), len(ref.order))
+			s := runWinScript(t, winScript(733, 12, 120), 12, backfill)
+			if err := checkAgainstScratch(s); err != nil {
+				t.Fatal(err)
 			}
-			for _, id := range inc.order {
-				a, b := inc.jobs[id], ref.jobs[id]
-				if a.State != b.State || a.StartTime != b.StartTime || a.EndTime != b.EndTime {
-					t.Fatalf("job %d diverged: incremental (%v start=%v end=%v) vs scratch (%v start=%v end=%v)",
-						id, a.State, a.StartTime, a.EndTime, b.State, b.StartTime, b.EndTime)
-				}
-				if fmt.Sprint(a.Alloc) != fmt.Sprint(b.Alloc) {
-					t.Fatalf("job %d allocation diverged:\n%v\nvs\n%v", id, a.Alloc, b.Alloc)
+			for _, j := range s.Jobs() {
+				if j.State == JobQueued || j.State == JobRunning {
+					t.Fatalf("job %d ended in state %v", j.ID, j.State)
 				}
 			}
 		})
