@@ -23,6 +23,11 @@
 //	benchtab -benchjson ""  # skip the perf record
 //	benchtab -check BENCH_sim.json E8 E13 E15  # CI gate: fail on EventsRun drift
 //	benchtab -specs specs   # regenerate the committed experiment spec documents
+//	benchtab -benchjson "" -cpuprofile e17.pprof E17  # profile the selected runs
+//
+// -cpuprofile and -memprofile write pprof profiles (runtime/pprof)
+// covering the selected experiments' runs; read them with
+// `go tool pprof`.
 package main
 
 import (
@@ -31,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/experiments"
@@ -61,6 +67,8 @@ func main() {
 	benchJSON := flag.String("benchjson", "BENCH_sim.json", "write the per-experiment perf record here (empty to disable)")
 	check := flag.String("check", "", "benchmark-regression gate: compare EventsRun against this baseline record and fail on drift (ns/op stays advisory)")
 	specs := flag.String("specs", "", "write the recorded experiments' sweep documents (E12–E19) into this directory and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments' runs to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken after the selected experiments' runs, to this file")
 	flag.Parse()
 
 	if *list {
@@ -105,6 +113,14 @@ func main() {
 	writeJSON := *check == "" && *benchJSON != "" && (!subset || explicitJSON)
 
 	failed := 0
+	stopCPU := func() error { return nil }
+	if *cpuProfile != "" {
+		var err error
+		if stopCPU, err = startCPUProfile(*cpuProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+			os.Exit(1)
+		}
+	}
 	var records []benchRecord
 	var ms runtime.MemStats
 	for _, r := range runners {
@@ -129,6 +145,16 @@ func main() {
 			fmt.Println(tab.Render())
 		}
 	}
+	if err := stopCPU(); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+		failed++
+	}
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+			failed++
+		}
+	}
 	if *check != "" {
 		if !checkBaseline(*check, records) {
 			failed++
@@ -150,6 +176,38 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// startCPUProfile starts a CPU profile into path and returns the
+// function that finishes it.
+func startCPUProfile(path string) (func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeHeapProfile writes the heap profile, after a collection so the
+// live-object figures are current, as go test -memprofile does.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // allocTolerance is the headroom the allocation gate grants over the

@@ -91,11 +91,24 @@ func (s *Server) SetQueueStarted(name string, started bool) error {
 // schedulable reports whether a queued job may be considered in this
 // pass: its queue must be started and under its running cap.
 func (s *Server) schedulable(j *Job) bool {
-	q, ok := s.queues[j.Queue]
-	if !ok || !q.started {
-		return false
+	q := s.queue(j.Queue)
+	return q != nil && q.started && (q.MaxRunning <= 0 || q.running < q.MaxRunning)
+}
+
+// queue returns the named queue, nil when there is none. The skip
+// check asks for every queued job on every scheduling pass, and jobs
+// mostly share a queue, so the last name found is kept: queues are
+// never removed, so it stays valid. The key is kept apart from the
+// exported Queue.Name, which callers may rewrite.
+func (s *Server) queue(name string) *Queue {
+	if s.lastQueue == nil || name != s.lastName {
+		q, ok := s.queues[name]
+		if !ok {
+			return nil
+		}
+		s.lastName, s.lastQueue = name, q
 	}
-	return q.MaxRunning <= 0 || q.running < q.MaxRunning
+	return s.lastQueue
 }
 
 // QstatSummary renders the classic tabular `qstat` output:

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestDefaultQueueExists(t *testing.T) {
@@ -118,6 +119,54 @@ func TestQueueMaxRunning(t *testing.T) {
 		t.Fatalf("b = %v after a finished", bJob.State)
 	}
 	eng.Run()
+}
+
+// TestInterleavedQueuesKeepTheirCaps alternates jobs of a capped queue
+// and the default queue, so every scheduling pass's queue lookups
+// switch between the two on every job. The capped queue's exported
+// name is rewritten first: lookups go by the name it was created with.
+func TestInterleavedQueuesKeepTheirCaps(t *testing.T) {
+	eng, s := newTestServer(t, 4)
+	q, _ := s.CreateQueue("limited")
+	q.MaxRunning = 1
+	q.Name = "renamed"
+	var limited, other []*Job
+	for i := 0; i < 3; i++ {
+		a, err := s.Qsub(SubmitRequest{Queue: "limited", Nodes: 1, PPN: 1, Runtime: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := s.Qsub(SubmitRequest{Nodes: 1, PPN: 1, Runtime: time.Hour})
+		limited, other = append(limited, a), append(other, b)
+	}
+	eng.RunUntil(time.Minute)
+	for i := range limited {
+		want := StateQueued
+		if i == 0 {
+			want = StateRunning
+		}
+		if limited[i].State != want {
+			t.Fatalf("limited job %d = %v, want %v", i, limited[i].State, want)
+		}
+		if other[i].State != StateRunning {
+			t.Fatalf("default job %d = %v, capped queue blocked it", i, other[i].State)
+		}
+	}
+	eng.Run()
+	for _, j := range append(limited, other...) {
+		if j.State != StateComplete {
+			t.Fatalf("job %s = %v after the drain", j.ID, j.State)
+		}
+	}
+}
+
+// TestJobFitsItsSizeClass pins the job's size at the 288-byte
+// allocation class it fills exactly: one more field would move every
+// job up a class.
+func TestJobFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Job{}); got > 288 {
+		t.Fatalf("Job is %d bytes, want at most 288", got)
+	}
 }
 
 func TestSetQueueFlagsUnknown(t *testing.T) {

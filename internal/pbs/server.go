@@ -94,6 +94,9 @@ type Server struct {
 
 	queues       map[string]*Queue
 	defaultQueue string
+	// lastName and lastQueue cache the most recent queue lookup.
+	lastName  string
+	lastQueue *Queue
 
 	// npHist[c] counts configured nodes with NP == c (regardless of
 	// state), giving Qsub's feasibility check without a node scan.
@@ -444,7 +447,7 @@ func (s *Server) started(e *sched.Entry) {
 	}
 	j.State = StateRunning
 	j.StartTime = s.eng.Now()
-	if q, ok := s.queues[j.Queue]; ok {
+	if q := s.queue(j.Queue); q != nil {
 		q.running++
 	}
 	if s.OnJobStart != nil {
@@ -487,7 +490,7 @@ func (s *Server) vacate(j *Job) {
 	for _, slot := range j.ExecHost {
 		s.nodes[slot.Node].busy[slot.CPU] = nil
 	}
-	if q, ok := s.queues[j.Queue]; ok {
+	if q := s.queue(j.Queue); q != nil {
 		q.running--
 	}
 }

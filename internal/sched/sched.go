@@ -16,6 +16,7 @@ package sched
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -74,7 +75,8 @@ type Entry struct {
 	// an entry back to its job.
 	Seq int
 	// Count is nodes (PerNode, Whole) or slots (Anywhere); PPN is slots
-	// per node (PerNode).
+	// per node (PerNode). Every entry asks for something: Count is at
+	// least 1, and so is PPN for PerNode.
 	Count, PPN int
 	Runtime    time.Duration
 	// Walltime caps the run (0 = none): the job is killed there, and
@@ -98,6 +100,15 @@ func (e *Entry) limit() time.Duration {
 	return e.Runtime
 }
 
+// runFor is how long the entry really runs once started: its runtime,
+// cut at the walltime when one is set.
+func (e *Entry) runFor() time.Duration {
+	if e.Walltime > 0 {
+		return min(e.Runtime, e.Walltime)
+	}
+	return e.Runtime
+}
+
 // less orders the queue: priority descending, Seq order within a
 // level.
 func less(a, b *Entry) bool {
@@ -112,11 +123,17 @@ type Face struct {
 	// Backfill points at the face's EASY switch; each pass reads it.
 	Backfill *bool
 	// Skip, when set, passes over queued entries that may not start in
-	// this pass without letting them block the queue.
+	// this pass without letting them block the queue. It must not have
+	// side effects. The pass asks it for every live entry it reaches,
+	// before consulting anything it has learnt earlier in the pass, so
+	// its answer may change mid-pass (a queue reaching its running cap).
 	Skip func(*Entry) bool
 	// Started runs once the core has placed and started an entry,
 	// before its completion is scheduled; Finished runs when it ends
-	// by itself. Neither may be nil.
+	// by itself. Neither may be nil. Started may submit work, but it
+	// must not release capacity — no Stop, Interrupt, node loss or node
+	// return — because the pass relies on capacity only shrinking while
+	// it runs.
 	Started, Finished func(*Entry)
 }
 
@@ -179,7 +196,20 @@ type Core struct {
 	// Scratch buffers reused across passes.
 	grantBuf []Grant
 	rsvFree  []int
-	rsvRun   []*run
+	rsvRun   []release
+	memo     []verdicts
+
+	// changes counts every change to the node table, slot use or
+	// running set. last is the most recent reservation with the
+	// pivot demand and change count it was computed for: while
+	// neither moved, a later pass reuses it instead of replaying
+	// releases again.
+	changes uint64
+	last    struct {
+		rsv     reservation
+		d       demand
+		changes uint64
+	}
 
 	pending bool
 	// override replaces the scheduling pass; tests use it to rebuild
@@ -194,6 +224,7 @@ func New(eng *simtime.Engine, f Face) *Core { return &Core{eng: eng, face: f} }
 // index. Registration order is placement order.
 func (c *Core) AddNode(slots int, st NodeState) int {
 	c.nodes = append(c.nodes, node{slots: slots, state: Down})
+	c.changes++
 	i := len(c.nodes) - 1
 	c.refresh(i)
 	c.SetNode(i, st)
@@ -210,6 +241,7 @@ func (c *Core) SetNode(i int, st NodeState) {
 		n.state = st
 		c.count(n, 1)
 		c.refresh(i)
+		c.changes++
 	}
 	if st == Up {
 		c.Kick()
@@ -248,6 +280,9 @@ func (c *Core) Census() Census {
 // Submit queues an entry, or requeues one that left the queue, at its
 // key's position, and kicks a pass.
 func (c *Core) Submit(e *Entry) {
+	if e.Count < 1 || e.Shape == PerNode && e.PPN < 1 {
+		panic("sched: entry asks for no slots")
+	}
 	c.enqueue(e)
 	c.Kick()
 }
@@ -317,6 +352,7 @@ func (c *Core) Stop(e *Entry) {
 	c.running[last].e = nil
 	c.running = c.running[:last]
 	e.state = done
+	c.changes++
 }
 
 // Grants returns a running entry's placement, in node order. It is
@@ -431,6 +467,27 @@ func (c *Core) Kick() {
 // running entries release their slots at their projected ends — and
 // later entries may start only if that cannot delay the reservation.
 // Skipped entries never block.
+//
+// Behind the pivot the pass remembers per demand family what it has
+// learnt (Core.memo), so a backlog thousands deep but of a few demand
+// shapes costs a few placement attempts, not one per entry. Both memos
+// are exact because capacity only shrinks during a pass: the pass only
+// starts entries, and Started may not release anything.
+//   - A failed placement stays failed for the rest of the pass, and so
+//     does every demand it dominates. Whether a demand fits depends only
+//     on how many nodes or slots meet it: starts only lower that, and a
+//     larger count, or for PerNode a larger PPN, only needs more.
+//   - A long candidate (still running at the shadow time) whose grants
+//     would leave the pivot unplaceable there stays refused until the
+//     next start. Until then the node table and the reservation are
+//     exactly as they were, so the same demand gets the same first-fit
+//     grants and the same refusal, and a larger count of its family gets
+//     grants that cover those and leave the pivot less still. A start
+//     changes both, so it clears these refusals.
+//
+// And once no slot and no node is free, nothing behind the pivot can
+// start, since every entry asks for at least one slot or node, so the
+// pass ends there.
 func (c *Core) pass() {
 	c.compact()
 	c.advance()
@@ -449,15 +506,79 @@ func (c *Core) pass() {
 				c.start(e, g)
 				continue
 			}
-			if !*c.face.Backfill {
+			if !*c.face.Backfill || c.full() {
 				return
 			}
 			pivot = e
 			rsv = c.reserve(pivot)
+			for i := range c.memo {
+				c.memo[i] = verdicts{none, none}
+			}
+			c.fail(pivot)
 			continue
 		}
 		c.tryBackfill(e, pivot, &rsv)
+		if c.full() {
+			return
+		}
 	}
+}
+
+// full reports that no Up node has a free slot or is idle, so no
+// entry can be placed until something ends or a node comes up.
+func (c *Core) full() bool { return c.freeSlots == 0 && c.idleN == 0 }
+
+// verdicts is what the current pass has learnt about one demand family
+// (a shape and, for PerNode, a PPN): the smallest count whose placement
+// failed and the smallest whose long placement the reservation refused,
+// none until there is one.
+type verdicts struct{ failed, refused int }
+
+const none = math.MaxInt
+
+// family indexes an entry's demand family in Core.memo: Whole, then
+// Anywhere, then PerNode by PPN.
+func family(e *Entry) int {
+	switch e.Shape {
+	case Whole:
+		return 0
+	case Anywhere:
+		return 1
+	}
+	return 2 + e.PPN
+}
+
+// verdict returns the verdicts of the entry's family, growing the memo
+// to cover it. A new PerNode family inherits the failures of the
+// largest PPN below it.
+func (c *Core) verdict(e *Entry) *verdicts {
+	f := family(e)
+	for n := len(c.memo); n <= f; n++ {
+		v := verdicts{none, none}
+		if n > 2 {
+			v.failed = c.memo[n-1].failed
+		}
+		c.memo = append(c.memo, v)
+	}
+	return &c.memo[f]
+}
+
+// fail records that the entry's placement failed in this pass. A
+// PerNode failure also holds for every larger PPN.
+func (c *Core) fail(e *Entry) {
+	v := c.verdict(e)
+	v.failed = min(v.failed, e.Count)
+	if e.Shape == PerNode {
+		for i := family(e) + 1; i < len(c.memo); i++ {
+			c.memo[i].failed = min(c.memo[i].failed, e.Count)
+		}
+	}
+}
+
+// demand is what the reservation reads from its pivot.
+type demand struct {
+	shape      Shape
+	count, ppn int
 }
 
 // reservation is the pivot's EASY booking: the shadow time and the
@@ -504,11 +625,29 @@ func (r *reservation) fits(p *Entry) bool {
 	return r.fit >= p.Count
 }
 
+// release is one running entry in the reservation's replay: its
+// projected end and its index in Core.running.
+type release struct {
+	end time.Duration
+	i   int
+}
+
 // reserve computes the pivot's shadow state by replaying the running
 // entries' projected releases onto the current free slots, in release
-// order, until the pivot fits. The projection and the entry copy live
-// in pooled buffers.
+// order, until the pivot fits. Only the releases up to that instant
+// need ordering, so they come off a binary heap built in linear time
+// instead of a full sort; releases at one instant are applied as a
+// group, in whatever order, since the projection after the group does
+// not depend on it. The projection and the heap live in pooled
+// buffers. A pass whose pivot demand and core state are unchanged
+// since the last reserve gets that reservation back as it was.
 func (c *Core) reserve(p *Entry) reservation {
+	d := demand{p.Shape, p.Count, p.PPN}
+	// The zero demand never matches: a zero count always places, so it
+	// is never a pivot.
+	if c.last.d == d && c.last.changes == c.changes {
+		return c.last.rsv
+	}
 	if cap(c.rsvFree) < len(c.nodes) {
 		c.rsvFree = make([]int, len(c.nodes))
 	}
@@ -525,32 +664,52 @@ func (c *Core) reserve(p *Entry) reservation {
 			r.fit++
 		}
 	}
-	runs := c.rsvRun[:0]
+	h := c.rsvRun[:0]
 	for i := range c.running {
-		runs = append(runs, &c.running[i])
+		h = append(h, release{c.running[i].end, i})
 	}
-	c.rsvRun = runs
-	slices.SortFunc(runs, func(a, b *run) int {
-		if a.end != b.end {
-			return cmp.Compare(a.end, b.end)
-		}
-		return cmp.Compare(a.e.Seq, b.e.Seq)
-	})
-	for i := 0; i < len(runs); {
-		end := runs[i].end
-		for ; i < len(runs) && runs[i].end == end; i++ {
-			for _, g := range runs[i].grants {
+	c.rsvRun = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		end := h[0].end
+		for len(h) > 0 && h[0].end == end {
+			for _, g := range c.running[h[0].i].grants {
 				if r.free[g.Node] >= 0 {
 					r.add(g.Node, g.Slots, c.need(p, g.Node))
 				}
 			}
+			last := len(h) - 1
+			h[0] = h[last]
+			h = h[:last]
+			siftDown(h, 0)
 		}
 		if r.fits(p) {
 			r.shadow, r.ok = end, true
-			return r
+			break
 		}
 	}
-	return reservation{}
+	c.last.rsv, c.last.d, c.last.changes = r, d, c.changes
+	return r
+}
+
+// siftDown restores the min-heap order on end below index i.
+func siftDown(h []release, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].end < h[m].end {
+			m = r
+		}
+		if h[i].end <= h[m].end {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // tryBackfill starts a candidate behind the blocked pivot if it cannot
@@ -558,13 +717,19 @@ func (c *Core) reserve(p *Entry) reservation {
 // shadow time, or the pivot still fits at the shadow time with the
 // candidate's grants subtracted. Long candidates that pass stay
 // subtracted, so later candidates in the same pass see only the
-// remaining slack.
+// remaining slack. What the pass's memo already rules out is skipped
+// without a placement attempt (see pass).
 func (c *Core) tryBackfill(e, p *Entry, r *reservation) {
-	g := c.choose(e)
-	if g == nil {
+	long := r.ok && c.eng.Now()+e.limit() > r.shadow
+	if v := c.verdict(e); e.Count >= v.failed || long && e.Count >= v.refused {
 		return
 	}
-	if r.ok && c.eng.Now()+e.limit() > r.shadow {
+	g := c.choose(e)
+	if g == nil {
+		c.fail(e)
+		return
+	}
+	if long {
 		for _, x := range g {
 			r.add(x.Node, -x.Slots, c.need(p, x.Node))
 		}
@@ -572,10 +737,15 @@ func (c *Core) tryBackfill(e, p *Entry, r *reservation) {
 			for _, x := range g {
 				r.add(x.Node, x.Slots, c.need(p, x.Node))
 			}
+			v := c.verdict(e)
+			v.refused = min(v.refused, e.Count)
 			return
 		}
 	}
 	c.start(e, g)
+	for i := range c.memo {
+		c.memo[i].refused = none
+	}
 }
 
 // choose places an entry without committing it, first fit in node
@@ -636,16 +806,14 @@ func (c *Core) start(e *Entry, g []Grant) {
 	}
 	r := &c.running[e.runIdx]
 	r.e, r.end, r.grants = e, c.eng.Now()+e.limit(), append(r.grants[:0], g...)
+	c.changes++
 	c.face.Started(e)
-	dur := e.Runtime
-	if e.Walltime > 0 {
-		dur = min(dur, e.Walltime)
-	}
-	c.eng.After(dur, func() {
-		// The test is on state alone, so an entry interrupted, requeued
-		// and started again before this fires is ended here, early: a
-		// known defect, left for a change that may move results.
-		if e.state == running {
+	c.eng.After(e.runFor(), func() {
+		// Only the timer of the current run may end it. The run this
+		// timer belongs to started runFor ago; an entry interrupted,
+		// requeued and started again since has a later projected end,
+		// and its own timer.
+		if e.state == running && c.running[e.runIdx].end == c.eng.Now()-e.runFor()+e.limit() {
 			c.Stop(e)
 			c.face.Finished(e)
 			c.Kick()

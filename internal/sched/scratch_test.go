@@ -84,6 +84,7 @@ func rebuild(h *harness) {
 	}
 	c.cen, c.freeSlots, c.idleN = t.cen, t.freeSlots, t.idleN
 	c.rebuildTrees()
+	c.changes++ // no reservation survives a rebuild
 }
 
 // checkScratch cross-checks the incremental state against a
@@ -218,15 +219,12 @@ func newHarness(sc script) *harness {
 	return h
 }
 
-// run plays the script to quiescence. With scratch set, every pass is
-// preceded by a rebuild from the ground truth; with check set, the
-// incremental state is cross-checked after every op.
-func (h *harness) run(sc script, scratch, check bool) {
-	if scratch {
-		h.c.override = func() {
-			rebuild(h)
-			h.c.pass()
-		}
+// run plays the script to quiescence. A non-nil pass replaces every
+// scheduling pass; with check set, the incremental state is
+// cross-checked after every op.
+func (h *harness) run(sc script, pass func(*harness), check bool) {
+	if pass != nil {
+		h.c.override = func() { pass(h) }
 	}
 	for _, o := range sc.ops {
 		h.eng.At(o.at, func() {
@@ -299,19 +297,29 @@ func (h *harness) apply(o op) {
 // differ runs a script on an incremental core (checked after every op)
 // and on a scratch-rebuilt twin, and reports the first divergence.
 func differ(sc script) error {
+	return compare(sc, "scratch", func(h *harness) {
+		rebuild(h)
+		h.c.pass()
+	})
+}
+
+// compare runs a script on an incremental core (checked after every
+// op) and on a twin whose every pass is twinPass, and reports the
+// first divergence in start times, placements and end times.
+func compare(sc script, twin string, twinPass func(*harness)) error {
 	inc, ref := newHarness(sc), newHarness(sc)
-	inc.run(sc, false, true)
-	ref.run(sc, true, false)
+	inc.run(sc, nil, true)
+	ref.run(sc, twinPass, false)
 	if inc.err != nil {
 		return inc.err
 	}
 	for i := range min(len(inc.log), len(ref.log)) {
 		if inc.log[i] != ref.log[i] {
-			return fmt.Errorf("event %d diverged: incremental %q, scratch %q", i, inc.log[i], ref.log[i])
+			return fmt.Errorf("event %d diverged: incremental %q, %s %q", i, inc.log[i], twin, ref.log[i])
 		}
 	}
 	if len(inc.log) != len(ref.log) {
-		return fmt.Errorf("incremental logged %d events, scratch %d", len(inc.log), len(ref.log))
+		return fmt.Errorf("incremental logged %d events, %s %d", len(inc.log), twin, len(ref.log))
 	}
 	return nil
 }
