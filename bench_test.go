@@ -1,8 +1,8 @@
 package hybridcluster
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured). Each benchmark runs the full
+// paper's evaluation (see experiments.All in internal/experiments for
+// the experiment index and EXPERIMENTS.md for paper-vs-measured). Each benchmark runs the full
 // scenario per iteration and reports the experiment's headline numbers
 // through b.ReportMetric, so `go test -bench=. -benchmem` reproduces
 // the whole evaluation. cmd/benchtab prints the same experiments as

@@ -143,7 +143,9 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Node is one compute node plus its dual-boot state.
+// Node is one compute node plus its dual-boot state. The cluster
+// writes OS, Switching and Broken only through setState, which keeps
+// the counted node census in step with them.
 type Node struct {
 	HW        *hardware.Node
 	OS        osid.OS // current side; None while switching
@@ -180,18 +182,32 @@ type Cluster struct {
 	rng     *rand.Rand
 	pbsDet  detector.Detector
 	winDet  detector.Detector
-	pending map[osid.OS]int // outstanding switch orders by donor side
-	arrived map[osid.OS]int // cumulative CPU demand submitted per side
+	pending [osSlots]int // outstanding switch orders by donor side
+	arrived [osSlots]int // cumulative CPU demand submitted per side
+
+	// The counted node census, kept by setState: booted nodes by side
+	// (switching nodes excluded), nodes mid-switch, broken nodes.
+	nodesOn           [osSlots]int
+	switching, broken int
 
 	// controlActions counts mechanism writes: FAT control-file edits
 	// (v1) or PXE flag sets (v2). E8 compares these across versions.
 	controlActions int
 	events         []Event
-	submitted      map[string]bool // workload job IDs awaiting completion
-	unfinished     int
-	toSubmit       int     // trace jobs scheduled but not yet submitted
-	hooks          []Hooks // lifecycle observers (see run.go)
+	// pbsJobs and winJobs map a PBS SeqNo or HPC job ID n to the
+	// recorder handle of the workload job behind it at index n-1, or
+	// -1 for the switch jobs the cluster submits itself. awaiting[h]
+	// marks handle h as a workload job not yet completed.
+	pbsJobs, winJobs []int32
+	awaiting         []bool
+	unfinished       int
+	toSubmit         int     // trace jobs scheduled but not yet submitted
+	hooks            []Hooks // lifecycle observers (see run.go)
 }
+
+// osSlots sizes the per-side arrays: osid values are dense small
+// integers (None, Linux, Windows).
+const osSlots = int(osid.Windows) + 1
 
 // New builds and provisions a cluster. Every node's disk is actually
 // deployed: Windows via diskpart (Figures 10/15 semantics) and Linux
@@ -210,16 +226,13 @@ func New(cfg Config) (*Cluster, error) {
 		winHead = cfg.NamePrefix + "-WINHEAD"
 	}
 	c := &Cluster{
-		Eng:       eng,
-		PBS:       pbs.NewServer(eng, fqdn),
-		Win:       winhpc.NewScheduler(eng, winHead),
-		Bus:       comm.NewBus(eng, cfg.BusLatency),
-		cfg:       cfg,
-		byName:    make(map[string]*Node),
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		pending:   map[osid.OS]int{},
-		arrived:   map[osid.OS]int{},
-		submitted: map[string]bool{},
+		Eng:    eng,
+		PBS:    pbs.NewServer(eng, fqdn),
+		Win:    winhpc.NewScheduler(eng, winHead),
+		Bus:    comm.NewBus(eng, cfg.BusLatency),
+		cfg:    cfg,
+		byName: make(map[string]*Node),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	c.Rec = metrics.NewRecorder(eng.Now, cfg.Nodes*cfg.CoresPerNode)
 	if cfg.SchedPolicy == SchedBackfill {
@@ -329,6 +342,7 @@ func (c *Cluster) provisionNodes() error {
 		hw.Power = hardware.PowerOn
 		hw.BootedOS = startOS
 		node := &Node{HW: hw, OS: startOS}
+		c.count(node, 1)
 		c.nodes = append(c.nodes, node)
 		c.byName[name] = node
 
@@ -407,19 +421,21 @@ func (c *Cluster) v1FATPartition(hw *hardware.Node) (*hardware.Partition, error)
 // requeued rerunnable jobs suspend busy-core integration until their
 // next attempt starts.
 func (c *Cluster) wireSchedulers() {
-	c.PBS.OnJobStart = func(j *pbs.Job) { c.Rec.JobStarted(j.ID) }
-	c.PBS.OnJobRequeue = func(j *pbs.Job) { c.Rec.JobInterrupted(j.ID) }
+	c.PBS.OnJobStart = func(j *pbs.Job) { c.Rec.JobStarted(handle(c.pbsJobs, j.SeqNo)) }
+	c.PBS.OnJobRequeue = func(j *pbs.Job) { c.Rec.JobInterrupted(handle(c.pbsJobs, j.SeqNo)) }
 	c.PBS.OnJobEnd = func(j *pbs.Job) {
 		ok := !j.KilledAtWalltime() && !j.Failed()
-		c.Rec.JobEnded(j.ID, ok)
-		c.markDone(j.ID, ok)
+		h := handle(c.pbsJobs, j.SeqNo)
+		c.Rec.JobEnded(h, ok)
+		c.markDone(h, ok)
 	}
-	c.Win.OnJobStart = func(j *winhpc.Job) { c.Rec.JobStarted(winJobID(j.ID)) }
-	c.Win.OnJobRequeue = func(j *winhpc.Job) { c.Rec.JobInterrupted(winJobID(j.ID)) }
+	c.Win.OnJobStart = func(j *winhpc.Job) { c.Rec.JobStarted(handle(c.winJobs, j.ID)) }
+	c.Win.OnJobRequeue = func(j *winhpc.Job) { c.Rec.JobInterrupted(handle(c.winJobs, j.ID)) }
 	c.Win.OnJobEnd = func(j *winhpc.Job) {
 		ok := j.State == winhpc.JobFinished
-		c.Rec.JobEnded(winJobID(j.ID), ok)
-		c.markDone(winJobID(j.ID), ok)
+		h := handle(c.winJobs, j.ID)
+		c.Rec.JobEnded(h, ok)
+		c.markDone(h, ok)
 		if c.cfg.Mode == MonoStable {
 			c.returnNodesHome()
 		}
@@ -428,11 +444,32 @@ func (c *Cluster) wireSchedulers() {
 
 func winJobID(id int) string { return fmt.Sprintf("W%d", id) }
 
-func (c *Cluster) markDone(id string, completed bool) {
-	if c.submitted[id] {
-		delete(c.submitted, id)
+// handle returns the recorder handle of scheduler job number n (counted
+// from 1), -1 when no workload job is behind it.
+func handle(tab []int32, n int) int {
+	if n < 1 || n > len(tab) {
+		return -1
+	}
+	return int(tab[n-1])
+}
+
+// bind records h as the handle of scheduler job number n; numbers
+// skipped since the last bind belong to switch jobs.
+func bind(tab []int32, n, h int) []int32 {
+	for len(tab) < n {
+		tab = append(tab, -1)
+	}
+	tab[n-1] = int32(h)
+	return tab
+}
+
+func (c *Cluster) markDone(h int, completed bool) {
+	if h >= 0 && c.awaiting[h] {
+		c.awaiting[h] = false
 		c.unfinished--
-		c.notifyJobCompleted(id, completed)
+		if len(c.hooks) > 0 {
+			c.notifyJobCompleted(c.Rec.JobID(h), completed)
+		}
 	}
 }
 
@@ -493,6 +530,28 @@ func (c *Cluster) pointBootConfig(nodes []*Node, target osid.OS) error {
 	return nil
 }
 
+// setState moves a node to a side, switching flag and broken flag,
+// keeping the counted census in step: it is the only writer of those
+// three fields once provisioning has counted the node in.
+func (c *Cluster) setState(n *Node, os osid.OS, switching, broken bool) {
+	c.count(n, -1)
+	n.OS, n.Switching, n.Broken = os, switching, broken
+	c.count(n, 1)
+}
+
+// count adds (sign 1) or removes (sign -1) a node's contribution to
+// the census.
+func (c *Cluster) count(n *Node, sign int) {
+	if n.Switching {
+		c.switching += sign
+	} else {
+		c.nodesOn[n.OS] += sign
+	}
+	if n.Broken {
+		c.broken += sign
+	}
+}
+
 // nodeIdle reports whether the node has no busy CPUs on its side.
 func (c *Cluster) nodeIdle(n *Node) bool {
 	switch n.OS {
@@ -523,36 +582,17 @@ func (c *Cluster) Nodes() []*Node { return append([]*Node(nil), c.nodes...) }
 
 // NodesOn counts nodes currently booted into an OS.
 func (c *Cluster) NodesOn(os osid.OS) int {
-	n := 0
-	for _, node := range c.nodes {
-		if node.OS == os && !node.Switching {
-			n++
-		}
+	if int(os) >= osSlots {
+		return 0
 	}
-	return n
+	return c.nodesOn[os]
 }
 
 // SwitchingCount counts nodes mid-switch.
-func (c *Cluster) SwitchingCount() int {
-	n := 0
-	for _, node := range c.nodes {
-		if node.Switching {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cluster) SwitchingCount() int { return c.switching }
 
 // BrokenCount counts nodes whose boot chain failed.
-func (c *Cluster) BrokenCount() int {
-	n := 0
-	for _, node := range c.nodes {
-		if node.Broken {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cluster) BrokenCount() int { return c.broken }
 
 // Config returns the effective configuration.
 func (c *Cluster) Config() Config { return c.cfg }

@@ -17,8 +17,13 @@ func TestRunUntilDrainedStuckSwitchStopsAtHorizon(t *testing.T) {
 	}
 	// Wedge a node mid-switch with no pending event to release it —
 	// the permanently-stuck case (e.g. a machine that powers off
-	// during reboot and never reports back).
-	c.nodes[0].Switching = true
+	// during reboot and never reports back). It leaves PBS as a real
+	// switch does, so the cluster's census and the scheduler's agree.
+	n := c.nodes[0]
+	c.setState(n, osid.None, true, false)
+	if err := c.PBS.SetNodeAvailable(n.HW.Name, false); err != nil {
+		t.Fatal(err)
+	}
 
 	const horizon = 2 * time.Hour
 	done := make(chan struct{})

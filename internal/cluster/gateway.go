@@ -17,13 +17,14 @@ import (
 // This file implements controller.Gateway: how the daemons observe the
 // two sides and how switch orders become batch jobs and reboots.
 
-// SideInfo implements controller.Gateway.
+// SideInfo implements controller.Gateway. Every figure comes from a
+// maintained counter: the node total from the cluster's census, the
+// idle nodes (up on the side with no CPU in use) from the side's
+// scheduler.
 func (c *Cluster) SideInfo(os osid.OS) controller.SideState {
 	s := controller.SideState{
 		OS:            os,
 		CoresPerNode:  c.cfg.CoresPerNode,
-		PendingAway:   c.pending[os],
-		ArrivedCPUs:   c.arrived[os],
 		SwitchLatency: c.SwitchLatencyEstimate(os),
 	}
 	var det detector.Detector
@@ -34,26 +35,22 @@ func (c *Cluster) SideInfo(os osid.OS) controller.SideState {
 		s.RunningJobs = stats.Running
 		s.QueuedJobs = stats.Queued
 		s.QueuedCPUs = stats.QueuedCPUs
+		s.IdleNodes = stats.IdleNodes
 	case osid.Windows:
 		det = c.winDet
 		snap := c.Win.Snapshot()
 		s.RunningJobs = snap.Running
 		s.QueuedJobs = snap.Queued
 		s.QueuedCPUs = snap.PendingCores
+		s.IdleNodes = snap.IdleNodes
 	default:
 		return s
 	}
+	s.PendingAway = c.pending[os]
+	s.ArrivedCPUs = c.arrived[os]
+	s.TotalNodes = c.nodesOn[os]
 	if rep, err := det.Detect(); err == nil {
 		s.Report = rep
-	}
-	for _, n := range c.nodes {
-		if n.OS != os || n.Switching {
-			continue
-		}
-		s.TotalNodes++
-		if c.nodeIdle(n) {
-			s.IdleNodes++
-		}
 	}
 	return s
 }
@@ -187,9 +184,8 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 		return
 	}
 	from := n.OS
-	n.Switching = true
+	c.setState(n, osid.None, true, n.Broken)
 	n.Target = target
-	n.OS = osid.None
 	n.HW.Power = hardware.PowerShuttingDown
 	c.Rec.SwitchStarted(name, from, target)
 	c.Rec.NodeDown(from)
@@ -219,9 +215,8 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 			return
 		}
 		c.Eng.After(res.Latency, func() {
-			n.Switching = false
+			c.setState(n, res.OS, false, n.Broken)
 			n.Target = osid.None
-			n.OS = res.OS
 			n.HW.Power = hardware.PowerOn
 			n.HW.BootedOS = res.OS
 			switch res.OS {
@@ -243,8 +238,7 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 // administrator intervenes. Injected faults and real boot-chain
 // errors share this bookkeeping so the two paths cannot diverge.
 func (c *Cluster) markBootFailed(n *Node, context string, err error) {
-	n.Switching = false
-	n.Broken = true
+	c.setState(n, n.OS, false, true)
 	n.HW.Power = hardware.PowerOff
 	c.Rec.SwitchFinished(n.HW.Name, false)
 	c.logf("%s: %s boot FAILED: %v", context, n.HW.Name, err)

@@ -68,7 +68,7 @@ func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, 
 	if from.Valid() {
 		c.Rec.NodeDown(from)
 	}
-	n.OS = osid.None
+	c.setState(n, osid.None, false, n.Broken)
 	n.HW.Power = hardware.PowerOff
 
 	winRep, err := deploy.DeployWindows(n.HW, dp)
@@ -131,7 +131,7 @@ func (c *Cluster) currentImage() (*oscar.Image, *deploy.Layout, error) {
 // it has no donor side to deregister (already done) and no target
 // expectation — wherever the boot chain lands is recorded.
 func (c *Cluster) beginReimageBoot(n *Node) {
-	n.Switching = true
+	c.setState(n, n.OS, true, n.Broken)
 	n.HW.Power = hardware.PowerBooting
 	c.Rec.SwitchStarted(n.HW.Name, osid.None, osid.None)
 	c.Eng.After(c.cfg.Latency.POST, func() {
@@ -145,8 +145,7 @@ func (c *Cluster) beginReimageBoot(n *Node) {
 			return
 		}
 		c.Eng.After(res.Latency, func() {
-			n.Switching = false
-			n.OS = res.OS
+			c.setState(n, res.OS, false, n.Broken)
 			n.HW.BootedOS = res.OS
 			n.HW.Power = hardware.PowerOn
 			switch res.OS {

@@ -84,7 +84,7 @@ func (c *Cluster) Submit(j workload.Job) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		c.track(pj.ID, j)
+		c.track(&c.pbsJobs, pj.SeqNo, pj.ID, j)
 		return pj.ID, nil
 	case osid.Windows:
 		spec := winhpc.JobSpec{
@@ -105,17 +105,25 @@ func (c *Cluster) Submit(j workload.Job) (string, error) {
 			return "", err
 		}
 		id := winJobID(wj.ID)
-		c.track(id, j)
+		c.track(&c.winJobs, wj.ID, id, j)
 		return id, nil
 	default:
 		return "", fmt.Errorf("cluster: job %q has no valid OS", j.App)
 	}
 }
 
-func (c *Cluster) track(id string, j workload.Job) {
-	c.Rec.JobSubmitted(id, j.OS, j.App, j.CPUs())
+// track books workload job j, submitted as scheduler job number n
+// under id: it gets a recorder handle, bound to n in the scheduler's
+// handle table. The ID is rendered once, before this, and stored with
+// the record.
+func (c *Cluster) track(tab *[]int32, n int, id string, j workload.Job) {
+	h := c.Rec.JobSubmitted(id, j.OS, j.App, j.CPUs())
+	*tab = bind(*tab, n, h)
+	for len(c.awaiting) <= h {
+		c.awaiting = append(c.awaiting, false)
+	}
+	c.awaiting[h] = true
 	c.arrived[j.OS] += j.CPUs()
-	c.submitted[id] = true
 	c.unfinished++
 }
 
@@ -127,6 +135,7 @@ func (c *Cluster) ScheduleTrace(trace workload.Trace) error {
 	if err := trace.Validate(); err != nil {
 		return err
 	}
+	c.Rec.Reserve(len(trace))
 	for _, j := range trace {
 		j := j
 		c.toSubmit++

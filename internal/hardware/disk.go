@@ -267,18 +267,24 @@ func (d *Disk) Partitions() []*Partition {
 
 // Partition returns the partition with the given 1-based index.
 func (d *Disk) Partition(index int) (*Partition, error) {
-	for _, p := range d.parts {
-		if p.Index == index {
-			return p, nil
-		}
+	if p := d.find(index); p != nil {
+		return p, nil
 	}
 	return nil, fmt.Errorf("hardware: no partition %d", index)
 }
 
-// HasPartition reports whether the index is allocated.
-func (d *Disk) HasPartition(index int) bool {
-	_, err := d.Partition(index)
-	return err == nil
+// HasPartition reports whether the index is allocated. Provisioning
+// probes it on every node, so a miss builds no error.
+func (d *Disk) HasPartition(index int) bool { return d.find(index) != nil }
+
+// find returns the partition with the index, nil when there is none.
+func (d *Disk) find(index int) *Partition {
+	for _, p := range d.parts {
+		if p.Index == index {
+			return p
+		}
+	}
+	return nil
 }
 
 // UsedMB returns the space consumed by all partitions.

@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -80,8 +81,10 @@ type Recorder struct {
 	upNodeNS   [osSlots]float64 // ∫ nodes-up dt
 	switchNS   float64          // ∫ nodes-switching dt
 
-	jobs        map[string]*JobRecord
-	order       []string
+	// jobs holds one record per submission, indexed by the handle
+	// JobSubmitted returned, so the lifecycle calls index rather than
+	// hash.
+	jobs        []JobRecord
 	switches    []SwitchRecord
 	inFlight    map[string]*SwitchRecord
 	seenSwitch  int
@@ -94,7 +97,6 @@ func NewRecorder(now func() time.Duration, totalCores int) *Recorder {
 	return &Recorder{
 		now:        now,
 		totalCores: totalCores,
-		jobs:       map[string]*JobRecord{},
 		inFlight:   map[string]*SwitchRecord{},
 	}
 }
@@ -119,22 +121,43 @@ func (r *Recorder) advance() {
 	r.last = now
 }
 
-// JobSubmitted records a submission.
-func (r *Recorder) JobSubmitted(id string, os osid.OS, app string, cpus int) {
+// Reserve makes room for n more job records, so a run that knows its
+// trace length grows the record table once.
+func (r *Recorder) Reserve(n int) { r.jobs = slices.Grow(r.jobs, n) }
+
+// JobSubmitted records a submission and returns its handle: the
+// record's index in submission order, which the lifecycle calls take.
+// Every submission gets its own record; id is only reported back.
+func (r *Recorder) JobSubmitted(id string, os osid.OS, app string, cpus int) int {
 	r.advance()
-	if _, dup := r.jobs[id]; dup {
-		return
+	r.jobs = append(r.jobs, JobRecord{ID: id, OS: os, App: app, CPUs: cpus, Submitted: r.now()})
+	return len(r.jobs) - 1
+}
+
+// job resolves a handle; lifecycle events for a handle JobSubmitted
+// never returned are ignored.
+func (r *Recorder) job(h int) (*JobRecord, bool) {
+	if h < 0 || h >= len(r.jobs) {
+		return nil, false
 	}
-	r.jobs[id] = &JobRecord{ID: id, OS: os, App: app, CPUs: cpus, Submitted: r.now()}
-	r.order = append(r.order, id)
+	return &r.jobs[h], true
+}
+
+// JobID returns the ID a handle's job was submitted under ("" for an
+// unknown handle).
+func (r *Recorder) JobID(h int) string {
+	if j, ok := r.job(h); ok {
+		return j.ID
+	}
+	return ""
 }
 
 // JobStarted records a start and begins busy-core integration. A
 // restart after a requeue (see JobInterrupted) resumes integration
 // but keeps the first Started — first-start wait semantics.
-func (r *Recorder) JobStarted(id string) {
+func (r *Recorder) JobStarted(h int) {
 	r.advance()
-	j, ok := r.jobs[id]
+	j, ok := r.job(h)
 	if !ok || j.running {
 		return
 	}
@@ -154,9 +177,9 @@ func (r *Recorder) JobStarted(id string) {
 // integration stops until the job is started again; without this the
 // lost attempt would keep inflating utilisation while the job sat
 // queued.
-func (r *Recorder) JobInterrupted(id string) {
+func (r *Recorder) JobInterrupted(h int) {
 	r.advance()
-	j, ok := r.jobs[id]
+	j, ok := r.job(h)
 	if !ok || !j.running {
 		return
 	}
@@ -169,9 +192,9 @@ func (r *Recorder) JobInterrupted(id string) {
 }
 
 // JobEnded records completion and releases busy cores.
-func (r *Recorder) JobEnded(id string, completed bool) {
+func (r *Recorder) JobEnded(h int, completed bool) {
 	r.advance()
-	j, ok := r.jobs[id]
+	j, ok := r.job(h)
 	if !ok {
 		return
 	}
@@ -310,35 +333,38 @@ func (r *Recorder) Summarise(totalNodes int) Summary {
 	}
 	denom := float64(r.totalCores) * float64(elapsed)
 	var busyTotal float64
-	waitSums := map[osid.OS]*durSum{}
-	waitCounts := map[osid.OS]int{}
 	for _, os := range []osid.OS{osid.Linux, osid.Windows} {
 		busyTotal += r.busyCoreNS[os]
 		s.UtilisationOS[os] = r.busyCoreNS[os] / denom
 	}
 	s.Utilisation = busyTotal / denom
-	for _, id := range r.order {
-		j := r.jobs[id]
-		s.JobsSubmitted[j.OS]++
+	// Per-side tallies go into arrays and reach the maps once, with
+	// the keys the maps would have got entry by entry: a side appears
+	// once it has a submission, a completion or a nonzero wait.
+	var submitted, completed [osSlots]int
+	var waitSums [osSlots]durSum
+	var maxWait [osSlots]time.Duration
+	for i := range r.jobs {
+		j := &r.jobs[i]
+		submitted[j.OS]++
 		if j.Completed {
-			s.JobsCompleted[j.OS]++
-			sum := waitSums[j.OS]
-			if sum == nil {
-				sum = &durSum{}
-				waitSums[j.OS] = sum
-			}
-			sum.add(j.Wait())
-			waitCounts[j.OS]++
-			if j.Wait() > s.MaxWait[j.OS] {
-				s.MaxWait[j.OS] = j.Wait()
-			}
-			if j.Ended > s.Makespan {
-				s.Makespan = j.Ended
-			}
+			completed[j.OS]++
+			waitSums[j.OS].add(j.Wait())
+			maxWait[j.OS] = max(maxWait[j.OS], j.Wait())
+			s.Makespan = max(s.Makespan, j.Ended)
 		}
 	}
-	for os, sum := range waitSums {
-		s.MeanWait[os] = sum.mean(waitCounts[os])
+	for os := range osid.OS(osSlots) {
+		if submitted[os] > 0 {
+			s.JobsSubmitted[os] = submitted[os]
+		}
+		if completed[os] > 0 {
+			s.JobsCompleted[os] = completed[os]
+			s.MeanWait[os] = waitSums[os].mean(completed[os])
+		}
+		if maxWait[os] > 0 {
+			s.MaxWait[os] = maxWait[os]
+		}
 	}
 	s.Switches = len(r.switches)
 	var switchSum time.Duration
@@ -437,11 +463,7 @@ func Aggregate(parts []Summary) Summary {
 
 // Jobs returns job records in submission order.
 func (r *Recorder) Jobs() []JobRecord {
-	out := make([]JobRecord, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, *r.jobs[id])
-	}
-	return out
+	return append(make([]JobRecord, 0, len(r.jobs)), r.jobs...)
 }
 
 // Switches returns completed switch records.
@@ -463,27 +485,28 @@ type AppStat struct {
 // AppStats digests completed jobs per application — the Table-I view
 // of a run. Results are sorted by application name.
 func (r *Recorder) AppStats() []AppStat {
-	acc := map[string]*AppStat{}
-	waitSums := map[string]*durSum{}
-	for _, id := range r.order {
-		j := r.jobs[id]
+	type key struct {
+		app string
+		os  osid.OS
+	}
+	type tally struct {
+		AppStat
+		waits durSum
+	}
+	acc := map[key]*tally{}
+	for i := range r.jobs {
+		j := &r.jobs[i]
 		if !j.Completed {
 			continue
 		}
-		key := j.App + "/" + j.OS.String()
-		st, ok := acc[key]
-		if !ok {
-			st = &AppStat{App: j.App, OS: j.OS, ShortestWait: time.Duration(1<<62 - 1)}
-			acc[key] = st
+		st := acc[key{j.App, j.OS}]
+		if st == nil {
+			st = &tally{AppStat: AppStat{App: j.App, OS: j.OS, ShortestWait: time.Duration(1<<62 - 1)}}
+			acc[key{j.App, j.OS}] = st
 		}
 		st.Completed++
 		w := j.Wait()
-		sum := waitSums[key]
-		if sum == nil {
-			sum = &durSum{}
-			waitSums[key] = sum
-		}
-		sum.add(w)
+		st.waits.add(w)
 		if w > st.LongestWait {
 			st.LongestWait = w
 		}
@@ -495,9 +518,9 @@ func (r *Recorder) AppStats() []AppStat {
 		st.CPUHours += float64(j.CPUs) * j.busy.Hours()
 	}
 	out := make([]AppStat, 0, len(acc))
-	for key, st := range acc {
-		st.MeanWait = waitSums[key].mean(st.Completed)
-		out = append(out, *st)
+	for _, st := range acc {
+		st.MeanWait = st.waits.mean(st.Completed)
+		out = append(out, st.AppStat)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].App != out[j].App {
@@ -512,8 +535,8 @@ func (r *Recorder) AppStats() []AppStat {
 // completed jobs on a side (p in [0,100]).
 func (r *Recorder) WaitPercentile(os osid.OS, p float64) time.Duration {
 	var waits []time.Duration
-	for _, id := range r.order {
-		j := r.jobs[id]
+	for i := range r.jobs {
+		j := &r.jobs[i]
 		if j.Completed && (os == osid.None || j.OS == os) {
 			waits = append(waits, j.Wait())
 		}

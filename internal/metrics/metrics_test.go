@@ -16,10 +16,10 @@ func (c *fakeClock) now() time.Duration { return c.t }
 func TestUtilisationSingleJob(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 8) // 2 nodes × 4 cores
-	r.JobSubmitted("j1", osid.Linux, "GULP", 4)
-	r.JobStarted("j1")
+	j1 := r.JobSubmitted("j1", osid.Linux, "GULP", 4)
+	r.JobStarted(j1)
 	c.t = time.Hour
-	r.JobEnded("j1", true)
+	r.JobEnded(j1, true)
 	c.t = 2 * time.Hour
 	s := r.Summarise(2)
 	// 4 cores busy for 1h of a 2h × 8-core window = 25%.
@@ -34,16 +34,16 @@ func TestUtilisationSingleJob(t *testing.T) {
 func TestWaits(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	r.JobSubmitted("a", osid.Windows, "Opera", 4)
+	a := r.JobSubmitted("a", osid.Windows, "Opera", 4)
 	c.t = 10 * time.Minute
-	r.JobStarted("a")
+	r.JobStarted(a)
 	c.t = 30 * time.Minute
-	r.JobEnded("a", true)
-	r.JobSubmitted("b", osid.Windows, "Opera", 4)
+	r.JobEnded(a, true)
+	b := r.JobSubmitted("b", osid.Windows, "Opera", 4)
 	c.t = 40 * time.Minute
-	r.JobStarted("b")
+	r.JobStarted(b)
 	c.t = time.Hour
-	r.JobEnded("b", true)
+	r.JobEnded(b, true)
 	s := r.Summarise(1)
 	if s.MeanWait[osid.Windows] != 10*time.Minute {
 		t.Fatalf("mean wait = %v", s.MeanWait[osid.Windows])
@@ -67,15 +67,15 @@ func TestWaits(t *testing.T) {
 func TestRequeueKeepsFirstStartWait(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 8)
-	r.JobSubmitted("j1", osid.Linux, "LAMMPS", 4)
+	j1 := r.JobSubmitted("j1", osid.Linux, "LAMMPS", 4)
 	c.t = 10 * time.Minute
-	r.JobStarted("j1")
+	r.JobStarted(j1)
 	c.t = 40 * time.Minute
-	r.JobInterrupted("j1") // node lost; back to the queue
+	r.JobInterrupted(j1) // node lost; back to the queue
 	c.t = time.Hour
-	r.JobStarted("j1") // second attempt
+	r.JobStarted(j1) // second attempt
 	c.t = 2 * time.Hour
-	r.JobEnded("j1", true)
+	r.JobEnded(j1, true)
 	s := r.Summarise(2)
 
 	// Wait is submission → *first* start, not the restart.
@@ -115,12 +115,12 @@ func TestRequeueKeepsFirstStartWait(t *testing.T) {
 func TestInterruptWithoutRestartReleasesOnce(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	r.JobSubmitted("j1", osid.Windows, "Opera", 4)
-	r.JobStarted("j1")
+	j1 := r.JobSubmitted("j1", osid.Windows, "Opera", 4)
+	r.JobStarted(j1)
 	c.t = time.Hour
-	r.JobInterrupted("j1")
+	r.JobInterrupted(j1)
 	c.t = 2 * time.Hour
-	r.JobEnded("j1", false)
+	r.JobEnded(j1, false)
 	c.t = 4 * time.Hour
 	s := r.Summarise(1)
 	// 4 cores × 1h of a 4h × 4-core window = 25%.
@@ -174,24 +174,51 @@ func TestSwitchFinishedUnknownNodeIgnored(t *testing.T) {
 	}
 }
 
+// TestDuplicateSubmissionIgnored: the ID a job is submitted under is
+// only reported back, never a key, so a second submission under the
+// same ID is not merged into the first: it gets its own handle and
+// record, and lifecycle events for one leave the other alone.
 func TestDuplicateSubmissionIgnored(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	r.JobSubmitted("x", osid.Linux, "a", 2)
-	r.JobSubmitted("x", osid.Linux, "a", 2)
-	if len(r.Jobs()) != 1 {
-		t.Fatalf("jobs = %d", len(r.Jobs()))
+	h1 := r.JobSubmitted("x", osid.Linux, "a", 2)
+	h2 := r.JobSubmitted("x", osid.Linux, "a", 2)
+	if h1 == h2 {
+		t.Fatalf("both submissions got handle %d", h1)
+	}
+	r.JobStarted(h2)
+	c.t = time.Hour
+	r.JobEnded(h2, true)
+	jobs := r.Jobs()
+	if len(jobs) != 2 || jobs[0].Completed || !jobs[1].Completed {
+		t.Fatalf("jobs = %+v, want two records with only the second completed", jobs)
+	}
+	if r.JobID(h1) != "x" || r.JobID(h2) != "x" {
+		t.Fatalf("IDs %q, %q, want both x", r.JobID(h1), r.JobID(h2))
 	}
 }
 
+// TestUnknownJobEventsIgnored: lifecycle events for a handle the
+// recorder never returned change nothing.
 func TestUnknownJobEventsIgnored(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	r.JobStarted("nope")
-	r.JobEnded("nope", true)
+	h := r.JobSubmitted("x", osid.Linux, "a", 2)
+	for _, bad := range []int{-1, h + 1, 1 << 30} {
+		r.JobStarted(bad)
+		r.JobInterrupted(bad)
+		r.JobEnded(bad, true)
+		if id := r.JobID(bad); id != "" {
+			t.Fatalf("JobID(%d) = %q", bad, id)
+		}
+	}
+	c.t = time.Hour
 	s := r.Summarise(1)
-	if s.Utilisation != 0 {
-		t.Fatalf("utilisation = %v", s.Utilisation)
+	if s.Utilisation != 0 || s.JobsCompleted[osid.Linux] != 0 || s.JobsSubmitted[osid.Linux] != 1 {
+		t.Fatalf("summary = %+v", s)
+	}
+	if jobs := r.Jobs(); len(jobs) != 1 || jobs[0].Started != 0 || jobs[0].Ended != 0 {
+		t.Fatalf("jobs = %+v", jobs)
 	}
 }
 
@@ -218,10 +245,10 @@ func TestWaitPercentile(t *testing.T) {
 	r := NewRecorder(c.now, 100)
 	for i, wait := range []time.Duration{0, time.Minute, 2 * time.Minute, 3 * time.Minute, 100 * time.Minute} {
 		id := string(rune('a' + i))
-		r.JobSubmitted(id, osid.Linux, "x", 1)
+		h := r.JobSubmitted(id, osid.Linux, "x", 1)
 		c.t += wait
-		r.JobStarted(id)
-		r.JobEnded(id, true)
+		r.JobStarted(h)
+		r.JobEnded(h, true)
 		c.t = 0 // waits measured per-job; reset clock trick
 		// NOTE: resetting the fake clock would panic advance(); instead
 		// keep time monotonic below.
@@ -290,9 +317,9 @@ func TestFormatters(t *testing.T) {
 func TestCancelledInQueueNotCompleted(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	r.JobSubmitted("q", osid.Linux, "x", 2)
+	q := r.JobSubmitted("q", osid.Linux, "x", 2)
 	c.t = time.Minute
-	r.JobEnded("q", false) // cancelled before start
+	r.JobEnded(q, false) // cancelled before start
 	s := r.Summarise(1)
 	if s.JobsCompleted[osid.Linux] != 0 || s.JobsSubmitted[osid.Linux] != 1 {
 		t.Fatalf("s = %+v", s)
@@ -303,21 +330,21 @@ func TestAppStats(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 64)
 	// Two DL_POLY runs with waits of 0 and 10m, one Opera run.
-	r.JobSubmitted("a", osid.Linux, "DL_POLY", 16)
-	r.JobStarted("a")
+	a := r.JobSubmitted("a", osid.Linux, "DL_POLY", 16)
+	r.JobStarted(a)
 	c.t = time.Hour
-	r.JobEnded("a", true)
+	r.JobEnded(a, true)
 
-	r.JobSubmitted("b", osid.Linux, "DL_POLY", 16)
+	b := r.JobSubmitted("b", osid.Linux, "DL_POLY", 16)
 	c.t = time.Hour + 10*time.Minute
-	r.JobStarted("b")
+	r.JobStarted(b)
 	c.t = 2 * time.Hour
-	r.JobEnded("b", true)
+	r.JobEnded(b, true)
 
-	r.JobSubmitted("c", osid.Windows, "Opera", 4)
-	r.JobStarted("c")
+	cj := r.JobSubmitted("c", osid.Windows, "Opera", 4)
+	r.JobStarted(cj)
 	c.t = 3 * time.Hour
-	r.JobEnded("c", true)
+	r.JobEnded(cj, true)
 
 	// An incomplete job must not show up.
 	r.JobSubmitted("d", osid.Linux, "DL_POLY", 16)

@@ -138,12 +138,11 @@ func DeployNode(node *hardware.Node, img *Image) (DeployReport, error) {
 
 	for _, e := range img.Layout.Partitions() {
 		preserve := e.Skip() || e.TypeName == "ntfs"
-		if existing, err := disk.Partition(e.Index); err == nil {
+		if disk.HasPartition(e.Index) {
 			if preserve {
 				rep.PartitionsPreserved++
 				continue
 			}
-			_ = existing
 			if err := disk.DeletePartition(e.Index); err != nil {
 				return rep, err
 			}

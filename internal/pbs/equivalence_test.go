@@ -38,9 +38,6 @@ func checkAgainstScratch(s *Server) error {
 			}
 		}
 	}
-	if got, want := s.QueueStats(), (Stats{Running: len(running), Queued: len(queued), QueuedCPUs: queuedCPUs}); got != want {
-		return fmt.Errorf("census %+v, scratch %+v", got, want)
-	}
 	if got := s.QueuedJobs(); !slices.Equal(got, queued) {
 		return fmt.Errorf("queued view has %d jobs, scratch %d", len(got), len(queued))
 	}
@@ -55,19 +52,16 @@ func checkAgainstScratch(s *Server) error {
 			return fmt.Errorf("queue %s counts %d running, scratch %d", q.Name, q.running, perQueue[q.Name])
 		}
 	}
-	cpus, up := 0, 0
-	for _, n := range s.Nodes() {
+	cpus, up, idle := 0, 0, 0
+	for i, n := range s.Nodes() {
 		st := n.State()
 		if st != NodeDown {
 			cpus += n.NP
 		}
-		if st != NodeDown && st != NodeOffline {
-			up++
-		}
 		used := 0
 		for c, j := range n.busy {
-			if j != owner[ExecSlot{Node: n.Name, CPU: c}] {
-				return fmt.Errorf("%s cpu %d held by %v, exec hosts say %v", n.Name, c, j, owner[ExecSlot{Node: n.Name, CPU: c}])
+			if j != owner[ExecSlot{Node: n.Name, CPU: int32(c), node: int32(i)}] {
+				return fmt.Errorf("%s cpu %d held by %v, exec hosts say %v", n.Name, c, j, owner[ExecSlot{Node: n.Name, CPU: int32(c), node: int32(i)}])
 			}
 			if j != nil {
 				used++
@@ -76,6 +70,16 @@ func checkAgainstScratch(s *Server) error {
 		if n.UsedCPUs() != used {
 			return fmt.Errorf("%s reports %d used CPUs, slots say %d", n.Name, n.UsedCPUs(), used)
 		}
+		if st != NodeDown && st != NodeOffline {
+			up++
+			if used == 0 {
+				idle++
+			}
+		}
+	}
+	want := Stats{Running: len(running), Queued: len(queued), QueuedCPUs: queuedCPUs, IdleNodes: idle}
+	if got := s.QueueStats(); got != want {
+		return fmt.Errorf("census %+v, scratch %+v", got, want)
 	}
 	if s.TotalCPUs() != cpus || s.AvailableNodes() != up {
 		return fmt.Errorf("node census (%d cpus, %d up), scratch (%d, %d)", s.TotalCPUs(), s.AvailableNodes(), cpus, up)

@@ -34,7 +34,8 @@ func (s JobState) String() string { return string(rune(s)) }
 // index on that node.
 type ExecSlot struct {
 	Node string
-	CPU  int
+	CPU  int32
+	node int32 // the node's index in the server's table
 }
 
 // Job is a PBS batch job.

@@ -406,12 +406,13 @@ type Stats struct {
 	Running    int // jobs in state R
 	Queued     int // jobs in state Q
 	QueuedCPUs int // total CPUs requested by state-Q jobs
+	IdleNodes  int // free nodes with no CPU in use
 }
 
 // QueueStats returns the maintained census counters.
 func (s *Server) QueueStats() Stats {
 	c := s.core.Census()
-	return Stats{Running: c.Running, Queued: c.Queued, QueuedCPUs: c.QueuedSlots}
+	return Stats{Running: c.Running, Queued: c.Queued, QueuedCPUs: c.QueuedSlots, IdleNodes: c.IdleNodes}
 }
 
 // FirstQueued returns the oldest job in state Q, or nil when the queue
@@ -440,7 +441,7 @@ func (s *Server) started(e *sched.Entry) {
 		for c, left := n.NP-1, g.Slots; left > 0; c-- {
 			if n.busy[c] == nil {
 				n.busy[c] = j
-				j.ExecHost = append(j.ExecHost, ExecSlot{Node: n.Name, CPU: c})
+				j.ExecHost = append(j.ExecHost, ExecSlot{Node: n.Name, CPU: int32(c), node: int32(g.Node)})
 				left--
 			}
 		}
@@ -488,7 +489,7 @@ func (s *Server) end(j *Job) {
 // count; the core releases the slot counts themselves.
 func (s *Server) vacate(j *Job) {
 	for _, slot := range j.ExecHost {
-		s.nodes[slot.Node].busy[slot.CPU] = nil
+		s.nodeList[slot.node].busy[slot.CPU] = nil
 	}
 	if q := s.queue(j.Queue); q != nil {
 		q.running--

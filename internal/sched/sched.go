@@ -146,6 +146,7 @@ type Census struct {
 	SlotsUp     int // slots on nodes that are not Down
 	SlotsOnline int // slots on Up nodes
 	NodesOnline int // Up nodes
+	IdleNodes   int // Up nodes with no slot in use
 }
 
 type node struct {
@@ -187,11 +188,11 @@ type Core struct {
 
 	// free and idle are max segment trees over node indices, of free
 	// slots and of a wholly-free flag (both 0 unless Up); placement
-	// jumps straight to the next node that fits. freeSlots and idleN
-	// are their totals.
-	free, idle       []int
-	treeCap          int
-	freeSlots, idleN int
+	// jumps straight to the next node that fits. freeSlots and
+	// cen.IdleNodes are their totals.
+	free, idle []int
+	treeCap    int
+	freeSlots  int
 
 	// Scratch buffers reused across passes.
 	grantBuf []Grant
@@ -259,7 +260,7 @@ func (c *Core) count(n *node, sign int) {
 		c.cen.SlotsOnline += sign * n.slots
 		c.freeSlots += sign * (n.slots - n.used)
 		if n.used == 0 {
-			c.idleN += sign
+			c.cen.IdleNodes += sign
 		}
 	}
 }
@@ -526,7 +527,7 @@ func (c *Core) pass() {
 
 // full reports that no Up node has a free slot or is idle, so no
 // entry can be placed until something ends or a node comes up.
-func (c *Core) full() bool { return c.freeSlots == 0 && c.idleN == 0 }
+func (c *Core) full() bool { return c.freeSlots == 0 && c.cen.IdleNodes == 0 }
 
 // verdicts is what the current pass has learnt about one demand family
 // (a shape and, for PerNode, a PPN): the smallest count whose placement
@@ -755,7 +756,7 @@ func (c *Core) choose(e *Entry) []Grant {
 	tree, want := c.free, e.PPN
 	switch e.Shape {
 	case Whole:
-		if c.idleN < e.Count {
+		if c.cen.IdleNodes < e.Count {
 			return nil
 		}
 		tree, want = c.idle, 1
@@ -830,9 +831,9 @@ func (c *Core) use(i, d int) {
 	if n.state == Up {
 		c.freeSlots -= d
 		if was == 0 {
-			c.idleN--
+			c.cen.IdleNodes--
 		} else if n.used == 0 {
-			c.idleN++
+			c.cen.IdleNodes++
 		}
 	}
 	c.refresh(i)

@@ -22,10 +22,10 @@ import (
 // entries' own states, the placements and start times the face was
 // handed, and the node table's states and sizes.
 type truth struct {
-	queue, running   []*Entry
-	used             []int
-	cen              Census
-	freeSlots, idleN int
+	queue, running []*Entry
+	used           []int
+	cen            Census
+	freeSlots      int
 }
 
 func groundTruth(h *harness) truth {
@@ -54,7 +54,7 @@ func groundTruth(h *harness) truth {
 			t.cen.SlotsOnline += n.slots
 			t.freeSlots += n.slots - t.used[i]
 			if t.used[i] == 0 {
-				t.idleN++
+				t.cen.IdleNodes++
 			}
 		}
 	}
@@ -82,7 +82,7 @@ func rebuild(h *harness) {
 	for i := range c.nodes {
 		c.nodes[i].used = t.used[i]
 	}
-	c.cen, c.freeSlots, c.idleN = t.cen, t.freeSlots, t.idleN
+	c.cen, c.freeSlots = t.cen, t.freeSlots
 	c.rebuildTrees()
 	c.changes++ // no reservation survives a rebuild
 }
@@ -107,8 +107,8 @@ func checkScratch(h *harness) error {
 	if got := c.Census(); got != t.cen {
 		return fmt.Errorf("census %+v, scratch %+v", got, t.cen)
 	}
-	if c.freeSlots != t.freeSlots || c.idleN != t.idleN {
-		return fmt.Errorf("free slots/idle nodes %d/%d, scratch %d/%d", c.freeSlots, c.idleN, t.freeSlots, t.idleN)
+	if c.freeSlots != t.freeSlots {
+		return fmt.Errorf("free slots %d, scratch %d", c.freeSlots, t.freeSlots)
 	}
 	dead := 0
 	for _, e := range c.queued {

@@ -37,7 +37,7 @@ func checkAgainstScratch(s *Scheduler) error {
 		}
 	}
 	sort.SliceStable(queued, func(i, k int) bool { return queued[i].Priority > queued[k].Priority })
-	cores, online, onlineCores := 0, 0, 0
+	cores, online, onlineCores, idle := 0, 0, 0, 0
 	for _, n := range s.Nodes() {
 		if n.State() != NodeUnreachable {
 			cores += n.Cores
@@ -45,12 +45,15 @@ func checkAgainstScratch(s *Scheduler) error {
 		if n.State() == NodeOnline {
 			online++
 			onlineCores += n.Cores
+			if used[n.Name] == 0 {
+				idle++
+			}
 		}
 		if n.UsedCores() != used[n.Name] {
 			return fmt.Errorf("%s reports %d used cores, allocations say %d", n.Name, n.UsedCores(), used[n.Name])
 		}
 	}
-	want := QueueSnapshot{Running: len(running), Queued: len(queued), OnlineCores: onlineCores, PendingCores: pending}
+	want := QueueSnapshot{Running: len(running), Queued: len(queued), OnlineCores: onlineCores, PendingCores: pending, IdleNodes: idle}
 	if len(queued) > 0 {
 		want.FirstQueued, want.FirstName = queued[0].ID, queued[0].Name
 		want.NeededCores = queued[0].Cores(s.typicalCores())

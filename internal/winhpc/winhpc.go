@@ -474,6 +474,7 @@ type QueueSnapshot struct {
 	NeededCores  int    // cores the queue head requires
 	OnlineCores  int
 	PendingCores int // total cores requested by all queued jobs
+	IdleNodes    int // online nodes with no core in use
 }
 
 // Snapshot builds the queue view from the maintained counters — O(1)
@@ -486,6 +487,7 @@ func (s *Scheduler) Snapshot() QueueSnapshot {
 		Running:      c.Running,
 		Queued:       c.Queued,
 		PendingCores: c.QueuedSlots + c.QueuedWhole*cpn,
+		IdleNodes:    c.IdleNodes,
 	}
 	// The queue head follows scheduling order (priority first), since
 	// that is the job whose demand a dual-boot controller must satisfy.
