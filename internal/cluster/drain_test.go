@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/osid"
+	"repro/internal/pbs"
 	"repro/internal/workload"
 )
 
@@ -41,6 +42,47 @@ func TestRunUntilDrainedStuckSwitchStopsAtHorizon(t *testing.T) {
 	}
 	if c.SwitchingCount() != 1 {
 		t.Fatalf("stuck switch count = %d, want 1", c.SwitchingCount())
+	}
+}
+
+// A job deleted while it waits ends there: the drain stops once the
+// rest of the work is done instead of riding to the horizon, and the
+// deleted job is booked as not completed.
+func TestRunUntilDrainedQdelQueuedJob(t *testing.T) {
+	c, err := New(Config{Mode: Static, Nodes: 2, InitialLinux: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := workload.Job{App: "wide", OS: osid.Linux, Owner: "u", Nodes: 2, PPN: 4, Runtime: time.Hour}
+	if _, err := c.Submit(job); err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Eng.RunUntil(time.Minute)
+	if j, err := c.PBS.Job(id); err != nil || j.State != pbs.StateQueued {
+		t.Fatalf("second job %v, err %v; want it queued behind the first", j, err)
+	}
+	if err := c.PBS.Qdel(id); err != nil {
+		t.Fatal(err)
+	}
+	const horizon = 48 * time.Hour
+	c.RunUntilDrained(horizon)
+	if c.Unfinished() != 0 {
+		t.Fatalf("%d jobs unfinished after the drain", c.Unfinished())
+	}
+	if now := c.Eng.Now(); now >= horizon {
+		t.Fatalf("drain rode the clock to %v", now)
+	}
+	if got := c.Summary().JobsCompleted[osid.Linux]; got != 1 {
+		t.Fatalf("%d Linux jobs completed, want 1: the deleted job must not count", got)
+	}
+	for _, r := range c.Rec.Jobs() {
+		if r.ID == id && r.Completed {
+			t.Fatalf("deleted job %s booked as completed", id)
+		}
 	}
 }
 

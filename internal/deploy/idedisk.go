@@ -62,8 +62,8 @@ func (l *Layout) Partitions() []LayoutEntry {
 
 // HasSkip reports whether any partition uses the v2 skip label.
 func (l *Layout) HasSkip() bool {
-	for _, e := range l.Partitions() {
-		if e.Skip() {
+	for _, e := range l.Entries {
+		if e.Kind == KindPartition && e.Skip() {
 			return true
 		}
 	}
@@ -73,8 +73,8 @@ func (l *Layout) HasSkip() bool {
 // BootPartition returns the index of the bootable partition (where
 // /boot and GRUB's menu.lst live), or 0 when none is marked.
 func (l *Layout) BootPartition() int {
-	for _, e := range l.Partitions() {
-		if e.Bootable {
+	for _, e := range l.Entries {
+		if e.Kind == KindPartition && e.Bootable {
 			return e.Index
 		}
 	}

@@ -59,6 +59,19 @@ type Image struct {
 	// ManualPatches lists the hand edits the administrator must redo
 	// on every rebuild of this image (empty for v2).
 	ManualPatches []string
+
+	// The GRUB files every deployment writes, rendered once from the
+	// fields above by BuildImage, so those fields must not change
+	// after it: menu.lst for /boot and, for v1, the FAT partition's
+	// staged and live control files.
+	menu    []byte
+	control []imageFile
+}
+
+// imageFile is one rendered file and the path it is written to.
+type imageFile struct {
+	path string
+	data []byte
 }
 
 // BuildImage validates a layout and constructs an image for the given
@@ -99,7 +112,33 @@ func BuildImage(name string, version Version, layout *deploy.Layout) (*Image, er
 	} else if !layout.HasSkip() {
 		return nil, fmt.Errorf("oscar: v2 image needs a skip-labelled Windows partition")
 	}
+	if err := img.render(); err != nil {
+		return nil, err
+	}
 	return img, nil
+}
+
+// render fills in the image's GRUB files: the /boot menu and, for v1,
+// a staged control file per target OS plus the live one, which starts
+// pointing at Linux.
+func (img *Image) render() error {
+	menu, err := bootMenu(img)
+	if err != nil {
+		return err
+	}
+	img.menu = menu.Render()
+	if img.Version != V1 {
+		return nil
+	}
+	for _, target := range []osid.OS{osid.Linux, osid.Windows} {
+		cfg, err := grubcfg.ControlMenu(img.Kernel, img.Windows, target)
+		if err != nil {
+			return err
+		}
+		img.control = append(img.control, imageFile{grubcfg.StagedControlFileName(target), cfg.Render()})
+	}
+	img.control = append(img.control, imageFile{grubcfg.ControlFileName, img.control[0].data})
+	return nil
 }
 
 // fatPartition finds the shared FAT control partition in a layout.
@@ -136,7 +175,10 @@ func DeployNode(node *hardware.Node, img *Image) (DeployReport, error) {
 		hadWindows = true
 	}
 
-	for _, e := range img.Layout.Partitions() {
+	for _, e := range img.Layout.Entries {
+		if e.Kind != deploy.KindPartition {
+			continue
+		}
 		preserve := e.Skip() || e.TypeName == "ntfs"
 		if disk.HasPartition(e.Index) {
 			if preserve {
@@ -177,7 +219,8 @@ func DeployNode(node *hardware.Node, img *Image) (DeployReport, error) {
 	return rep, nil
 }
 
-// populatePartition writes the simulated system contents.
+// populatePartition writes the simulated system contents. WriteFile
+// copies, so every disk gets its own copy of the image's files.
 func populatePartition(p *hardware.Partition, e deploy.LayoutEntry, img *Image) error {
 	switch {
 	case e.Bootable: // /boot: kernel, initrd, GRUB config
@@ -189,29 +232,14 @@ func populatePartition(p *hardware.Partition, e deploy.LayoutEntry, img *Image) 
 				return err
 			}
 		}
-		menu, err := bootMenu(img)
-		if err != nil {
-			return err
-		}
-		if err := p.WriteFile("/grub/menu.lst", menu.Render()); err != nil {
+		if err := p.WriteFile("/grub/menu.lst", img.menu); err != nil {
 			return err
 		}
 	case e.TypeName == "fat": // v1 shared control partition
-		for _, target := range []osid.OS{osid.Linux, osid.Windows} {
-			cfg, err := grubcfg.ControlMenu(img.Kernel, img.Windows, target)
-			if err != nil {
+		for _, f := range img.control {
+			if err := p.WriteFile(f.path, f.data); err != nil {
 				return err
 			}
-			if err := p.WriteFile(grubcfg.StagedControlFileName(target), cfg.Render()); err != nil {
-				return err
-			}
-		}
-		live, err := grubcfg.ControlMenu(img.Kernel, img.Windows, osid.Linux)
-		if err != nil {
-			return err
-		}
-		if err := p.WriteFile(grubcfg.ControlFileName, live.Render()); err != nil {
-			return err
 		}
 		// Carter's universal switch script ships on the partition too.
 		if err := p.WriteFile("/bootcontrol.pl", []byte("#!/usr/bin/perl # modify GRUB configuration file")); err != nil {

@@ -258,6 +258,85 @@ func TestV2BootMenuIsLocalFallback(t *testing.T) {
 	}
 }
 
+// renderPerNode renders an image's GRUB files from its fields, as
+// every deployment once did for itself: menu.lst by boot partition
+// path, and for v1 the FAT partition's staged and live control files.
+func renderPerNode(t *testing.T, img *Image) (boot, fat map[string][]byte) {
+	t.Helper()
+	menu, err := grubcfg.ControlMenu(img.Kernel, img.Windows, osid.Linux)
+	if img.Version == V1 {
+		menu = grubcfg.RedirectMenu(grubcfg.DeviceForLinuxPartition(fatPartition(img.Layout)), grubcfg.ControlFileName)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot = map[string][]byte{"/grub/menu.lst": menu.Render()}
+	if img.Version != V1 {
+		return boot, nil
+	}
+	fat = map[string][]byte{}
+	for _, target := range []osid.OS{osid.Linux, osid.Windows} {
+		cfg, err := grubcfg.ControlMenu(img.Kernel, img.Windows, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fat[grubcfg.StagedControlFileName(target)] = cfg.Render()
+	}
+	fat[grubcfg.ControlFileName] = fat[grubcfg.StagedControlFileName(osid.Linux)]
+	return boot, fat
+}
+
+// TestDeployedGRUBFilesMatchPerNodeRendering deploys one image onto
+// several nodes and requires each node's GRUB files to be byte for
+// byte what rendering them for that node gives, for both generations,
+// and a write to one node's copy to leave the others alone.
+func TestDeployedGRUBFilesMatchPerNodeRendering(t *testing.T) {
+	for _, tc := range []struct {
+		v      Version
+		layout *deploy.Layout
+	}{{V1, layoutV1(t)}, {V2, layoutV2(t)}} {
+		img, err := BuildImage("oscarimage", tc.v, tc.layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot, fat := renderPerNode(t, img)
+		var nodes []*hardware.Node
+		for i := 1; i <= 3; i++ {
+			n := hardware.NewNode(hardware.NodeSpec{Index: i})
+			if _, err := DeployNode(n, img); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, n)
+		}
+		for _, n := range nodes {
+			for part, want := range map[int]map[string][]byte{tc.layout.BootPartition(): boot, fatPartition(tc.layout): fat} {
+				if part == 0 {
+					continue
+				}
+				p, err := n.Disk.Partition(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for path, data := range want {
+					if got, err := p.ReadFile(path); err != nil || string(got) != string(data) {
+						t.Fatalf("%v %s: %s differs from its per-node rendering (err %v):\n%s\nwant\n%s", tc.v, n.Name, path, err, got, data)
+					}
+				}
+			}
+		}
+		p, _ := nodes[0].Disk.Partition(tc.layout.BootPartition())
+		if err := p.WriteFile("/grub/menu.lst", []byte("changed")); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes[1:] {
+			q, _ := n.Disk.Partition(tc.layout.BootPartition())
+			if got, _ := q.ReadFile("/grub/menu.lst"); string(got) != string(boot["/grub/menu.lst"]) {
+				t.Fatalf("%v: a write to one node's menu.lst reached %s", tc.v, n.Name)
+			}
+		}
+	}
+}
+
 func TestGenerateMasterScript(t *testing.T) {
 	v1img, _ := BuildImage("oscarimage", V1, layoutV1(t))
 	v2img, _ := BuildImage("oscarimage", V2, layoutV2(t))

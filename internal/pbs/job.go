@@ -86,7 +86,8 @@ type Job struct {
 // CPUs returns the total virtual processors the job needs.
 func (j *Job) CPUs() int { return j.Nodes * j.PPN }
 
-// KilledAtWalltime reports whether the job hit its walltime limit.
+// KilledAtWalltime reports whether the job was killed: it hit its
+// walltime limit, or it was deleted with Qdel.
 func (j *Job) KilledAtWalltime() bool { return j.killedAtLimit }
 
 // Failed reports whether the job died without completing its work —

@@ -316,7 +316,9 @@ func (s *Server) QsubScript(script, owner string, runtime time.Duration, exec fu
 	return s.Qsub(req)
 }
 
-// Qdel removes a queued job or kills a running one.
+// Qdel removes a queued or held job or kills a running one. Either
+// way the job ends killed: its end hooks fire, and it does not count
+// as completed.
 func (s *Server) Qdel(id string) error {
 	j, err := s.Job(id)
 	if err != nil {
@@ -327,8 +329,8 @@ func (s *Server) Qdel(id string) error {
 		if j.State == StateQueued {
 			s.core.Withdraw(&j.e)
 		}
-		j.State = StateComplete
-		j.EndTime = s.eng.Now()
+		j.killedAtLimit = true
+		s.end(j)
 	case StateRunning:
 		s.core.Stop(&j.e)
 		s.vacate(j)

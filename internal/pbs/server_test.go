@@ -194,14 +194,25 @@ func TestWalltimeKill(t *testing.T) {
 
 func TestQdelQueuedAndRunning(t *testing.T) {
 	eng, s := newTestServer(t, 1)
+	var ended []string
+	s.OnJobEnd = func(j *Job) { ended = append(ended, j.ID) }
 	run, _ := s.Qsub(SubmitRequest{Name: "r", Nodes: 1, PPN: 4, Runtime: time.Hour})
 	wait, _ := s.Qsub(SubmitRequest{Name: "w", Nodes: 1, PPN: 4, Runtime: time.Hour})
+	held, _ := s.Qsub(SubmitRequest{Name: "h", Nodes: 1, PPN: 4, Runtime: time.Hour})
 	eng.RunUntil(time.Minute)
-	if err := s.Qdel(wait.ID); err != nil {
+	if err := s.Qhold(held.ID); err != nil {
 		t.Fatal(err)
 	}
-	if wait.State != StateComplete {
-		t.Fatalf("queued qdel state = %v", wait.State)
+	for _, j := range []*Job{wait, held} {
+		if err := s.Qdel(j.ID); err != nil {
+			t.Fatal(err)
+		}
+		if j.State != StateComplete || !j.KilledAtWalltime() || j.EndTime != time.Minute {
+			t.Fatalf("qdel of waiting job %s: state %v killed %v end %v", j.Name, j.State, j.KilledAtWalltime(), j.EndTime)
+		}
+	}
+	if len(ended) != 2 || ended[0] != wait.ID || ended[1] != held.ID {
+		t.Fatalf("end hook fired for %v, want the queued and the held job", ended)
 	}
 	if err := s.Qdel(run.ID); err != nil {
 		t.Fatal(err)

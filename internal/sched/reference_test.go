@@ -109,12 +109,15 @@ func differFromReference(sc script) error {
 // few demand shapes repeated many times, arriving over two hours at
 // several times the machine's capacity, most with walltimes half an
 // hour past their runtimes, so that candidates both fail to place and
-// are refused for delaying the pivot, plus node outages and admission
-// gating. hpc picks HPC Pack-shaped demands (Whole and Anywhere)
-// instead of Torque-shaped ones (PerNode).
+// are refused for delaying the pivot, plus holds and releases, node
+// outages (which requeue rerunnable entries), admission gating and
+// two backfill switches. Odd seeds start under FCFS, so the pass
+// builds its keys mid-run over a queue that already has stale slots.
+// hpc picks HPC Pack-shaped demands (Whole and Anywhere) instead of
+// Torque-shaped ones (PerNode).
 func backlogScript(seed int64, nodes, jobs int, hpc bool) script {
 	rng := rand.New(rand.NewSource(seed))
-	sc := script{slots: uniform(nodes, 4), backfill: true}
+	sc := script{slots: uniform(nodes, 4), backfill: seed%2 == 0}
 	demands := []Entry{
 		{Shape: PerNode, Count: 1, PPN: 4}, {Shape: PerNode, Count: 2, PPN: 4},
 		{Shape: PerNode, Count: 3, PPN: 4}, {Shape: PerNode, Count: 1, PPN: 2},
@@ -135,19 +138,72 @@ func backlogScript(seed int64, nodes, jobs int, hpc bool) script {
 			e.Walltime = e.Runtime + 30*time.Minute
 		}
 		sc.ops = append(sc.ops, op{at: at, kind: opSubmit, job: i, e: e})
+		if rng.Intn(8) == 0 {
+			h := at + time.Duration(rng.Int63n(int64(30*time.Minute)))
+			sc.ops = append(sc.ops, op{at: h, kind: opHold, job: i},
+				op{at: h + time.Duration(rng.Int63n(int64(2*time.Hour))), kind: opRelease, job: i})
+		}
 	}
 	sc.ops = append(sc.ops, outages(rng, nodes)...)
 	for i := 0; i < 4; i++ {
 		sc.ops = append(sc.ops, op{at: time.Duration(rng.Int63n(int64(4 * time.Hour))), kind: opGate})
 	}
+	for i := 0; i < 2; i++ {
+		sc.ops = append(sc.ops, op{at: time.Duration(rng.Int63n(int64(4 * time.Hour))), kind: opFill})
+	}
 	return renumber(sc)
+}
+
+// TestBacklogSeedsReachKeyPaths runs the backlog seeds of both fuzz
+// targets and requires that, between them, they revive slots by a
+// release and by a requeue while the core keeps keys, and build the
+// keys late over a queue that waited under FCFS. Without those the
+// fuzzers would start far from the paths that move keys.
+func TestBacklogSeedsReachKeyPaths(t *testing.T) {
+	var released, requeued, builtLate int
+	for _, hpc := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			sc := decode(encode(backlogScript(seed, 8, 120, hpc)))
+			h := newHarness(sc)
+			h.run(sc, nil, true)
+			if h.err != nil {
+				t.Fatalf("seed %d hpc %v: %v", seed, hpc, h.err)
+			}
+			released += h.reach.released
+			requeued += h.reach.requeued
+			builtLate += h.reach.builtLate
+		}
+	}
+	if released == 0 || requeued == 0 || builtLate == 0 {
+		t.Fatalf("seeds revived %d slots by release and %d by requeue and built keys late %d times; want each above 0",
+			released, requeued, builtLate)
+	}
+	t.Logf("revived by release %d, by requeue %d; keys built late %d times", released, requeued, builtLate)
+}
+
+// TestFCFSCoreKeepsNoKeys pins that the keys cost an FCFS-only core
+// nothing: a deep backlog scheduled without backfill never builds
+// them.
+func TestFCFSCoreKeepsNoKeys(t *testing.T) {
+	for _, sc := range []script{pbsScript(421, 12, 120, false), winScript(733, 12, 120, false)} {
+		h := newHarness(sc)
+		h.run(sc, nil, true)
+		if h.err != nil {
+			t.Fatal(h.err)
+		}
+		if h.c.keys != nil {
+			t.Fatalf("FCFS core built %d keys", len(h.c.keys))
+		}
+	}
 }
 
 // FuzzPassMatchesReference decodes the fuzz bytes into a script, as
 // FuzzCoreMatchesScratch does, and requires a core with the real pass
 // and a twin with the plain pass to start, place and end every entry
 // identically. The seeds include deep backlogs of a few repeated
-// demands with long walltimes, where both of the pass's memos fire.
+// demands with long walltimes, where both of the pass's memos fire,
+// with slots revived by releases and requeues and backfill switched
+// mid-run.
 func FuzzPassMatchesReference(f *testing.F) {
 	for _, hpc := range []bool{false, true} {
 		for seed := int64(1); seed <= 4; seed++ {

@@ -124,9 +124,11 @@ type Face struct {
 	Backfill *bool
 	// Skip, when set, passes over queued entries that may not start in
 	// this pass without letting them block the queue. It must not have
-	// side effects. The pass asks it for every live entry it reaches,
-	// before consulting anything it has learnt earlier in the pass, so
-	// its answer may change mid-pass (a queue reaching its running cap).
+	// side effects. The pass asks it only about live entries it may
+	// still start: up to the pivot every live entry it reaches, behind
+	// the pivot only those the pass's memo has not already ruled out.
+	// It is asked afresh each time, so its answer may change mid-pass
+	// (a queue reaching its running cap).
 	Skip func(*Entry) bool
 	// Started runs once the core has placed and started an entry,
 	// before its completion is scheduled; Finished runs when it ends
@@ -180,6 +182,13 @@ type Core struct {
 	queued []*Entry
 	dead   int
 	head   int
+
+	// keys runs beside queued, slot for slot, once the first EASY pass
+	// has built it: what the memo test behind the pivot reads of each
+	// entry, so ruling out a deep backlog streams through this slice
+	// without dereferencing a single entry. An FCFS-only core never
+	// builds it.
+	keys []key
 
 	// running holds executing entries; removal swaps the tail into the
 	// vacated slot via Entry.runIdx, and the vacated grants slice waits
@@ -318,15 +327,24 @@ func (c *Core) enqueue(e *Entry) {
 		// cursor back so the next pass sees it.
 		at, _ := slices.BinarySearchFunc(c.queued, e, before)
 		c.head = min(c.head, at)
+		if c.keys != nil {
+			c.keys[at] = keyOf(e)
+		}
 		return
 	}
 	e.inQueue = true
 	if n := len(c.queued); n == 0 || less(c.queued[n-1], e) {
 		c.queued = append(c.queued, e)
+		if c.keys != nil {
+			c.keys = append(c.keys, keyOf(e))
+		}
 		return
 	}
 	at, _ := slices.BinarySearchFunc(c.queued, e, before)
 	c.queued = slices.Insert(c.queued, at, e)
+	if c.keys != nil {
+		c.keys = slices.Insert(c.keys, at, keyOf(e))
+	}
 	c.head = min(c.head, at)
 }
 
@@ -433,8 +451,11 @@ func (c *Core) compact() {
 		return
 	}
 	kept := c.queued[:0]
-	for _, e := range c.queued {
+	for i, e := range c.queued {
 		if e.state == queued {
+			if c.keys != nil {
+				c.keys[len(kept)] = c.keys[i]
+			}
 			kept = append(kept, e)
 		} else {
 			e.inQueue = false
@@ -442,6 +463,9 @@ func (c *Core) compact() {
 	}
 	clear(c.queued[len(kept):])
 	c.queued = kept
+	if c.keys != nil {
+		c.keys = c.keys[:len(kept)]
+	}
 	c.dead, c.head = 0, 0
 }
 
@@ -486,44 +510,85 @@ func (c *Core) Kick() {
 //     grants that cover those and leave the pivot less still. A start
 //     changes both, so it clears these refusals.
 //
+// The memo test reads only an entry's family, count and limit, which
+// Core.keys holds inline beside each queue slot, so behind the pivot
+// the pass tests the key first and dereferences only the entries it
+// may still start. That is exact too: a ruled-out entry is passed
+// over like a stale or skipped one, and Skip has no side effects.
+//
 // And once no slot and no node is free, nothing behind the pivot can
 // start, since every entry asks for at least one slot or node, so the
 // pass ends there.
 func (c *Core) pass() {
 	c.compact()
 	c.advance()
-	var pivot *Entry
-	var rsv reservation
 	// The bound snapshots the pass: entries submitted by a Started
 	// callback mid-pass wait for the next kick.
 	bound := len(c.queued)
-	for i := c.head; i < bound; i++ {
+	i := c.head
+	var pivot *Entry
+	for ; i < bound; i++ {
 		e := c.queued[i]
-		if e.state != queued || c.face.Skip != nil && c.face.Skip(e) {
+		if e.state != queued || c.skip(e) {
 			continue
 		}
-		if pivot == nil {
-			if g := c.choose(e); g != nil {
-				c.start(e, g)
-				continue
-			}
-			if !*c.face.Backfill || c.full() {
-				return
-			}
-			pivot = e
-			rsv = c.reserve(pivot)
-			for i := range c.memo {
-				c.memo[i] = verdicts{none, none}
-			}
-			c.fail(pivot)
+		if g := c.choose(e); g != nil {
+			c.start(e, g)
 			continue
 		}
-		c.tryBackfill(e, pivot, &rsv)
+		pivot = e
+		break
+	}
+	if pivot == nil || !*c.face.Backfill || c.full() {
+		return
+	}
+	rsv := c.reserve(pivot)
+	for f := range c.memo {
+		c.memo[f] = verdicts{none, none}
+	}
+	c.fail(pivot)
+	if c.keys == nil {
+		c.keys = make([]key, len(c.queued))
+		for j, e := range c.queued {
+			c.keys[j] = keyOf(e)
+		}
+	}
+	// A candidate is long when its limit runs past horizon.
+	horizon := time.Duration(math.MaxInt64)
+	if rsv.ok {
+		horizon = rsv.shadow - c.eng.Now()
+	}
+	for i = c.nextCandidate(i+1, bound, horizon); i < bound; i = c.nextCandidate(i+1, bound, horizon) {
+		e := c.queued[i]
+		if e.state != queued || c.skip(e) {
+			continue
+		}
+		c.tryBackfill(i, e, pivot, &rsv)
 		if c.full() {
 			return
 		}
 	}
 }
+
+// nextCandidate returns the first index in [i, bound) whose key the
+// pass's memo does not rule out, or bound. It reads only Core.keys and
+// Core.memo.
+func (c *Core) nextCandidate(i, bound int, horizon time.Duration) int {
+	keys, memo := c.keys[:bound], c.memo
+	for ; i < bound; i++ {
+		k := keys[i]
+		if k.fam == stale {
+			continue
+		}
+		if int(k.fam) >= len(memo) || !memo[k.fam].rule(int(k.count), k.limit > horizon) {
+			return i
+		}
+	}
+	return bound
+}
+
+// skip asks the face's Skip, if any.
+func (c *Core) skip(e *Entry) bool { return c.face.Skip != nil && c.face.Skip(e) }
 
 // full reports that no Up node has a free slot or is idle, so no
 // entry can be placed until something ends or a node comes up.
@@ -534,6 +599,29 @@ func (c *Core) full() bool { return c.freeSlots == 0 && c.cen.IdleNodes == 0 }
 // failed and the smallest whose long placement the reservation refused,
 // none until there is one.
 type verdicts struct{ failed, refused int }
+
+// rule reports that the verdicts rule out a candidate of count, long
+// or not, without a placement attempt.
+func (v verdicts) rule(count int, long bool) bool {
+	return count >= v.failed || long && count >= v.refused
+}
+
+// key is what the memo test reads of a queued entry: its limit, its
+// count and its demand family. Count and family saturate at the int32
+// range, which can only make the test pass over less. A backfill start
+// sets fam to stale, so later passes step over the slot without
+// dereferencing its entry until a requeue revives it or compact drops
+// it.
+type key struct {
+	limit      time.Duration
+	count, fam int32
+}
+
+const stale = -1
+
+func keyOf(e *Entry) key {
+	return key{e.limit(), int32(min(e.Count, math.MaxInt32)), int32(min(family(e), math.MaxInt32))}
+}
 
 const none = math.MaxInt
 
@@ -719,10 +807,11 @@ func siftDown(h []release, i int) {
 // candidate's grants subtracted. Long candidates that pass stay
 // subtracted, so later candidates in the same pass see only the
 // remaining slack. What the pass's memo already rules out is skipped
-// without a placement attempt (see pass).
-func (c *Core) tryBackfill(e, p *Entry, r *reservation) {
-	long := r.ok && c.eng.Now()+e.limit() > r.shadow
-	if v := c.verdict(e); e.Count >= v.failed || long && e.Count >= v.refused {
+// without a placement attempt (see pass). A started candidate's key,
+// at index i, is marked stale.
+func (c *Core) tryBackfill(i int, e, p *Entry, r *reservation) {
+	long := r.ok && e.limit() > r.shadow-c.eng.Now()
+	if c.verdict(e).rule(e.Count, long) {
 		return
 	}
 	g := c.choose(e)
@@ -743,9 +832,10 @@ func (c *Core) tryBackfill(e, p *Entry, r *reservation) {
 			return
 		}
 	}
+	c.keys[i].fam = stale
 	c.start(e, g)
-	for i := range c.memo {
-		c.memo[i].refused = none
+	for f := range c.memo {
+		c.memo[f].refused = none
 	}
 }
 

@@ -73,6 +73,7 @@ func rebuild(h *harness) {
 		e.inQueue = true
 	}
 	c.queued, c.dead, c.head = t.queue, 0, 0
+	c.keys = nil // the next EASY pass builds them from the entries
 	c.running = nil
 	for i, e := range t.running {
 		e.runIdx = i
@@ -122,6 +123,14 @@ func checkScratch(h *harness) error {
 	if dead != c.dead {
 		return fmt.Errorf("dead count %d, ledger holds %d stale entries", c.dead, dead)
 	}
+	if c.keys != nil && len(c.keys) != len(c.queued) {
+		return fmt.Errorf("%d keys beside %d queue slots", len(c.keys), len(c.queued))
+	}
+	for i, k := range c.keys {
+		if e := c.queued[i]; e.state == queued && k != keyOf(e) {
+			return fmt.Errorf("slot %d holds key %+v, its entry %d gives %+v", i, k, e.Seq, keyOf(e))
+		}
+	}
 	for i, n := range c.nodes {
 		if n.used != t.used[i] || n.used > n.slots {
 			return fmt.Errorf("node %d uses %d of %d slots, grants say %d", i, n.used, n.slots, t.used[i])
@@ -164,6 +173,7 @@ const (
 	opOffline
 	opGate // toggle admission: while gated, Skip passes over every third Seq
 	opStep // only advances time
+	opFill // toggle backfill
 	numOps
 )
 
@@ -199,6 +209,10 @@ type harness struct {
 	startAt []time.Duration
 	log     []string
 	err     error // first consistency failure, when checking
+	// reach counts the key paths the script took: slots revived by a
+	// release or by a requeue while the core kept keys, and keys built
+	// on a queue that waited under FCFS first.
+	reach struct{ released, requeued, builtLate int }
 }
 
 func newHarness(sc script) *harness {
@@ -264,6 +278,9 @@ func (h *harness) apply(o op) {
 	case opRelease:
 		if e != nil && h.held[o.job] {
 			h.held[o.job] = false
+			if e.inQueue && c.keys != nil {
+				h.reach.released++
+			}
 			c.Submit(e)
 		}
 	case opCancel:
@@ -281,6 +298,9 @@ func (h *harness) apply(o op) {
 	case opDown:
 		c.SetNode(o.node, Down)
 		for _, v := range c.Holding(o.node) {
+			if v.Rerun && v.inQueue && c.keys != nil {
+				h.reach.requeued++
+			}
 			c.Interrupt(v)
 		}
 		c.Kick()
@@ -290,6 +310,12 @@ func (h *harness) apply(o op) {
 		c.SetNode(o.node, Offline)
 	case opGate:
 		h.gated = !h.gated
+		c.Kick()
+	case opFill:
+		h.fill = !h.fill
+		if h.fill && c.keys == nil && len(c.queued) > 0 {
+			h.reach.builtLate++
+		}
 		c.Kick()
 	}
 }
@@ -557,7 +583,7 @@ func encode(sc script) []byte {
 // FuzzCoreMatchesScratch decodes the fuzz bytes into a script of
 // submissions (Torque-shaped and both HPC shapes), holds and
 // releases, cancellations, node loss, return and drain, admission
-// gating and time steps, with backfill on or off, and requires an
+// gating, backfill switches and time steps, and requires an
 // incremental core and a twin rebuilt from the ground truth before
 // every pass to start and place every entry identically. The
 // incremental core is also cross-checked against the ground truth
@@ -566,6 +592,10 @@ func FuzzCoreMatchesScratch(f *testing.F) {
 	for _, backfill := range []bool{false, true} {
 		f.Add(encode(pbsScript(421, 12, 60, backfill)))
 		f.Add(encode(winScript(733, 12, 60, backfill)))
+	}
+	for _, hpc := range []bool{false, true} {
+		f.Add(encode(backlogScript(1, 8, 120, hpc)))
+		f.Add(encode(backlogScript(2, 8, 120, hpc)))
 	}
 	f.Add([]byte{0x81, byte(opSubmit), 0, 1, 2, 0x13, 30, byte(opGate), 1, 0, 0, 0, 0, byte(opDown), 5, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
