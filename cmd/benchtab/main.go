@@ -66,7 +66,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	benchJSON := flag.String("benchjson", "BENCH_sim.json", "write the per-experiment perf record here (empty to disable)")
 	check := flag.String("check", "", "benchmark-regression gate: compare EventsRun against this baseline record and fail on drift (ns/op stays advisory)")
-	specs := flag.String("specs", "", "write the recorded experiments' sweep documents (E12–E19) into this directory and exit")
+	specs := flag.String("specs", "", "write the recorded experiments' sweep documents (E12–E20) into this directory and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments' runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile, taken after the selected experiments' runs, to this file")
 	flag.Parse()

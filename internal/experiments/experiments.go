@@ -64,6 +64,7 @@ func All() []Runner {
 		{"E17", E17MetroScale},
 		{"E18", E18CityScale},
 		{"E19", E19SWFReplay},
+		{"E20", E20MetroPolicies},
 		{"A1", A1CycleInterval},
 		{"A2", A2Policies},
 		{"A3", A3SwitchCost},

@@ -62,6 +62,42 @@ func E17MetroScale() (Table, error) {
 	return t, nil
 }
 
+// E20Grid is the metro policy tier: E17's two backfill cells under
+// every controller policy. E17 runs only the paper's fcfs controller,
+// whose stuck rule (no job running and at least one queued) never
+// fires on a 2500-node side that always has something running; the
+// adaptive rules switch nodes here by the thousand, so this is where
+// the paper's switching mechanism runs at scale. Same base seed as
+// E17, so the fcfs cells are E17's backfill cells.
+func E20Grid() (sweep.Grid, error) {
+	g := E17Grid()
+	g.SchedPolicies = []cluster.SchedPolicy{cluster.SchedBackfill}
+	for _, name := range []string{"fcfs", "threshold", "hysteresis", "predictive", "fairshare"} {
+		p, err := sweep.PolicyByName(name)
+		if err != nil {
+			return sweep.Grid{}, err
+		}
+		g.Policies = append(g.Policies, p)
+	}
+	return g, nil
+}
+
+// E20MetroPolicies ranks the controller policies on the metro tier,
+// per offered load, by rankPolicies.
+func E20MetroPolicies() (Table, error) {
+	t := Table{
+		ID:     "E20",
+		Title:  "metro policy tier: 2500-node EASY backfill campus under every controller policy",
+		Header: []string{"trace", "policy", "util", "switches", "thrash", "wait(L)", "wait(W)", "makespan", "done/subm"},
+		Notes:  "the paper's fcfs rule never switches at this scale, since each side always has a job running; the adaptive rules move nodes to the backlogged side",
+	}
+	g, err := E20Grid()
+	if err != nil {
+		return t, err
+	}
+	return rankPolicies(t, g)
+}
+
 // E18Grid is the city tier: one 10000-node hybrid cell fed a
 // 2000-jobs/hour Poisson stream for 500 hours — just under a million
 // submissions, a saturating backlog, and ~3.2M simulation events. One

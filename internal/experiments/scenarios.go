@@ -360,11 +360,7 @@ func E15Grid() (sweep.Grid, error) {
 
 // E15PolicySuite ranks the switching-policy suite on the diurnal and
 // burst traces — the repo's headline question ("when is hybrid
-// switching worth it?") as a swept result. Within each trace the
-// policies are ranked by utilisation, then fewest switches; the thrash
-// column counts switches reversed within one dwell window
-// (controller.ThrashCount), the reboots a calmer rule would not have
-// paid for.
+// switching worth it?") as a swept result, ranked by rankPolicies.
 func E15PolicySuite() (Table, error) {
 	t := Table{
 		ID:     "E15",
@@ -376,6 +372,15 @@ func E15PolicySuite() (Table, error) {
 	if err != nil {
 		return t, err
 	}
+	return rankPolicies(t, g)
+}
+
+// rankPolicies runs a controller-policy grid and fills t with one row
+// per cell, grouped by trace and ranked within each trace by
+// utilisation, then fewest switches; the thrash column counts switches
+// reversed within one dwell window (controller.ThrashCount), the
+// reboots a calmer rule would not have paid for.
+func rankPolicies(t Table, g sweep.Grid) (Table, error) {
 	out, err := sweep.Run(sweep.Config{Grid: g})
 	if err != nil {
 		return t, err

@@ -1,4 +1,4 @@
-// Spec-document emission: every recorded sweep experiment (E12–E17, E19)
+// Spec-document emission: every recorded sweep experiment (E12–E17, E19, E20)
 // publishes its grid as a versioned sweep.Spec document, committed
 // under specs/ at the repository root. The documents are the
 // reproducibility artifacts — `qsim sweep -f specs/<file>` replays a
@@ -34,6 +34,10 @@ func SpecFiles() ([]SpecFile, error) {
 	if err != nil {
 		return nil, err
 	}
+	e20, err := E20Grid()
+	if err != nil {
+		return nil, err
+	}
 	return []SpecFile{
 		{"e12_mix_sweep.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E12 hybrid vs static across demand mixes", Grid: E12Grid()}},
 		{"e13_sweep_modes.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E13 cluster mode vs offered load", Grid: E13Grid()}},
@@ -42,6 +46,7 @@ func SpecFiles() ([]SpecFile, error) {
 		{"e16_sched_policies.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E16 FCFS vs EASY backfill", Grid: E16Grid()}},
 		{"e17_metro_scale.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E17 metro scale tier", Grid: E17Grid()}},
 		{"e19_swf_replay.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E19 SWF replay", Grid: E19Grid()}},
+		{"e20_metro_policies.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E20 metro policy tier", Grid: e20}},
 	}, nil
 }
 

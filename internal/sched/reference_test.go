@@ -8,12 +8,14 @@ import (
 	"time"
 )
 
-// The EASY pass skips candidates its per-pass memo rules out and takes
-// its reservation off a heap, reusing it across passes while nothing
-// changed. passReference is the pass without any of that: every live
-// entry gets a placement attempt and every reservation replays the
-// whole running set, sorted by release. A core driven by it is the
-// reference the real pass must match decision for decision.
+// The EASY pass skips candidates its per-pass memo rules out, whole
+// blocks of them at a time, and starts its reservation from a live
+// projection, taking releases off a persistent heap. passReference is
+// the pass without any of that: every live entry gets a placement
+// attempt and every reservation rebuilds the projection from the node
+// table and replays the whole running set, sorted by release. A core
+// driven by it is the reference the real pass must match decision for
+// decision.
 
 // passReference is the plain EASY pass.
 func (c *Core) passReference() {
@@ -62,15 +64,16 @@ func (c *Core) passReference() {
 // free slots, then every running entry's release in (end, Seq) order
 // until the pivot fits.
 func (c *Core) reserveSorted(p *Entry) reservation {
-	r := reservation{free: make([]int, len(c.nodes))}
+	r := reservation{free: make([]int32, len(c.nodes))}
 	for i, n := range c.nodes {
 		if n.state != Up {
 			r.free[i] = -1
 			continue
 		}
-		r.free[i] = n.slots - n.used
-		r.total += r.free[i]
-		if r.free[i] >= c.need(p, i) {
+		free := n.slots - n.used
+		r.free[i] = int32(free)
+		r.total += free
+		if free >= c.need(p, i) {
 			r.fit++
 		}
 	}
@@ -161,18 +164,16 @@ func backlogScript(seed int64, nodes, jobs int, hpc bool) script {
 // fuzzers would start far from the paths that move keys.
 func TestBacklogSeedsReachKeyPaths(t *testing.T) {
 	var released, requeued, builtLate int
-	for _, hpc := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			sc := decode(encode(backlogScript(seed, 8, 120, hpc)))
-			h := newHarness(sc)
-			h.run(sc, nil, true)
-			if h.err != nil {
-				t.Fatalf("seed %d hpc %v: %v", seed, hpc, h.err)
-			}
-			released += h.reach.released
-			requeued += h.reach.requeued
-			builtLate += h.reach.builtLate
+	for i, sc := range backlogSeeds() {
+		sc = decode(encode(sc))
+		h := newHarness(sc)
+		h.run(sc, nil, true)
+		if h.err != nil {
+			t.Fatalf("backlog seed %d: %v", i, h.err)
 		}
+		released += h.reach.released
+		requeued += h.reach.requeued
+		builtLate += h.reach.builtLate
 	}
 	if released == 0 || requeued == 0 || builtLate == 0 {
 		t.Fatalf("seeds revived %d slots by release and %d by requeue and built keys late %d times; want each above 0",
@@ -181,9 +182,77 @@ func TestBacklogSeedsReachKeyPaths(t *testing.T) {
 	t.Logf("revived by release %d, by requeue %d; keys built late %d times", released, requeued, builtLate)
 }
 
-// TestFCFSCoreKeepsNoKeys pins that the keys cost an FCFS-only core
-// nothing: a deep backlog scheduled without backfill never builds
-// them.
+// backlogSeeds are the deep-backlog scripts both fuzz targets start
+// from, for each face's demand shapes: four of 120 jobs, and two of 400
+// whose queues run past four blocks of keys and in which every fifth
+// submission jumps the queue at a higher priority.
+func backlogSeeds() []script {
+	var out []script
+	for _, hpc := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			out = append(out, backlogScript(seed, 8, 120, hpc))
+		}
+		for seed := int64(5); seed <= 6; seed++ {
+			sc := backlogScript(seed, 8, 400, hpc)
+			for i, o := range sc.ops {
+				if o.kind == opSubmit && o.job%5 == 0 {
+					sc.ops[i].e.Prio = 1
+				}
+			}
+			out = append(out, sc)
+		}
+	}
+	return out
+}
+
+// TestBacklogSeedsReachBlockPaths runs the backlog seeds of both fuzz
+// targets and requires that, between them, they skip whole blocks of
+// keys; dirty a block by reviving a slot below the head cursor and by
+// queueing an entry ahead of the tail; recompute summaries after a
+// compaction; replay a reservation below the release heap's second
+// level; and reserve after a node went Down and came back Up. Without
+// those the fuzzers would start far from the paths that keep the
+// block summaries and the reservation's state.
+func TestBacklogSeedsReachBlockPaths(t *testing.T) {
+	var skips, belowHead, inserted, compacted, deep, returned, longest int
+	for i, sc := range backlogSeeds() {
+		sc = decode(encode(sc))
+		h := newHarness(sc)
+		h.run(sc, func(h *harness) {
+			c, slots := h.c, len(h.c.queued)
+			c.pass()
+			// Only compaction shrinks the queue, and it leaves every
+			// summary dirty: a clean one was recomputed since.
+			if len(c.queued) < slots && slices.ContainsFunc(c.blocks, func(s summary) bool { return !s.dirty }) {
+				compacted++
+			}
+			longest = max(longest, len(c.queued))
+		}, true)
+		if h.err != nil {
+			t.Fatalf("backlog seed %d: %v", i, h.err)
+		}
+		skips += h.c.seen.blockSkips
+		deep += h.c.seen.deepReplays
+		belowHead += h.reach.belowHead
+		inserted += h.reach.inserted
+		for _, at := range h.reach.returned {
+			if h.c.seen.reserves > at {
+				returned++
+			}
+		}
+	}
+	if skips == 0 || belowHead == 0 || inserted == 0 || compacted == 0 || deep == 0 || returned == 0 || longest <= 4*blockLen {
+		t.Fatalf("seeds skipped %d blocks, revived %d slots below the head, queued %d ahead of the tail, recomputed after %d compactions, "+
+			"replayed below the second heap level %d times and reserved after %d node returns; longest queue %d slots; "+
+			"want each above 0 and the queue past %d slots", skips, belowHead, inserted, compacted, deep, returned, longest, 4*blockLen)
+	}
+	t.Logf("skipped %d blocks; revived %d slots below the head, queued %d ahead of the tail; recomputed after %d compactions; %d deep replays; reserved after %d node returns; longest queue %d slots",
+		skips, belowHead, inserted, compacted, deep, returned, longest)
+}
+
+// TestFCFSCoreKeepsNoKeys pins that the EASY state costs an FCFS-only
+// core nothing: a deep backlog scheduled without backfill never builds
+// keys, block summaries, a projection, a histogram or a release heap.
 func TestFCFSCoreKeepsNoKeys(t *testing.T) {
 	for _, sc := range []script{pbsScript(421, 12, 120, false), winScript(733, 12, 120, false)} {
 		h := newHarness(sc)
@@ -191,8 +260,10 @@ func TestFCFSCoreKeepsNoKeys(t *testing.T) {
 		if h.err != nil {
 			t.Fatal(h.err)
 		}
-		if h.c.keys != nil {
-			t.Fatalf("FCFS core built %d keys", len(h.c.keys))
+		c := h.c
+		if c.keys != nil || c.blocks != nil || c.proj != nil || c.hist != nil || c.rel.h != nil || c.rel.at != nil {
+			t.Fatalf("FCFS core built %d keys, %d block summaries, a %d-node projection, a %d-bin histogram and a %d-run release heap",
+				len(c.keys), len(c.blocks), len(c.proj), len(c.hist), len(c.rel.h))
 		}
 	}
 }
@@ -205,10 +276,8 @@ func TestFCFSCoreKeepsNoKeys(t *testing.T) {
 // with slots revived by releases and requeues and backfill switched
 // mid-run.
 func FuzzPassMatchesReference(f *testing.F) {
-	for _, hpc := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			f.Add(encode(backlogScript(seed, 8, 120, hpc)))
-		}
+	for _, sc := range backlogSeeds() {
+		f.Add(encode(sc))
 	}
 	for _, backfill := range []bool{false, true} {
 		f.Add(encode(pbsScript(421, 12, 60, backfill)))

@@ -183,13 +183,6 @@ type Core struct {
 	dead   int
 	head   int
 
-	// keys runs beside queued, slot for slot, once the first EASY pass
-	// has built it: what the memo test behind the pivot reads of each
-	// entry, so ruling out a deep backlog streams through this slice
-	// without dereferencing a single entry. An FCFS-only core never
-	// builds it.
-	keys []key
-
 	// running holds executing entries; removal swaps the tail into the
 	// vacated slot via Entry.runIdx, and the vacated grants slice waits
 	// past the end for the next start to reuse.
@@ -203,23 +196,36 @@ type Core struct {
 	treeCap    int
 	freeSlots  int
 
+	// The EASY state, built by a core's first EASY reservation (see
+	// easy) and kept up from then on; an FCFS-only core never builds
+	// it.
+	//
+	// keys runs beside queued, slot for slot: what the memo test behind
+	// the pivot reads of each entry, so ruling out a deep backlog
+	// streams through this slice without dereferencing a single entry.
+	// blocks summarises keys per blockLen slots, so the scan passes over
+	// a whole block the memo rules out in one step.
+	keys   []key
+	blocks []summary
+	// proj is the reservation's starting point, per node: its free
+	// slots if Up, else -1, in 32 bits to halve the copy each
+	// reservation makes. hist counts Up nodes by free slots. rel holds
+	// the running ledger's releases, and rel.at runs beside
+	// Core.running.
+	proj []int32
+	hist []int
+	rel  releases
+
 	// Scratch buffers reused across passes.
 	grantBuf []Grant
-	rsvFree  []int
-	rsvRun   []release
+	rsvFree  []int32
+	frontier releases
 	memo     []verdicts
 
-	// changes counts every change to the node table, slot use or
-	// running set. last is the most recent reservation with the
-	// pivot demand and change count it was computed for: while
-	// neither moved, a later pass reuses it instead of replaying
-	// releases again.
-	changes uint64
-	last    struct {
-		rsv     reservation
-		d       demand
-		changes uint64
-	}
+	// seen counts paths the differential tests must show they reach:
+	// reservations computed, those whose replay went below the release
+	// heap's second level, and whole blocks of keys the scan skipped.
+	seen struct{ reserves, deepReplays, blockSkips int }
 
 	pending bool
 	// override replaces the scheduling pass; tests use it to rebuild
@@ -234,7 +240,9 @@ func New(eng *simtime.Engine, f Face) *Core { return &Core{eng: eng, face: f} }
 // index. Registration order is placement order.
 func (c *Core) AddNode(slots int, st NodeState) int {
 	c.nodes = append(c.nodes, node{slots: slots, state: Down})
-	c.changes++
+	if c.proj != nil {
+		c.proj = append(c.proj, -1)
+	}
 	i := len(c.nodes) - 1
 	c.refresh(i)
 	c.SetNode(i, st)
@@ -251,7 +259,6 @@ func (c *Core) SetNode(i int, st NodeState) {
 		n.state = st
 		c.count(n, 1)
 		c.refresh(i)
-		c.changes++
 	}
 	if st == Up {
 		c.Kick()
@@ -329,6 +336,7 @@ func (c *Core) enqueue(e *Entry) {
 		c.head = min(c.head, at)
 		if c.keys != nil {
 			c.keys[at] = keyOf(e)
+			c.touch(at, at+1)
 		}
 		return
 	}
@@ -337,6 +345,7 @@ func (c *Core) enqueue(e *Entry) {
 		c.queued = append(c.queued, e)
 		if c.keys != nil {
 			c.keys = append(c.keys, keyOf(e))
+			c.admit(n)
 		}
 		return
 	}
@@ -344,6 +353,7 @@ func (c *Core) enqueue(e *Entry) {
 	c.queued = slices.Insert(c.queued, at, e)
 	if c.keys != nil {
 		c.keys = slices.Insert(c.keys, at, keyOf(e))
+		c.touch(at, len(c.keys))
 	}
 	c.head = min(c.head, at)
 }
@@ -368,10 +378,18 @@ func (c *Core) Stop(e *Entry) {
 	}
 	c.running[i], c.running[last] = c.running[last], c.running[i]
 	c.running[i].e.runIdx = i
+	if q := &c.rel; q.at != nil {
+		// The run swapped into slot i keeps its place in the heap.
+		q.remove(q.at[i])
+		q.at[i] = q.at[last]
+		q.at = q.at[:last]
+		if i != last {
+			q.h[q.at[i]].i = i
+		}
+	}
 	c.running[last].e = nil
 	c.running = c.running[:last]
 	e.state = done
-	c.changes++
 }
 
 // Grants returns a running entry's placement, in node order. It is
@@ -465,6 +483,8 @@ func (c *Core) compact() {
 	c.queued = kept
 	if c.keys != nil {
 		c.keys = c.keys[:len(kept)]
+		c.blocks = c.blocks[:blocksFor(len(kept))]
+		c.touch(0, len(kept))
 	}
 	c.dead, c.head = 0, 0
 }
@@ -514,7 +534,10 @@ func (c *Core) Kick() {
 // Core.keys holds inline beside each queue slot, so behind the pivot
 // the pass tests the key first and dereferences only the entries it
 // may still start. That is exact too: a ruled-out entry is passed
-// over like a stale or skipped one, and Skip has no side effects.
+// over like a stale or skipped one, and Skip has no side effects. The
+// keys' block summaries are lower bounds of the keys they cover, so a
+// block they rule out holds no key the memo would let through, and the
+// scan steps over it whole.
 //
 // And once no slot and no node is free, nothing behind the pivot can
 // start, since every entry asks for at least one slot or node, so the
@@ -534,6 +557,9 @@ func (c *Core) pass() {
 		}
 		if g := c.choose(e); g != nil {
 			c.start(e, g)
+			if c.keys != nil {
+				c.retire(i)
+			}
 			continue
 		}
 		pivot = e
@@ -542,17 +568,14 @@ func (c *Core) pass() {
 	if pivot == nil || !*c.face.Backfill || c.full() {
 		return
 	}
+	if c.keys == nil {
+		c.easy()
+	}
 	rsv := c.reserve(pivot)
 	for f := range c.memo {
 		c.memo[f] = verdicts{none, none}
 	}
 	c.fail(pivot)
-	if c.keys == nil {
-		c.keys = make([]key, len(c.queued))
-		for j, e := range c.queued {
-			c.keys[j] = keyOf(e)
-		}
-	}
 	// A candidate is long when its limit runs past horizon.
 	horizon := time.Duration(math.MaxInt64)
 	if rsv.ok {
@@ -570,21 +593,159 @@ func (c *Core) pass() {
 	}
 }
 
+// easy builds the EASY state from the queue, the node table and the
+// running ledger. Slots whose entry has moved on get stale keys, and
+// every block summary starts dirty.
+func (c *Core) easy() {
+	c.keys = make([]key, len(c.queued))
+	for j, e := range c.queued {
+		c.keys[j] = keyOf(e)
+		if e.state != queued {
+			c.keys[j].fam = stale
+		}
+	}
+	c.touch(0, len(c.keys))
+	c.proj = make([]int32, len(c.nodes))
+	for i := range c.nodes {
+		c.proj[i] = -1
+		c.project(i)
+	}
+	c.rel = releases{make([]release, len(c.running)), make([]int, len(c.running))}
+	for i := range c.running {
+		c.rel.h[i], c.rel.at[i] = release{c.running[i].end, i}, i
+	}
+	for k := len(c.running)/2 - 1; k >= 0; k-- {
+		c.rel.down(k)
+	}
+}
+
 // nextCandidate returns the first index in [i, bound) whose key the
-// pass's memo does not rule out, or bound. It reads only Core.keys and
-// Core.memo.
+// pass's memo does not rule out, or bound. It reads only Core.keys,
+// their block summaries and Core.memo.
 func (c *Core) nextCandidate(i, bound int, horizon time.Duration) int {
 	keys, memo := c.keys[:bound], c.memo
-	for ; i < bound; i++ {
-		k := keys[i]
-		if k.fam == stale {
+	for i < bound {
+		b := i / blockLen
+		end := min((b+1)*blockLen, bound)
+		if c.ruledOut(b, horizon) {
+			c.seen.blockSkips++
+			i = end
 			continue
 		}
-		if int(k.fam) >= len(memo) || !memo[k.fam].rule(int(k.count), k.limit > horizon) {
-			return i
+		for ; i < end; i++ {
+			k := keys[i]
+			if k.fam == stale {
+				continue
+			}
+			if int(k.fam) >= len(memo) || !memo[k.fam].rule(int(k.count), k.limit > horizon) {
+				return i
+			}
 		}
 	}
 	return bound
+}
+
+// blockLen is how many queue slots one block summary covers.
+const blockLen = 64
+
+// sumFams is how many demand families a block summary holds.
+const sumFams = 4
+
+// summary is a lower bound on the keys of one block that are not
+// stale: for each demand family among them, the smallest count and the
+// smallest limit. n counts the families; a block with more than
+// sumFams of them has n = sumFams+1 and is never ruled out. A dirty
+// summary is recomputed before it is read.
+type summary struct {
+	limit      [sumFams]time.Duration
+	count, fam [sumFams]int32
+	n          int8
+	dirty      bool
+}
+
+func blocksFor(slots int) int { return (slots + blockLen - 1) / blockLen }
+
+// touch marks dirty the summaries of the blocks holding slots [from,
+// to), first growing the summaries to cover every key.
+func (c *Core) touch(from, to int) {
+	c.grow()
+	for b := from / blockLen; b < blocksFor(to); b++ {
+		c.blocks[b].dirty = true
+	}
+}
+
+// admit folds the key appended at slot i into its block's summary, so
+// the queue's tail block need not be recomputed after every
+// submission.
+func (c *Core) admit(i int) {
+	c.grow()
+	if s := &c.blocks[i/blockLen]; !s.dirty {
+		s.fold(c.keys[i])
+	}
+}
+
+// grow appends clean, empty summaries until every key has a block.
+func (c *Core) grow() {
+	for n := blocksFor(len(c.keys)); len(c.blocks) < n; {
+		c.blocks = append(c.blocks, summary{})
+	}
+}
+
+// retire marks the key at slot i stale: its entry has left the queue.
+func (c *Core) retire(i int) {
+	c.keys[i].fam = stale
+	c.touch(i, i+1)
+}
+
+// summarise recomputes block b's summary from its keys.
+func (c *Core) summarise(b int) {
+	s := summary{}
+	for _, k := range c.keys[b*blockLen : min((b+1)*blockLen, len(c.keys))] {
+		if k.fam != stale {
+			s.fold(k)
+		}
+	}
+	c.blocks[b] = s
+}
+
+// fold adds a key that is not stale to the summary.
+func (s *summary) fold(k key) {
+	if s.n > sumFams {
+		return
+	}
+	j := 0
+	for j < int(s.n) && s.fam[j] != k.fam {
+		j++
+	}
+	switch {
+	case j == sumFams:
+		s.n = sumFams + 1
+	case j == int(s.n):
+		s.fam[j], s.count[j], s.limit[j] = k.fam, k.count, k.limit
+		s.n++
+	default:
+		s.count[j], s.limit[j] = min(s.count[j], k.count), min(s.limit[j], k.limit)
+	}
+}
+
+// ruledOut reports that the memo rules out every key of block b: in
+// every family the block holds, the smallest count failed, or it was
+// refused and even the shortest limit runs past horizon.
+func (c *Core) ruledOut(b int, horizon time.Duration) bool {
+	if c.blocks[b].dirty {
+		c.summarise(b)
+	}
+	s := &c.blocks[b]
+	if s.n > sumFams {
+		return false
+	}
+	for j := range int(s.n) {
+		f := int(s.fam[j])
+		if f >= len(c.memo) || !c.memo[f].rule(int(s.count[j]), s.limit[j] > horizon) {
+			return false
+		}
+	}
+	return true
 }
 
 // skip asks the face's Skip, if any.
@@ -608,10 +769,9 @@ func (v verdicts) rule(count int, long bool) bool {
 
 // key is what the memo test reads of a queued entry: its limit, its
 // count and its demand family. Count and family saturate at the int32
-// range, which can only make the test pass over less. A backfill start
-// sets fam to stale, so later passes step over the slot without
-// dereferencing its entry until a requeue revives it or compact drops
-// it.
+// range, which can only make the test pass over less. A start sets fam
+// to stale, so later passes step over the slot without dereferencing
+// its entry until a requeue revives it or compact drops it.
 type key struct {
 	limit      time.Duration
 	count, fam int32
@@ -664,12 +824,6 @@ func (c *Core) fail(e *Entry) {
 	}
 }
 
-// demand is what the reservation reads from its pivot.
-type demand struct {
-	shape      Shape
-	count, ppn int
-}
-
 // reservation is the pivot's EASY booking: the shadow time and the
 // per-node free-slot projection at that instant (-1 marks nodes that
 // are not Up). fit counts nodes whose projected free slots meet the
@@ -680,7 +834,7 @@ type demand struct {
 // narrow work while the controller fetches nodes for the wide head.
 type reservation struct {
 	shadow     time.Duration
-	free       []int
+	free       []int32
 	fit, total int
 	ok         bool
 }
@@ -697,8 +851,8 @@ func (c *Core) need(p *Entry, i int) int {
 // add moves d slots on node i into (d > 0) or out of (d < 0) the
 // projection, keeping fit and total in step.
 func (r *reservation) add(i, d, need int) {
-	was := r.free[i]
-	r.free[i] = was + d
+	was := int(r.free[i])
+	r.free[i] = int32(was + d)
 	r.total += d
 	if was < need && was+d >= need {
 		r.fit++
@@ -714,91 +868,132 @@ func (r *reservation) fits(p *Entry) bool {
 	return r.fit >= p.Count
 }
 
-// release is one running entry in the reservation's replay: its
-// projected end and its index in Core.running.
+// release is one running entry's projected end and its index in
+// Core.running; in the reservation's frontier, i is a position in
+// Core.rel instead.
 type release struct {
 	end time.Duration
 	i   int
 }
 
-// reserve computes the pivot's shadow state by replaying the running
-// entries' projected releases onto the current free slots, in release
-// order, until the pivot fits. Only the releases up to that instant
-// need ordering, so they come off a binary heap built in linear time
-// instead of a full sort; releases at one instant are applied as a
-// group, in whatever order, since the projection after the group does
-// not depend on it. The projection and the heap live in pooled
-// buffers. A pass whose pivot demand and core state are unchanged
-// since the last reserve gets that reservation back as it was.
-func (c *Core) reserve(p *Entry) reservation {
-	d := demand{p.Shape, p.Count, p.PPN}
-	// The zero demand never matches: a zero count always places, so it
-	// is never a pivot.
-	if c.last.d == d && c.last.changes == c.changes {
-		return c.last.rsv
-	}
-	if cap(c.rsvFree) < len(c.nodes) {
-		c.rsvFree = make([]int, len(c.nodes))
-	}
-	r := reservation{free: c.rsvFree[:len(c.nodes)]}
-	for i := range c.nodes {
-		n := &c.nodes[i]
-		if n.state != Up {
-			r.free[i] = -1
-			continue
-		}
-		r.free[i] = n.slots - n.used
-		r.total += r.free[i]
-		if r.free[i] >= c.need(p, i) {
-			r.fit++
-		}
-	}
-	h := c.rsvRun[:0]
-	for i := range c.running {
-		h = append(h, release{c.running[i].end, i})
-	}
-	c.rsvRun = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for len(h) > 0 {
-		end := h[0].end
-		for len(h) > 0 && h[0].end == end {
-			for _, g := range c.running[h[0].i].grants {
-				if r.free[g.Node] >= 0 {
-					r.add(g.Node, g.Slots, c.need(p, g.Node))
-				}
-			}
-			last := len(h) - 1
-			h[0] = h[last]
-			h = h[:last]
-			siftDown(h, 0)
-		}
-		if r.fits(p) {
-			r.shadow, r.ok = end, true
-			break
-		}
-	}
-	c.last.rsv, c.last.d, c.last.changes = r, d, c.changes
-	return r
+// releases is a binary min-heap on end. When at is set, at[x.i]
+// follows the position of each release x in the heap.
+type releases struct {
+	h  []release
+	at []int
 }
 
-// siftDown restores the min-heap order on end below index i.
-func siftDown(h []release, i int) {
+// push adds x, which when at is set must be the newest run.
+func (q *releases) push(x release) {
+	q.h = append(q.h, x)
+	if q.at != nil {
+		q.at = append(q.at, len(q.h)-1)
+	}
+	q.up(len(q.h) - 1)
+}
+
+// remove takes out the release at position k.
+func (q *releases) remove(k int) {
+	last := len(q.h) - 1
+	if k != last {
+		q.swap(k, last)
+	}
+	q.h = q.h[:last]
+	if k < last {
+		q.down(k)
+		q.up(k)
+	}
+}
+
+func (q *releases) down(k int) {
+	h := q.h
 	for {
-		m := 2*i + 1
+		m := 2*k + 1
 		if m >= len(h) {
 			return
 		}
 		if r := m + 1; r < len(h) && h[r].end < h[m].end {
 			m = r
 		}
-		if h[i].end <= h[m].end {
+		if h[k].end <= h[m].end {
 			return
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		q.swap(k, m)
+		k = m
 	}
+}
+
+func (q *releases) up(k int) {
+	h := q.h
+	for k > 0 {
+		up := (k - 1) / 2
+		if h[up].end <= h[k].end {
+			return
+		}
+		q.swap(k, up)
+		k = up
+	}
+}
+
+func (q *releases) swap(a, b int) {
+	h := q.h
+	h[a], h[b] = h[b], h[a]
+	if q.at != nil {
+		q.at[h[a].i], q.at[h[b].i] = a, b
+	}
+}
+
+// reserve computes the pivot's shadow state by replaying the running
+// entries' projected releases onto the current free slots, in release
+// order, until the pivot fits. The starting point is kept up by use
+// and SetNode: a copy of Core.proj, with fit read off the histogram
+// (or the idle count, for Whole) and total off the free-slot count.
+// The releases come off Core.rel in order through a frontier heap that
+// holds the next unreplayed position on each path down: k releases
+// replayed cost O(k log k), however many run. Releases at one instant are applied as a group, in whatever
+// order, since the projection after the group does not depend on it.
+func (c *Core) reserve(p *Entry) reservation {
+	c.seen.reserves++
+	if cap(c.rsvFree) < len(c.nodes) {
+		c.rsvFree = make([]int32, len(c.nodes))
+	}
+	r := reservation{free: c.rsvFree[:len(c.nodes)], total: c.freeSlots}
+	copy(r.free, c.proj)
+	if p.Shape == Whole {
+		r.fit = c.cen.IdleNodes
+	} else {
+		for _, n := range c.hist[min(max(p.PPN, 0), len(c.hist)):] {
+			r.fit += n
+		}
+	}
+	h, f := c.rel.h, &c.frontier
+	f.h = f.h[:0]
+	if len(h) > 0 {
+		f.push(release{h[0].end, 0})
+	}
+	for len(f.h) > 0 {
+		end := f.h[0].end
+		for len(f.h) > 0 && f.h[0].end == end {
+			at := f.h[0].i
+			f.remove(0)
+			for _, g := range c.running[h[at].i].grants {
+				if r.free[g.Node] >= 0 {
+					r.add(g.Node, g.Slots, c.need(p, g.Node))
+				}
+			}
+			if at >= 3 {
+				c.seen.deepReplays++
+			}
+			for ch := 2*at + 1; ch <= 2*at+2 && ch < len(h); ch++ {
+				f.push(release{h[ch].end, ch})
+			}
+		}
+		if r.fits(p) {
+			r.shadow, r.ok = end, true
+			break
+		}
+	}
+	return r
 }
 
 // tryBackfill starts a candidate behind the blocked pivot if it cannot
@@ -832,7 +1027,7 @@ func (c *Core) tryBackfill(i int, e, p *Entry, r *reservation) {
 			return
 		}
 	}
-	c.keys[i].fam = stale
+	c.retire(i)
 	c.start(e, g)
 	for f := range c.memo {
 		c.memo[f].refused = none
@@ -897,7 +1092,9 @@ func (c *Core) start(e *Entry, g []Grant) {
 	}
 	r := &c.running[e.runIdx]
 	r.e, r.end, r.grants = e, c.eng.Now()+e.limit(), append(r.grants[:0], g...)
-	c.changes++
+	if c.rel.at != nil {
+		c.rel.push(release{r.end, e.runIdx})
+	}
 	c.face.Started(e)
 	c.eng.After(e.runFor(), func() {
 		// Only the timer of the current run may end it. The run this
@@ -941,8 +1138,12 @@ func (c *Core) leaves(i int) (free, idle int) {
 	return n.slots - n.used, idle
 }
 
-// refresh re-derives node i's leaves after a slot or state change.
+// refresh re-derives node i's leaves and projection after a slot or
+// state change.
 func (c *Core) refresh(i int) {
+	if c.proj != nil {
+		c.project(i)
+	}
 	if i >= c.treeCap {
 		c.rebuildTrees()
 		return
@@ -950,6 +1151,25 @@ func (c *Core) refresh(i int) {
 	f, d := c.leaves(i)
 	setLeaf(c.free, c.treeCap, i, f)
 	setLeaf(c.idle, c.treeCap, i, d)
+}
+
+// project re-derives node i's entry in Core.proj and keeps Core.hist
+// in step.
+func (c *Core) project(i int) {
+	f, _ := c.leaves(i)
+	if c.nodes[i].state != Up {
+		f = -1
+	}
+	if was := c.proj[i]; was >= 0 {
+		c.hist[was]--
+	}
+	if f >= 0 {
+		for len(c.hist) <= f {
+			c.hist = append(c.hist, 0)
+		}
+		c.hist[f]++
+	}
+	c.proj[i] = int32(f)
 }
 
 // rebuildTrees sizes both trees to the node table and recomputes every

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -73,7 +74,8 @@ func rebuild(h *harness) {
 		e.inQueue = true
 	}
 	c.queued, c.dead, c.head = t.queue, 0, 0
-	c.keys = nil // the next EASY pass builds them from the entries
+	easy := c.keys != nil
+	c.keys, c.blocks, c.proj, c.hist, c.rel = nil, nil, nil, nil, releases{}
 	c.running = nil
 	for i, e := range t.running {
 		e.runIdx = i
@@ -85,7 +87,9 @@ func rebuild(h *harness) {
 	}
 	c.cen, c.freeSlots = t.cen, t.freeSlots
 	c.rebuildTrees()
-	c.changes++ // no reservation survives a rebuild
+	if easy {
+		c.easy() // keys, summaries, projection, histogram and release heap
+	}
 }
 
 // checkScratch cross-checks the incremental state against a
@@ -131,6 +135,9 @@ func checkScratch(h *harness) error {
 			return fmt.Errorf("slot %d holds key %+v, its entry %d gives %+v", i, k, e.Seq, keyOf(e))
 		}
 	}
+	if err := checkEasy(c, t); err != nil {
+		return err
+	}
 	for i, n := range c.nodes {
 		if n.used != t.used[i] || n.used > n.slots {
 			return fmt.Errorf("node %d uses %d of %d slots, grants say %d", i, n.used, n.slots, t.used[i])
@@ -142,6 +149,90 @@ func checkScratch(h *harness) error {
 	for i := c.treeCap - 1; i >= 1; i-- {
 		if c.free[i] != max(c.free[2*i], c.free[2*i+1]) || c.idle[i] != max(c.idle[2*i], c.idle[2*i+1]) {
 			return fmt.Errorf("segment tree node %d is not the max of its children", i)
+		}
+	}
+	return nil
+}
+
+// checkEasy cross-checks the EASY state against the ground truth: the
+// projection and histogram against the node table and the grants, the
+// release heap's order and every run's position in it, and every clean
+// block summary against its keys.
+func checkEasy(c *Core, t truth) error {
+	if c.keys == nil {
+		if c.blocks != nil || c.proj != nil || c.hist != nil || c.rel.h != nil || c.rel.at != nil {
+			return fmt.Errorf("core keeps EASY state without keys")
+		}
+		return nil
+	}
+	if len(c.proj) != len(c.nodes) {
+		return fmt.Errorf("projection covers %d of %d nodes", len(c.proj), len(c.nodes))
+	}
+	hist := map[int]int{}
+	for i, n := range c.nodes {
+		want := -1
+		if n.state == Up {
+			want = n.slots - t.used[i]
+			hist[want]++
+		}
+		if int(c.proj[i]) != want {
+			return fmt.Errorf("node %d projected at %d free slots, scratch %d", i, c.proj[i], want)
+		}
+	}
+	for f, n := range c.hist {
+		if n != hist[f] {
+			return fmt.Errorf("histogram counts %d Up nodes with %d free slots, scratch %d", n, f, hist[f])
+		}
+		delete(hist, f)
+	}
+	if len(hist) > 0 {
+		return fmt.Errorf("histogram misses the Up nodes by free slots %v", hist)
+	}
+	if len(c.rel.h) != len(c.running) || len(c.rel.at) != len(c.running) {
+		return fmt.Errorf("release heap holds %d of %d runs, at %d positions", len(c.rel.h), len(c.running), len(c.rel.at))
+	}
+	for k, x := range c.rel.h {
+		if x.i < 0 || x.i >= len(c.running) || c.rel.at[x.i] != k || c.running[x.i].end != x.end {
+			return fmt.Errorf("release heap position %d holds %+v, which its run does not match", k, x)
+		}
+		if k > 0 && c.rel.h[(k-1)/2].end > x.end {
+			return fmt.Errorf("release heap position %d ends before its parent", k)
+		}
+	}
+	if len(c.blocks) != (len(c.keys)+blockLen-1)/blockLen {
+		return fmt.Errorf("%d block summaries over %d keys", len(c.blocks), len(c.keys))
+	}
+	for b, s := range c.blocks {
+		if s.dirty {
+			continue
+		}
+		type low struct {
+			count int32
+			limit time.Duration
+		}
+		want := map[int32]low{}
+		for _, k := range c.keys[b*blockLen : min(b*blockLen+blockLen, len(c.keys))] {
+			if k.fam == stale {
+				continue
+			}
+			l, ok := want[k.fam]
+			if !ok {
+				l = low{k.count, k.limit}
+			}
+			want[k.fam] = low{min(l.count, k.count), min(l.limit, k.limit)}
+		}
+		if len(want) > sumFams {
+			if s.n != sumFams+1 {
+				return fmt.Errorf("block %d holds %d families, its summary claims %d", b, len(want), s.n)
+			}
+			continue
+		}
+		got := map[int32]low{}
+		for j := range int(s.n) {
+			got[s.fam[j]] = low{s.count[j], s.limit[j]}
+		}
+		if !maps.Equal(got, want) {
+			return fmt.Errorf("block %d summary %v, its keys give %v", b, got, want)
 		}
 	}
 	return nil
@@ -209,14 +300,23 @@ type harness struct {
 	startAt []time.Duration
 	log     []string
 	err     error // first consistency failure, when checking
-	// reach counts the key paths the script took: slots revived by a
-	// release or by a requeue while the core kept keys, and keys built
-	// on a queue that waited under FCFS first.
-	reach struct{ released, requeued, builtLate int }
+	// reach counts the key paths the script took while the core kept
+	// keys: slots revived by a release or by a requeue, those among
+	// them below the head cursor, and entries queued ahead of the
+	// tail; keys built on a queue that waited under FCFS first; and
+	// nodes that went Down and came back Up, by the reservations the
+	// core had computed when each came back.
+	reach struct {
+		released, requeued, belowHead, inserted, builtLate int
+		returned                                           []int
+	}
+	// wasDown marks nodes that went Down while the core kept its
+	// projection.
+	wasDown map[int]bool
 }
 
 func newHarness(sc script) *harness {
-	h := &harness{eng: simtime.NewEngine(), fill: sc.backfill}
+	h := &harness{eng: simtime.NewEngine(), fill: sc.backfill, wasDown: map[int]bool{}}
 	h.c = New(h.eng, Face{
 		Backfill: &h.fill,
 		Skip:     func(e *Entry) bool { return h.gated && e.Seq%3 == 0 },
@@ -235,10 +335,17 @@ func newHarness(sc script) *harness {
 
 // run plays the script to quiescence. A non-nil pass replaces every
 // scheduling pass; with check set, the incremental state is
-// cross-checked after every op.
+// cross-checked after every op and after every pass, the passes that
+// completions kick between ops included.
 func (h *harness) run(sc script, pass func(*harness), check bool) {
-	if pass != nil {
-		h.c.override = func() { pass(h) }
+	if pass == nil {
+		pass = func(h *harness) { h.c.pass() }
+	}
+	h.c.override = func() {
+		pass(h)
+		if check && h.err == nil {
+			h.err = checkScratch(h)
+		}
 	}
 	for _, o := range sc.ops {
 		h.eng.At(o.at, func() {
@@ -269,7 +376,7 @@ func (h *harness) apply(o op) {
 		h.held = append(h.held, false)
 		h.placed = append(h.placed, nil)
 		h.startAt = append(h.startAt, 0)
-		c.Submit(e)
+		h.requeue(e, func() { c.Submit(e) })
 	case opHold:
 		if e != nil && e.state == queued {
 			c.Withdraw(e)
@@ -281,7 +388,7 @@ func (h *harness) apply(o op) {
 			if e.inQueue && c.keys != nil {
 				h.reach.released++
 			}
-			c.Submit(e)
+			h.requeue(e, func() { c.Submit(e) })
 		}
 	case opCancel:
 		if e == nil {
@@ -296,15 +403,22 @@ func (h *harness) apply(o op) {
 			c.Kick()
 		}
 	case opDown:
+		if c.proj != nil && c.nodes[o.node].state != Down {
+			h.wasDown[o.node] = true
+		}
 		c.SetNode(o.node, Down)
 		for _, v := range c.Holding(o.node) {
 			if v.Rerun && v.inQueue && c.keys != nil {
 				h.reach.requeued++
 			}
-			c.Interrupt(v)
+			h.requeue(v, func() { c.Interrupt(v) })
 		}
 		c.Kick()
 	case opUp:
+		if h.wasDown[o.node] {
+			delete(h.wasDown, o.node)
+			h.reach.returned = append(h.reach.returned, c.seen.reserves)
+		}
 		c.SetNode(o.node, Up)
 	case opOffline:
 		c.SetNode(o.node, Offline)
@@ -320,7 +434,26 @@ func (h *harness) apply(o op) {
 	}
 }
 
-// differ runs a script on an incremental core (checked after every op)
+// requeue runs a call that may put e in the queue and, while the core
+// keeps keys, counts a revival below the head cursor or an insertion
+// ahead of the tail.
+func (h *harness) requeue(e *Entry, do func()) {
+	c := h.c
+	if c.keys == nil {
+		do()
+		return
+	}
+	revive := e.inQueue
+	if at, _ := slices.BinarySearchFunc(c.queued, e, before); revive && at < c.head {
+		h.reach.belowHead++
+	}
+	do()
+	if !revive && e.inQueue && c.queued[len(c.queued)-1] != e {
+		h.reach.inserted++
+	}
+}
+
+// differ runs a script on an incremental core (checked after every op and pass)
 // and on a scratch-rebuilt twin, and reports the first divergence.
 func differ(sc script) error {
 	return compare(sc, "scratch", func(h *harness) {
@@ -330,7 +463,7 @@ func differ(sc script) error {
 }
 
 // compare runs a script on an incremental core (checked after every
-// op) and on a twin whose every pass is twinPass, and reports the
+// op and pass) and on a twin whose every pass is twinPass, and reports the
 // first divergence in start times, placements and end times.
 func compare(sc script, twin string, twinPass func(*harness)) error {
 	inc, ref := newHarness(sc), newHarness(sc)
@@ -486,6 +619,10 @@ func passName(backfill bool) string {
 // four argument bytes.
 const opBytes = 6
 
+// maxOps caps a decoded script: room for a backlog several blocks of
+// keys deep, its holds and releases, and the outages around it.
+const maxOps = 1024
+
 // decode turns fuzz bytes into a script. The first byte picks backfill
 // (bit 0), the node count (4–12) and whether node sizes are uniform or
 // mixed; every following six-byte record is one op, delayed from the
@@ -502,7 +639,7 @@ func decode(data []byte) script {
 		}
 	}
 	at, submits := time.Duration(0), 0
-	for rec := data[1:]; len(rec) >= opBytes && len(sc.ops) < 256; rec = rec[opBytes:] {
+	for rec := data[1:]; len(rec) >= opBytes && len(sc.ops) < maxOps; rec = rec[opBytes:] {
 		at += time.Duration(rec[1]) * time.Minute
 		o := op{at: at, kind: opKind(rec[0] % byte(numOps)), node: int(rec[2]) % len(sc.slots)}
 		switch o.kind {
@@ -587,15 +724,14 @@ func encode(sc script) []byte {
 // incremental core and a twin rebuilt from the ground truth before
 // every pass to start and place every entry identically. The
 // incremental core is also cross-checked against the ground truth
-// after every op.
+// after every op and every pass.
 func FuzzCoreMatchesScratch(f *testing.F) {
 	for _, backfill := range []bool{false, true} {
 		f.Add(encode(pbsScript(421, 12, 60, backfill)))
 		f.Add(encode(winScript(733, 12, 60, backfill)))
 	}
-	for _, hpc := range []bool{false, true} {
-		f.Add(encode(backlogScript(1, 8, 120, hpc)))
-		f.Add(encode(backlogScript(2, 8, 120, hpc)))
+	for _, sc := range backlogSeeds() {
+		f.Add(encode(sc))
 	}
 	f.Add([]byte{0x81, byte(opSubmit), 0, 1, 2, 0x13, 30, byte(opGate), 1, 0, 0, 0, 0, byte(opDown), 5, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

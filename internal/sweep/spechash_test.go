@@ -23,6 +23,7 @@ var specHashGoldens = map[string]string{
 	"e16_sched_policies.json":   "89e887356af49723253f2933aee1387d2de9a243eb0cc658e6a283c7290b8b65",
 	"e17_metro_scale.json":      "c6d4eee4419ed88c420dbc75bb01744c663467da6ef7304b81c9ebedf0ccea6e",
 	"e19_swf_replay.json":       "1912480f8fa4a7c10ca574fca896fafb0dc5616657cbe9fe2835adf79d8dda2e",
+	"e20_metro_policies.json":   "e17211c32ebec5edb1c72b33b42d8a12f764c24e05ee13fd83173ecb6899e200",
 }
 
 func TestSpecHashGoldenValues(t *testing.T) {
