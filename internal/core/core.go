@@ -1,8 +1,8 @@
 // Package core is the dualboot-oscar middleware façade: it assembles
 // a hybrid cluster, drives a workload through it and digests the
-// outcome. The experiments in bench_test.go, the qsim CLI and the
-// examples all run through this package; the repository root package
-// re-exports it as the public API.
+// outcome. The experiments in internal/experiments, the qsim CLI and
+// the examples all run through this package; the repository root
+// package re-exports it as the public API.
 package core
 
 import (

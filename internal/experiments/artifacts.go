@@ -19,7 +19,8 @@ import (
 )
 
 // E1TableI schedules one job per Table-I application on the hybrid and
-// reports where each ran.
+// reports where each ran and whether it completed. It errors when any
+// application fails to complete.
 func E1TableI() (Table, error) {
 	var trace workload.Trace
 	at := time.Duration(0)
@@ -42,16 +43,28 @@ func E1TableI() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
+	done := map[string]bool{}
+	for _, st := range res.AppStats {
+		done[st.App] = st.Completed > 0
+	}
 	t := Table{
 		ID:        "E1",
 		Title:     "Table I application catalog placement",
 		Header:    []string{"application", "platform", "side-run", "completed"},
 		EventsRun: res.EventsRun,
-		Notes: fmt.Sprintf("%d/%d catalog applications completed on the hybrid",
-			res.Summary.JobsCompleted[osid.Linux]+res.Summary.JobsCompleted[osid.Windows], len(workload.Catalog)),
 	}
+	completed := 0
 	for i, app := range workload.Catalog {
-		t.Rows = append(t.Rows, []string{app.Name, app.Platform.String(), trace[i].OS.String(), "yes"})
+		mark := "no"
+		if done[app.Name] {
+			mark = "yes"
+			completed++
+		}
+		t.Rows = append(t.Rows, []string{app.Name, app.Platform.String(), trace[i].OS.String(), mark})
+	}
+	t.Notes = fmt.Sprintf("%d/%d catalog applications completed on the hybrid", completed, len(workload.Catalog))
+	if completed < len(workload.Catalog) {
+		return t, fmt.Errorf("experiments: E1: %s", t.Notes)
 	}
 	return t, nil
 }
@@ -109,8 +122,8 @@ func E3SwitchJob() (Table, error) {
 	}
 	c.Eng.RunFor(time.Hour)
 	sw := c.Rec.Switches()
-	if len(sw) != 1 {
-		return Table{}, fmt.Errorf("no switch recorded")
+	if len(sw) != 1 || !sw[0].OK {
+		return Table{}, fmt.Errorf("experiments: E3: switch records = %+v, want one that landed", sw)
 	}
 	return Table{
 		ID:        "E3",

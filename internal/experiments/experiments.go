@@ -1,7 +1,8 @@
-// Package experiments regenerates every table and figure of the
-// paper's evaluation as text tables: the same scenarios the
-// bench_test.go harness measures, digested for human reading. The
-// cmd/benchtab binary prints them; EXPERIMENTS.md records one run.
+// Package experiments is the one definition of the paper's
+// evaluation: every table and figure, regenerated as a text table.
+// The cmd/benchtab binary prints them and records their cost, the root
+// package's BenchmarkExperiments times them, and EXPERIMENTS.md
+// records one run.
 package experiments
 
 import (

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/osid"
@@ -54,13 +56,17 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// TestExpectedShapes pins the paper's claims that the E8–E11 tables
+// show, reading their cells as numbers.
 func TestExpectedShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	// E8: the v2 flag mechanism (row 2) uses fewer control actions
-	// than both v1 (row 0) and the per-MAC variant (row 1) for the
-	// same switch count.
+	// E8: v1 (row 0) pays at least one control action per switch; the
+	// v2 flag (row 2) sets it once per direction change, so it makes
+	// fewer actions than switches and fewer than both v1 and the
+	// per-MAC variant (row 1). The Windows job completes in every
+	// variant.
 	tab, err := E8ControlLoop()
 	if err != nil {
 		t.Fatal(err)
@@ -68,11 +74,23 @@ func TestExpectedShapes(t *testing.T) {
 	if len(tab.Rows) != 3 {
 		t.Fatalf("E8 rows = %d", len(tab.Rows))
 	}
-	flagActions := tab.Rows[2][2]
-	if tab.Rows[0][2] <= flagActions || tab.Rows[1][2] <= flagActions {
-		t.Fatalf("flag actions %s should undercut v1 %s and per-MAC %s",
-			flagActions, tab.Rows[0][2], tab.Rows[1][2])
+	switches := func(row int) int { return atoi(t, tab.Rows[row][1]) }
+	actions := func(row int) int { return atoi(t, tab.Rows[row][2]) }
+	if actions(0) < switches(0) {
+		t.Errorf("v1 actions %d < switches %d: v1 pays one action per switch", actions(0), switches(0))
 	}
+	if actions(2) >= switches(2) {
+		t.Errorf("flag actions %d >= switches %d: the flag should amortise", actions(2), switches(2))
+	}
+	if actions(2) >= actions(0) || actions(2) >= actions(1) {
+		t.Errorf("flag actions %d should undercut v1 %d and per-MAC %d", actions(2), actions(0), actions(1))
+	}
+	for _, row := range tab.Rows {
+		if atoi(t, row[4]) != 1 {
+			t.Errorf("%s: Windows jobs completed = %s, want 1", row[0], row[4])
+		}
+	}
+
 	// E9: every row reports under-5m = true.
 	tab, err = E9SwitchLatency()
 	if err != nil {
@@ -81,6 +99,106 @@ func TestExpectedShapes(t *testing.T) {
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "true" {
 			t.Fatalf("switch exceeded 5m: %v", row)
+		}
+	}
+
+	// E10: mono-stable (row 1) reboots more than bi-stable (row 0),
+	// and bi-stable serves Windows bursts no slower; both finish
+	// every job.
+	tab, err = E10BiVsMono()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi, mono := tab.Rows[0], tab.Rows[1]
+	if atoi(t, mono[4]) <= atoi(t, bi[4]) {
+		t.Errorf("mono-stable switches %s <= bi-stable %s", mono[4], bi[4])
+	}
+	if wait(t, mono[3]) < wait(t, bi[3]) {
+		t.Errorf("bi-stable Windows wait %s longer than mono-stable %s", bi[3], mono[3])
+	}
+	for _, row := range tab.Rows {
+		n, of, _ := strings.Cut(row[6], "/")
+		if n != of {
+			t.Errorf("%s: done/subm = %s", row[0], row[6])
+		}
+	}
+
+	// E11: nodes shift to Windows for the GA burst.
+	tab, err = E11MatlabGA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for _, row := range tab.Rows {
+		peak = max(peak, atoi(t, row[2]))
+	}
+	if peak == 0 {
+		t.Error("E11: no node ever booted Windows")
+	}
+}
+
+// atoi reads a table cell as an integer.
+func atoi(t *testing.T, cell string) int {
+	t.Helper()
+	n, err := strconv.Atoi(cell)
+	if err != nil {
+		t.Fatalf("cell %q: %v", cell, err)
+	}
+	return n
+}
+
+// wait reads a table cell as a duration.
+func wait(t *testing.T, cell string) time.Duration {
+	t.Helper()
+	d, err := time.ParseDuration(cell)
+	if err != nil {
+		t.Fatalf("cell %q: %v", cell, err)
+	}
+	return d
+}
+
+// pick returns the first cell of out that match selects, failing the
+// test if there is none or it errored.
+func pick(t *testing.T, out *sweep.Outcome, match func(sweep.Cell) bool) sweep.CellResult {
+	t.Helper()
+	for _, r := range out.Select(match) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		return r
+	}
+	t.Fatal("no matching cell")
+	return sweep.CellResult{}
+}
+
+// done counts a cell's completed jobs on both sides.
+func done(r sweep.CellResult) int {
+	s := r.Res.Summary
+	return s.JobsCompleted[osid.Linux] + s.JobsCompleted[osid.Windows]
+}
+
+// TestE12HybridNeverLosesToStatic pins §I's claim: for every demand mix
+// the hybrid's utilisation and completions are at least the static
+// split's.
+func TestE12HybridNeverLosesToStatic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	g := E12Grid()
+	out, err := sweep.Run(sweep.Config{Grid: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range g.Traces {
+		cell := func(mode cluster.Mode) sweep.CellResult {
+			return pick(t, out, func(c sweep.Cell) bool { return c.Trace.Name == tr.Name && c.Mode == mode })
+		}
+		h, s := cell(cluster.HybridV2), cell(cluster.Static)
+		if h.Res.Summary.Utilisation < s.Res.Summary.Utilisation {
+			t.Errorf("%s: hybrid util %.6f below static %.6f", tr.Name, h.Res.Summary.Utilisation, s.Res.Summary.Utilisation)
+		}
+		if done(h) < done(s) {
+			t.Errorf("%s: hybrid completed %d below static %d", tr.Name, done(h), done(s))
 		}
 	}
 }
@@ -101,26 +219,12 @@ func TestE16BackfillNeverLosesToFCFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pick := func(traceName string, sched cluster.SchedPolicy) sweep.CellResult {
-		t.Helper()
-		for _, r := range out.Select(func(c sweep.Cell) bool {
-			return c.Trace.Name == traceName && c.Sched == sched
-		}) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			return r
-		}
-		t.Fatalf("no %v cell for trace %s", sched, traceName)
-		return sweep.CellResult{}
-	}
-	done := func(r sweep.CellResult) int {
-		s := r.Res.Summary
-		return s.JobsCompleted[osid.Linux] + s.JobsCompleted[osid.Windows]
+	cell := func(traceName string, sched cluster.SchedPolicy) sweep.CellResult {
+		return pick(t, out, func(c sweep.Cell) bool { return c.Trace.Name == traceName && c.Sched == sched })
 	}
 	for _, trName := range []string{"phased-w0.5", "poisson-6jph-w0.5"} {
-		fcfs := pick(trName, cluster.SchedFCFS)
-		bf := pick(trName, cluster.SchedBackfill)
+		fcfs := cell(trName, cluster.SchedFCFS)
+		bf := cell(trName, cluster.SchedBackfill)
 		if bf.Res.Summary.Utilisation < fcfs.Res.Summary.Utilisation {
 			t.Errorf("%s: backfill util %.6f below fcfs %.6f",
 				trName, bf.Res.Summary.Utilisation, fcfs.Res.Summary.Utilisation)
@@ -131,8 +235,8 @@ func TestE16BackfillNeverLosesToFCFS(t *testing.T) {
 	}
 	// The dense Poisson day is where head-of-line blocking costs real
 	// work: backfill must win outright there.
-	fcfs := pick("poisson-6jph-w0.5", cluster.SchedFCFS)
-	bf := pick("poisson-6jph-w0.5", cluster.SchedBackfill)
+	fcfs := cell("poisson-6jph-w0.5", cluster.SchedFCFS)
+	bf := cell("poisson-6jph-w0.5", cluster.SchedBackfill)
 	if bf.Res.Summary.Utilisation <= fcfs.Res.Summary.Utilisation {
 		t.Errorf("poisson day: backfill util %.6f not strictly above fcfs %.6f",
 			bf.Res.Summary.Utilisation, fcfs.Res.Summary.Utilisation)
@@ -156,20 +260,10 @@ func TestE15HysteresisBeatsThresholdOnDiurnal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pick := func(policy string) sweep.CellResult {
-		t.Helper()
-		for _, r := range out.Select(func(c sweep.Cell) bool {
-			return c.Policy.Name == policy && c.Trace.Kind == sweep.TraceDiurnal
-		}) {
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-			return r
-		}
-		t.Fatalf("no diurnal cell for policy %s", policy)
-		return sweep.CellResult{}
+	cell := func(policy string) sweep.CellResult {
+		return pick(t, out, func(c sweep.Cell) bool { return c.Policy.Name == policy && c.Trace.Kind == sweep.TraceDiurnal })
 	}
-	thr, hys := pick("threshold"), pick("hysteresis")
+	thr, hys := cell("threshold"), cell("hysteresis")
 	if hys.Res.Summary.Switches >= thr.Res.Summary.Switches {
 		t.Fatalf("hysteresis switches = %d, threshold = %d; want strictly fewer",
 			hys.Res.Summary.Switches, thr.Res.Summary.Switches)

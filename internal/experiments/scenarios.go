@@ -84,7 +84,8 @@ func E8ControlLoop() (Table, error) {
 }
 
 // E9SwitchLatency measures the switch-latency distribution against the
-// paper's five-minute bound.
+// paper's five-minute bound. It errors when a switch fails to land or
+// none is recorded.
 func E9SwitchLatency() (Table, error) {
 	t := Table{
 		ID:     "E9",
@@ -105,11 +106,16 @@ func E9SwitchLatency() (Table, error) {
 			target = target.Other()
 		}
 		t.EventsRun += c.Eng.EventsRun()
+		switches := c.Rec.Switches()
+		if len(switches) == 0 {
+			return t, fmt.Errorf("experiments: E9: %s recorded no switch", mode)
+		}
 		byDir := map[osid.OS][]time.Duration{}
-		for _, sw := range c.Rec.Switches() {
-			if sw.OK {
-				byDir[sw.To] = append(byDir[sw.To], sw.Duration())
+		for _, sw := range switches {
+			if !sw.OK {
+				return t, fmt.Errorf("experiments: E9: %s switch failed: %+v", mode, sw)
 			}
+			byDir[sw.To] = append(byDir[sw.To], sw.Duration())
 		}
 		for _, dir := range []osid.OS{osid.Linux, osid.Windows} {
 			samples := byDir[dir]
@@ -159,25 +165,30 @@ func E10BiVsMono() (Table, error) {
 }
 
 // E11MatlabGA reproduces the Eridani MATLAB-MDCS case study with a
-// node-count time series.
+// node-count time series. It errors when a GA job does not complete.
 func E11MatlabGA() (Table, error) {
+	trace := workload.MatlabGACase(7)
 	res, err := core.Run(core.Scenario{
 		Name:           "matlab-ga",
 		Cluster:        cluster.Config{Mode: cluster.HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute},
-		Trace:          workload.MatlabGACase(7),
+		Trace:          trace,
 		Horizon:        48 * time.Hour,
 		SampleInterval: time.Hour,
 	})
 	if err != nil {
 		return Table{}, err
 	}
+	ga, done := trace.CountByOS()[osid.Windows], res.Summary.JobsCompleted[osid.Windows]
+	if done < ga {
+		return Table{}, fmt.Errorf("experiments: E11: %d of %d GA jobs completed", done, ga)
+	}
 	t := Table{
 		ID:        "E11",
 		EventsRun: res.EventsRun,
 		Title:     "Eridani case study: MATLAB MDCS GA burst (§IV-B)",
 		Header:    []string{"t", "linux-nodes", "win-nodes", "switching", "linQ", "winQ"},
-		Notes: fmt.Sprintf("GA jobs completed: %d/10; mean Windows wait %s; switches %d",
-			res.Summary.JobsCompleted[osid.Windows],
+		Notes: fmt.Sprintf("GA jobs completed: %d/%d; mean Windows wait %s; switches %d",
+			done, ga,
 			metrics.Dur(res.Summary.MeanWait[osid.Windows]),
 			res.Summary.Switches),
 	}
@@ -522,7 +533,8 @@ func E16SchedPolicies() (Table, error) {
 	return t, nil
 }
 
-// A1CycleInterval ablates the detector reporting cycle.
+// A1CycleInterval ablates the detector reporting cycle. It errors when
+// a job does not complete at some cycle length.
 func A1CycleInterval() (Table, error) {
 	t := Table{
 		ID:     "A1",
@@ -530,18 +542,22 @@ func A1CycleInterval() (Table, error) {
 		Header: []string{"cycle", "win-wait", "messages", "switches"},
 		Notes:  "shorter cycles cut queue wait at the cost of control traffic",
 	}
+	const jobs = 3
 	for _, cycle := range []time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute, 30 * time.Minute} {
 		res, err := core.Run(core.Scenario{
 			Name:    cycle.String(),
 			Cluster: cluster.Config{Mode: cluster.HybridV2, InitialLinux: 16, Cycle: cycle},
 			Trace: workload.Burst(workload.BurstConfig{
-				Start: 0, Jobs: 3, Gap: time.Minute, App: "Opera",
+				Start: 0, Jobs: jobs, Gap: time.Minute, App: "Opera",
 				OS: osid.Windows, Nodes: 1, PPN: 4, Runtime: time.Hour, Owner: "u",
 			}),
 			Horizon: 72 * time.Hour,
 		})
 		if err != nil {
 			return t, err
+		}
+		if done := res.Summary.JobsCompleted[osid.Windows]; done != jobs {
+			return t, fmt.Errorf("experiments: A1: %d of %d jobs completed at cycle %s", done, jobs, cycle)
 		}
 		t.EventsRun += res.EventsRun
 		t.Rows = append(t.Rows, []string{

@@ -345,7 +345,7 @@ func (c *Core) enqueue(e *Entry) {
 		c.queued = append(c.queued, e)
 		if c.keys != nil {
 			c.keys = append(c.keys, keyOf(e))
-			c.admit(n)
+			c.touch(n, n+1)
 		}
 		return
 	}
@@ -668,26 +668,11 @@ func blocksFor(slots int) int { return (slots + blockLen - 1) / blockLen }
 // touch marks dirty the summaries of the blocks holding slots [from,
 // to), first growing the summaries to cover every key.
 func (c *Core) touch(from, to int) {
-	c.grow()
-	for b := from / blockLen; b < blocksFor(to); b++ {
-		c.blocks[b].dirty = true
-	}
-}
-
-// admit folds the key appended at slot i into its block's summary, so
-// the queue's tail block need not be recomputed after every
-// submission.
-func (c *Core) admit(i int) {
-	c.grow()
-	if s := &c.blocks[i/blockLen]; !s.dirty {
-		s.fold(c.keys[i])
-	}
-}
-
-// grow appends clean, empty summaries until every key has a block.
-func (c *Core) grow() {
 	for n := blocksFor(len(c.keys)); len(c.blocks) < n; {
 		c.blocks = append(c.blocks, summary{})
+	}
+	for b := from / blockLen; b < blocksFor(to); b++ {
+		c.blocks[b].dirty = true
 	}
 }
 
@@ -950,8 +935,9 @@ func (q *releases) swap(a, b int) {
 // (or the idle count, for Whole) and total off the free-slot count.
 // The releases come off Core.rel in order through a frontier heap that
 // holds the next unreplayed position on each path down: k releases
-// replayed cost O(k log k), however many run. Releases at one instant are applied as a group, in whatever
-// order, since the projection after the group does not depend on it.
+// replayed cost O(k log k), however many run. Releases at one instant
+// are applied as a group, in whatever order, since the projection
+// after the group does not depend on it.
 func (c *Core) reserve(p *Entry) reservation {
 	c.seen.reserves++
 	if cap(c.rsvFree) < len(c.nodes) {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -48,6 +49,51 @@ func FuzzParseGridSpec(f *testing.F) {
 		}
 		if canon2 != canon {
 			t.Fatalf("canonical form is not a fixed point: %q reparsed to %q", canon, canon2)
+		}
+	})
+}
+
+// FuzzLoadSpec throws arbitrary bytes at the spec-document loader, the
+// parser behind `qsim run -f`, `qsim sweep -f` and the documents `qsim
+// serve` accepts over HTTP. The loader must never panic, and every
+// document it accepts must survive MarshalSpec → LoadSpec with an
+// equal SpecHash, the key of the service's result cache. The seed
+// corpus is every committed spec document plus some broken ones.
+func FuzzLoadSpec(f *testing.F) {
+	paths, err := filepath.Glob("../../specs/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no committed spec documents: %v", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"spec_version": 1, "grid": {}}`))
+	f.Add([]byte(`{"spec_version": 2, "grid": {"nodes": "8"}}`))
+	f.Add([]byte(`{"spec_version": 1, "grid": {"nodes": "8;modes=static-split"}}`))
+	f.Add([]byte(`{"spec_version": 1, "grid": {"seed": "3"}, "cycle": "-1s"}`))
+	f.Add([]byte(`{"spec_version": 1, "grid": {"policies": "fcfs"}, "seeds": {"base": -7}, "horizon": "8h"}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sp, err := LoadSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		canon, err := MarshalSpec(sp)
+		if err != nil {
+			t.Fatalf("accepted document has no canonical form: %v\n%s", err, data)
+		}
+		back, err := LoadSpec(bytes.NewReader(canon))
+		if err != nil {
+			t.Fatalf("canonical form does not reload: %v\n%s", err, canon)
+		}
+		want, _ := SpecHash(sp)
+		got, err := SpecHash(back)
+		if err != nil || got != want {
+			t.Fatalf("reloaded spec hashes %s (%v), want %s\n%s", got, err, want, canon)
 		}
 	})
 }
