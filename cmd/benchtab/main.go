@@ -15,6 +15,10 @@
 // printed as an advisory delta only — it depends on the machine; the
 // wakeup and allocation counts do not.
 //
+// The swept experiments (E12–E20) run the spec documents committed
+// under specs/: to change one, edit specs/<file>.json and regenerate
+// its golden under specs/golden/.
+//
 // Usage:
 //
 //	benchtab            # run every experiment
@@ -22,7 +26,6 @@
 //	benchtab -list      # list experiment IDs
 //	benchtab -benchjson ""  # skip the perf record
 //	benchtab -check BENCH_sim.json E8 E13 E15  # CI gate: fail on EventsRun drift
-//	benchtab -specs specs   # regenerate the committed experiment spec documents
 //	benchtab -benchjson "" -cpuprofile e17.pprof E17  # profile the selected runs
 //
 // -cpuprofile and -memprofile write pprof profiles (runtime/pprof)
@@ -66,7 +69,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	benchJSON := flag.String("benchjson", "BENCH_sim.json", "write the per-experiment perf record here (empty to disable)")
 	check := flag.String("check", "", "benchmark-regression gate: compare EventsRun against this baseline record and fail on drift (ns/op stays advisory)")
-	specs := flag.String("specs", "", "write the recorded experiments' sweep documents (E12–E20) into this directory and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments' runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile, taken after the selected experiments' runs, to this file")
 	flag.Parse()
@@ -75,14 +77,6 @@ func main() {
 		for _, r := range experiments.All() {
 			fmt.Println(r.ID)
 		}
-		return
-	}
-	if *specs != "" {
-		if err := experiments.WriteSpecs(*specs); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("experiment spec documents written to %s\n", *specs)
 		return
 	}
 

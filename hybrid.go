@@ -273,8 +273,8 @@ func SweepGridString(g SweepGrid) (string, error) { return sweep.GridString(g) }
 // Experiment documents: a SweepSpec is a versioned, replayable JSON
 // artifact (spec_version, grid, seeds, horizon) with a byte-stable
 // canonical serialisation. `qsim run -f` / `qsim sweep -f` replay
-// them, and internal/experiments commits one per recorded sweep
-// experiment under specs/.
+// them, and each swept experiment in internal/experiments runs its
+// committed document under specs/.
 type SweepSpec = sweep.Spec
 
 // SweepSpecVersion is the document version LoadSweepSpec accepts and

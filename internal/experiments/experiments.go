@@ -58,13 +58,27 @@ func All() []Runner {
 		{"E10", E10BiVsMono},
 		{"E11", E11MatlabGA},
 		{"E12", E12MixSweep},
-		{"E13", E13SweepModes},
+		{"E13", rankedTable("E13", "e13_sweep_modes.json",
+			"sweep: cluster mode vs offered load, ranked by utilisation",
+			"deterministic per-cell seeds, identical table for any worker count")},
 		{"E14", E14RoutingPolicies},
 		{"E15", E15PolicySuite},
 		{"E16", E16SchedPolicies},
-		{"E17", E17MetroScale},
-		{"E18", E18CityScale},
-		{"E19", E19SWFReplay},
+		{"E17", rankedTable("E17", "e17_metro_scale.json",
+			"metro scale: 2500-node hybrid campus, FCFS vs EASY backfill",
+			"~12k submissions per 500jph cell; deterministic per-cell seeds, identical table for any worker count")},
+		{"E18", rankedTable("E18", "e18_city_scale.json",
+			"city scale: 10000 nodes, ~1M submissions, saturating backlog",
+			"offered load exceeds capacity by design — the tier pins worst-case backlog behaviour, not a balanced operating point")},
+		// E19 replays specs/pwa_sample_1k.swf, a synthetic ~1000-job
+		// log in Parallel Workloads Archive format: ~60% offered load
+		// on a 16-node (64-processor) machine with occasional wide
+		// head-blockers, so FCFS and EASY backfill separate cleanly.
+		// Its golden pins the whole SWF path: header parsing, sentinel
+		// fallbacks, processor folding and platform assignment.
+		{"E19", rankedTable("E19", "e19_swf_replay.json",
+			"SWF replay: committed PWA-format log, FCFS vs EASY backfill",
+			"~1k jobs over ~6.5 days at ~60% offered load; platform split hashed per job (30% Windows)")},
 		{"E20", E20MetroPolicies},
 		{"A1", A1CycleInterval},
 		{"A2", A2Policies},

@@ -184,21 +184,25 @@ func TestE12HybridNeverLosesToStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	g := E12Grid()
-	out, err := sweep.Run(sweep.Config{Grid: g})
+	out, err := runSpec("e12_mix_sweep.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range g.Traces {
+	traces := byTrace(out)
+	if len(traces) != 5 {
+		t.Fatalf("E12 sweeps %d demand mixes, want 5", len(traces))
+	}
+	for _, cells := range traces {
+		tr := cells[0].Cell.Trace.Name
 		cell := func(mode cluster.Mode) sweep.CellResult {
-			return pick(t, out, func(c sweep.Cell) bool { return c.Trace.Name == tr.Name && c.Mode == mode })
+			return pick(t, out, func(c sweep.Cell) bool { return c.Trace.Name == tr && c.Mode == mode })
 		}
 		h, s := cell(cluster.HybridV2), cell(cluster.Static)
 		if h.Res.Summary.Utilisation < s.Res.Summary.Utilisation {
-			t.Errorf("%s: hybrid util %.6f below static %.6f", tr.Name, h.Res.Summary.Utilisation, s.Res.Summary.Utilisation)
+			t.Errorf("%s: hybrid util %.6f below static %.6f", tr, h.Res.Summary.Utilisation, s.Res.Summary.Utilisation)
 		}
 		if done(h) < done(s) {
-			t.Errorf("%s: hybrid completed %d below static %d", tr.Name, done(h), done(s))
+			t.Errorf("%s: hybrid completed %d below static %d", tr, done(h), done(s))
 		}
 	}
 }
@@ -215,7 +219,7 @@ func TestE16BackfillNeverLosesToFCFS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	out, err := sweep.Run(sweep.Config{Grid: E16Grid()})
+	out, err := runSpec("e16_sched_policies.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +256,7 @@ func TestE15HysteresisBeatsThresholdOnDiurnal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	g, err := E15Grid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := sweep.Run(sweep.Config{Grid: g})
+	out, err := runSpec("e15_policy_suite.json")
 	if err != nil {
 		t.Fatal(err)
 	}

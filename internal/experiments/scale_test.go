@@ -16,11 +16,16 @@ func TestE17MetroScaleSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("TestAllExperimentsRun/E17 already runs the metro grid under race; a second instrumented run buys nothing")
 	}
-	tab, err := E17MetroScale()
+	r, _ := ByID("E17")
+	tab, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := len(E17Grid().Expand())
+	g, err := loadSpec("e17_metro_scale.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(g.Expand())
 	if len(tab.Rows) != cells {
 		t.Fatalf("E17 produced %d rows, grid has %d cells", len(tab.Rows), cells)
 	}
@@ -39,7 +44,10 @@ func TestE17SweepCSVByteIdenticalAcrossWorkers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("determinism property, not a concurrency one; internal/sweep holds the workers-1-vs-8 line under race on smaller grids")
 	}
-	g := E17Grid()
+	g, err := loadSpec("e17_metro_scale.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	csv := func(workers int) []byte {
 		out, err := sweep.Run(sweep.Config{Grid: g, Workers: workers})
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bootmgr"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/osid"
 	"repro/internal/sweep"
@@ -33,20 +32,12 @@ func wideBurst() workload.Trace {
 	})
 }
 
-// alternating builds recurring Windows bursts over a Linux background.
+// alternating is the sweep's burst trace at 4 jobs/h over a day:
+// four Windows render bursts over a Linux background. The synthetic
+// trace kinds cannot fail to build, so the error is always nil.
 func alternating(seed int64) workload.Trace {
-	lin := workload.Poisson(workload.PoissonConfig{
-		Seed: seed, Duration: 24 * time.Hour, JobsPerHour: 2, WindowsFrac: 0, MaxNodes: 4,
-	})
-	var bursts workload.Trace
-	for i := 0; i < 4; i++ {
-		bursts = append(bursts, workload.Burst(workload.BurstConfig{
-			Start: time.Duration(i*6) * time.Hour, Jobs: 4, Gap: 2 * time.Minute,
-			App: "Backburner", OS: osid.Windows, Nodes: 2, PPN: 4,
-			Runtime: 45 * time.Minute, Owner: "render",
-		})...)
-	}
-	return workload.Merge(lin, bursts)
+	tr, _ := sweep.TraceSpec{Kind: sweep.TraceBurst, JobsPerHour: 4}.Build(seed)
+	return tr
 }
 
 // E8ControlLoop compares the v1 and v2 control loops on the same
@@ -205,28 +196,6 @@ func E11MatlabGA() (Table, error) {
 	return t, nil
 }
 
-// e12Fracs are the Windows demand shares E12 sweeps.
-var e12Fracs = []float64{0, 0.25, 0.5, 0.75, 1}
-
-// E12Grid is the sweep E12 runs: hybrid vs static across the phased
-// demand mixes. Exported so the grid travels as a committed spec
-// document (see SpecFiles) and CI can replay it.
-func E12Grid() sweep.Grid {
-	g := sweep.Grid{
-		Modes:    []cluster.Mode{cluster.HybridV2, cluster.Static},
-		BaseSeed: 99,
-		Cycle:    5 * time.Minute,
-		Horizon:  96 * time.Hour,
-	}
-	for _, frac := range e12Fracs {
-		g.Traces = append(g.Traces, sweep.TraceSpec{
-			Name: fmt.Sprintf("phased-w%g", frac),
-			Kind: sweep.TracePhased, WindowsFrac: frac,
-		})
-	}
-	return g
-}
-
 // E12MixSweep sweeps the Windows demand share over the phased
 // wide-job workload: hybrid vs static utilisation. The mode × share
 // grid fans out through the sweep subsystem — both modes of each share
@@ -239,15 +208,13 @@ func E12MixSweep() (Table, error) {
 		Header: []string{"windows-share", "hybrid-util", "static-util", "hybrid-done", "static-done"},
 		Notes:  "wide jobs exceed the 8-node static halves; the split strands them (Torque rejects as infeasible)",
 	}
-	fracs := e12Fracs
-	g := E12Grid()
-	out, err := sweep.Run(sweep.Config{Grid: g})
+	out, err := runSpec("e12_mix_sweep.json")
 	if err != nil {
 		return t, err
 	}
 	t.EventsRun = sumEvents(out)
-	for i, frac := range fracs {
-		row, err := hybridVsStaticRow(out, g.Traces[i].Name, frac)
+	for _, cells := range byTrace(out) {
+		row, err := hybridVsStaticRow(cells)
 		if err != nil {
 			return t, err
 		}
@@ -257,19 +224,20 @@ func E12MixSweep() (Table, error) {
 }
 
 // hybridVsStaticRow digests one trace shape's hybrid and static cells
-// into an E12-style comparison row. The completion denominator is the
-// full trace length, not the submitted count: the static split's
-// stranded wide jobs are rejected at submission (Torque deems them
-// infeasible), and hiding them would erase exactly the effect the
-// table demonstrates.
-func hybridVsStaticRow(out *sweep.Outcome, traceName string, frac float64) ([]string, error) {
+// into an E12-style comparison row, led by the trace's Windows share.
+// The completion denominator is the full trace length, not the
+// submitted count: the static split's stranded wide jobs are rejected
+// at submission (Torque deems them infeasible), and hiding them would
+// erase exactly the effect the table demonstrates.
+func hybridVsStaticRow(cells []sweep.CellResult) ([]string, error) {
+	tr := cells[0].Cell.Trace
 	pick := func(mode cluster.Mode) (sweep.CellResult, error) {
-		for _, r := range out.Select(func(c sweep.Cell) bool {
-			return c.Mode == mode && c.Trace.Name == traceName
-		}) {
-			return r, r.Err
+		for _, r := range cells {
+			if r.Cell.Mode == mode {
+				return r, r.Err
+			}
 		}
-		return sweep.CellResult{}, fmt.Errorf("experiments: no %v cell for trace %s", mode, traceName)
+		return sweep.CellResult{}, fmt.Errorf("experiments: no %v cell for trace %s", mode, tr.Name)
 	}
 	h, err := pick(cluster.HybridV2)
 	if err != nil {
@@ -286,7 +254,7 @@ func hybridVsStaticRow(out *sweep.Outcome, traceName string, frac float64) ([]st
 	traceLen := len(trace)
 	total := func(m map[osid.OS]int) int { return m[osid.Linux] + m[osid.Windows] }
 	return []string{
-		metrics.Pct(frac),
+		metrics.Pct(tr.WindowsFrac),
 		metrics.Pct(h.Res.Summary.Utilisation),
 		metrics.Pct(s.Res.Summary.Utilisation),
 		fmt.Sprintf("%d/%d", total(h.Res.Summary.JobsCompleted), traceLen),
@@ -294,84 +262,10 @@ func hybridVsStaticRow(out *sweep.Outcome, traceName string, frac float64) ([]st
 	}, nil
 }
 
-// E13Grid is the sweep E13 runs: every cluster organisation against
-// rising Poisson arrival rates. Exported so the grid travels as a
-// committed spec document (see SpecFiles) and CI can replay it.
-func E13Grid() sweep.Grid {
-	return sweep.Grid{
-		Modes: []cluster.Mode{cluster.HybridV1, cluster.HybridV2, cluster.Static, cluster.MonoStable},
-		Traces: []sweep.TraceSpec{
-			{JobsPerHour: 2, WindowsFrac: 0.3, Duration: 24 * time.Hour},
-			{JobsPerHour: 4, WindowsFrac: 0.3, Duration: 24 * time.Hour},
-			{JobsPerHour: 8, WindowsFrac: 0.3, Duration: 24 * time.Hour},
-		},
-		BaseSeed: 13,
-		Cycle:    5 * time.Minute,
-		Horizon:  96 * time.Hour,
-	}
-}
-
-// E13SweepModes regenerates the mode-vs-load comparison through the
-// sweep subsystem: every cluster organisation against rising Poisson
-// arrival rates, ranked by utilisation. One sweep call replaces the
-// mode-by-mode core.Run loops the earlier experiments hand-rolled.
-func E13SweepModes() (Table, error) {
-	g := E13Grid()
-	out, err := sweep.Run(sweep.Config{Grid: g})
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		ID:        "E13",
-		Title:     "sweep: cluster mode vs offered load, ranked by utilisation",
-		Header:    sweep.Header(),
-		EventsRun: sumEvents(out),
-		Notes: fmt.Sprintf("%s; deterministic per-cell seeds, identical table for any worker count",
-			g.Describe()),
-	}
-	for i, r := range out.Ranked() {
-		if r.Err != nil {
-			return t, r.Err
-		}
-		t.Rows = append(t.Rows, sweep.Row(i+1, r))
-	}
-	return t, nil
-}
-
-// E15Policies are the policies E15 ranks: the paper's deployed rule
-// and the three adaptive extensions, in registry order.
-var E15Policies = []string{"fcfs", "threshold", "hysteresis", "predictive"}
-
-// E15Grid is the sweep E15 runs: the four switching policies crossed
-// with the diurnal campus pattern and the oscillating render-burst
-// trace. The grid travels as the committed specs/e15_policy_suite.json
-// document, which the CI artifact and spec-replay jobs run through
-// `qsim sweep -f`; a test pins the document to this grid and another
-// asserts the headline ordering.
-func E15Grid() (sweep.Grid, error) {
-	var specs []sweep.PolicySpec
-	for _, name := range E15Policies {
-		p, err := sweep.PolicyByName(name)
-		if err != nil {
-			return sweep.Grid{}, err
-		}
-		specs = append(specs, p)
-	}
-	return sweep.Grid{
-		Modes:    []cluster.Mode{cluster.HybridV2},
-		Policies: specs,
-		Traces: []sweep.TraceSpec{
-			{Kind: sweep.TraceDiurnal, JobsPerHour: 3, WindowsFrac: 0.5, Duration: 72 * time.Hour},
-			{Kind: sweep.TraceBurst, JobsPerHour: 3, WindowsFrac: 0.5, Duration: 72 * time.Hour},
-		},
-		BaseSeed: 15,
-		Cycle:    5 * time.Minute,
-	}, nil
-}
-
-// E15PolicySuite ranks the switching-policy suite on the diurnal and
-// burst traces — the repo's headline question ("when is hybrid
-// switching worth it?") as a swept result, ranked by rankPolicies.
+// E15PolicySuite ranks the paper's deployed rule and the three
+// adaptive extensions on the diurnal and burst traces — the repo's
+// headline question ("when is hybrid switching worth it?") as a swept
+// result, ranked by rankPolicies.
 func E15PolicySuite() (Table, error) {
 	t := Table{
 		ID:     "E15",
@@ -379,37 +273,21 @@ func E15PolicySuite() (Table, error) {
 		Header: []string{"trace", "policy", "util", "switches", "thrash", "wait(L)", "wait(W)", "makespan", "done/subm"},
 		Notes:  "threshold chases every swing of the queue; hysteresis's dead band and dwell time buy the same service for fewer reboots; predictive only pays for backlog that outlives the switch latency",
 	}
-	g, err := E15Grid()
-	if err != nil {
-		return t, err
-	}
-	return rankPolicies(t, g)
+	return rankPolicies(t, "e15_policy_suite.json")
 }
 
-// rankPolicies runs a controller-policy grid and fills t with one row
-// per cell, grouped by trace and ranked within each trace by
-// utilisation, then fewest switches; the thrash column counts switches
-// reversed within one dwell window (controller.ThrashCount), the
-// reboots a calmer rule would not have paid for.
-func rankPolicies(t Table, g sweep.Grid) (Table, error) {
-	out, err := sweep.Run(sweep.Config{Grid: g})
+// rankPolicies runs the controller-policy document file and fills t
+// with one row per cell, grouped by trace and ranked within each trace
+// by utilisation, then fewest switches; the thrash column counts
+// switches reversed within one dwell window (controller.ThrashCount),
+// the reboots a calmer rule would not have paid for.
+func rankPolicies(t Table, file string) (Table, error) {
+	out, err := runSpec(file)
 	if err != nil {
 		return t, err
 	}
 	t.EventsRun = sumEvents(out)
-	// Expansion normalises trace names; read them back off the cells
-	// in expansion order rather than re-deriving.
-	var traceNames []string
-	seen := map[string]bool{}
-	for _, r := range out.Results {
-		if !seen[r.Cell.Trace.Name] {
-			seen[r.Cell.Trace.Name] = true
-			traceNames = append(traceNames, r.Cell.Trace.Name)
-		}
-	}
-	for _, trName := range traceNames {
-		trName := trName
-		cells := out.Select(func(c sweep.Cell) bool { return c.Trace.Name == trName })
+	for _, cells := range byTrace(out) {
 		// Rank within the trace: utilisation first, then fewest
 		// switches, expansion order as the stable tie-break.
 		sort.SliceStable(cells, func(i, j int) bool {
@@ -427,7 +305,7 @@ func rankPolicies(t Table, g sweep.Grid) (Table, error) {
 			done := s.JobsCompleted[osid.Linux] + s.JobsCompleted[osid.Windows]
 			subm := s.JobsSubmitted[osid.Linux] + s.JobsSubmitted[osid.Windows]
 			t.Rows = append(t.Rows, []string{
-				trName,
+				r.Cell.Trace.Name,
 				r.Cell.Policy.Name,
 				metrics.Pct(s.Utilisation),
 				fmt.Sprintf("%d", s.Switches),
@@ -442,39 +320,16 @@ func rankPolicies(t Table, g sweep.Grid) (Table, error) {
 	return t, nil
 }
 
-// E16Grid is the sweep E16 runs: strict FCFS vs EASY backfill on the
-// wide-mix traces where head-of-line blocking actually bites — the
-// phased wide-job mix whose 10-node phase leaders wedge the queue
-// head, plus a dense Poisson day that keeps a deep queue behind the
-// wide catalog jobs. The grid travels as the committed
-// specs/e16_sched_policies.json document, which the CI artifact and
-// spec-replay jobs run through `qsim sweep -f`; a test pins the
-// document to this grid and another asserts the headline ordering.
-func E16Grid() sweep.Grid {
-	return sweep.Grid{
-		Modes:         []cluster.Mode{cluster.HybridV2},
-		SchedPolicies: []cluster.SchedPolicy{cluster.SchedFCFS, cluster.SchedBackfill},
-		Traces: []sweep.TraceSpec{
-			// The phased shape ignores its arrival rate (its name and
-			// its builder are rate-free); pinning it to the Poisson
-			// trace's 6 jobs/hour keeps the grid a clean kind × rate
-			// cross, so it is expressible as a spec document.
-			{Kind: sweep.TracePhased, JobsPerHour: 6, WindowsFrac: 0.5},
-			{JobsPerHour: 6, WindowsFrac: 0.5, Duration: 24 * time.Hour},
-		},
-		BaseSeed: 16,
-		Cycle:    5 * time.Minute,
-		Horizon:  200 * time.Hour,
-	}
-}
-
 // E16SchedPolicies ranks strict FCFS against reservation-based EASY
-// backfill on both schedulers. The EASY rule — a job may jump the
-// blocked head only when it cannot delay the head's earliest
+// backfill on both schedulers, over the wide-mix traces where
+// head-of-line blocking bites: the phased mix, whose 10-node phase
+// leaders wedge the queue head, and a dense Poisson day that keeps a
+// deep queue behind the wide catalog jobs. The EASY rule — a job may
+// jump the blocked head only when it cannot delay the head's earliest
 // reservation — lets narrow work flow around a wedged wide job
-// without ever starving it, so backfill should buy
-// equal-or-better utilisation while the wide jobs' MaxWait stays
-// bounded by their reservations.
+// without ever starving it, so backfill should buy equal-or-better
+// utilisation while the wide jobs' MaxWait stays bounded by their
+// reservations.
 func E16SchedPolicies() (Table, error) {
 	t := Table{
 		ID:     "E16",
@@ -482,23 +337,12 @@ func E16SchedPolicies() (Table, error) {
 		Header: []string{"trace", "sched", "util", "wait(L)", "wait(W)", "maxwait(L)", "maxwait(W)", "switches", "done/subm"},
 		Notes:  "EASY backfill packs narrow jobs around the wedged wide head under a reservation that bounds the head's wait; unreserved greedy backfill would instead let the narrow stream starve it",
 	}
-	g := E16Grid()
-	out, err := sweep.Run(sweep.Config{Grid: g})
+	out, err := runSpec("e16_sched_policies.json")
 	if err != nil {
 		return t, err
 	}
 	t.EventsRun = sumEvents(out)
-	// Expansion normalises trace names; read them back off the cells.
-	var traceNames []string
-	seen := map[string]bool{}
-	for _, r := range out.Results {
-		if !seen[r.Cell.Trace.Name] {
-			seen[r.Cell.Trace.Name] = true
-			traceNames = append(traceNames, r.Cell.Trace.Name)
-		}
-	}
-	for _, trName := range traceNames {
-		cells := out.Select(func(c sweep.Cell) bool { return c.Trace.Name == trName })
+	for _, cells := range byTrace(out) {
 		// Rank within the trace: utilisation first, then completed
 		// jobs, expansion order as the stable tie-break.
 		sort.SliceStable(cells, func(i, j int) bool {
@@ -518,7 +362,7 @@ func E16SchedPolicies() (Table, error) {
 			done := s.JobsCompleted[osid.Linux] + s.JobsCompleted[osid.Windows]
 			subm := s.JobsSubmitted[osid.Linux] + s.JobsSubmitted[osid.Windows]
 			t.Rows = append(t.Rows, []string{
-				trName,
+				r.Cell.Trace.Name,
 				r.Cell.Sched.String(),
 				metrics.Pct(s.Utilisation),
 				metrics.Dur(s.MeanWait[osid.Linux]),
@@ -647,36 +491,12 @@ func A3SwitchCost() (Table, error) {
 	return t, nil
 }
 
-// E14Grid is the sweep E14 runs: the campus fabric under every
-// routing policy, with the phased wide-job mix — each phase leads with
-// a 10-node job that wedges the flexible member's 8-node half whenever
-// the router places it there, so the paper's stuck-only FCFS actually
-// fires and the hybrid fabric separates from the all-static one.
-// Exported so the grid travels as a committed spec document (see
-// SpecFiles) and CI can replay it.
-func E14Grid() (sweep.Grid, error) {
-	campus, err := sweep.TopologyByName("campus")
-	if err != nil {
-		return sweep.Grid{}, err
-	}
-	return sweep.Grid{
-		Modes:      []cluster.Mode{cluster.HybridV2, cluster.Static},
-		Topologies: []sweep.TopologySpec{campus},
-		Routings: []grid.RoutingPolicy{
-			grid.RouteLeastLoaded, grid.RouteRoundRobin, grid.RouteHybridLast,
-		},
-		Traces: []sweep.TraceSpec{{
-			Kind: sweep.TracePhased, WindowsFrac: 0.5,
-		}},
-		BaseSeed: 17,
-		Cycle:    5 * time.Minute,
-		Horizon:  200 * time.Hour,
-	}, nil
-}
-
 // E14RoutingPolicies ranks the campus router's placement policies on
 // the Queensgate-like fabric: a flexible member (the cell's mode)
 // between a Linux-only and a Windows-only static, all on one clock.
+// The phased wide-job mix leads each phase with a 10-node job that
+// wedges the flexible member's 8-node half whenever the router places
+// it there, so the paper's stuck-only FCFS actually fires.
 // The mode axis flips the flexible member between hybrid-v2 and
 // static, so the table also shows whether a hybrid in the fabric pays
 // for itself under each routing rule.
@@ -687,11 +507,7 @@ func E14RoutingPolicies() (Table, error) {
 		Header: []string{"fabric-member", "routing", "util", "wait(L)", "wait(W)", "switches", "dropped", "done/subm"},
 		Notes:  "campus topology: flexible member + linux-only static + windows-only static, 16 nodes each; when the router lands a 10-node lead job on the flexible member its 8-node half wedges and dualboot shifts nodes across (switches, nothing dropped), while hybrid-last keeps wide work on the 16-node statics and avoids the churn entirely",
 	}
-	g, err := E14Grid()
-	if err != nil {
-		return t, err
-	}
-	out, err := sweep.Run(sweep.Config{Grid: g})
+	out, err := runSpec("e14_routing_policies.json")
 	if err != nil {
 		return t, err
 	}

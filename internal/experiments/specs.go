@@ -1,74 +1,86 @@
-// Spec-document emission: every recorded sweep experiment (E12–E17, E19, E20)
-// publishes its grid as a versioned sweep.Spec document, committed
-// under specs/ at the repository root. The documents are the
-// reproducibility artifacts — `qsim sweep -f specs/<file>` replays a
-// recorded experiment exactly, the CI spec-replay job diffs each
-// replay against a committed golden CSV, and a test pins the committed
-// documents against the grids in this package so they cannot drift.
+// Swept experiments (E12–E20) are defined once, as the versioned
+// sweep.Spec documents committed under specs/ at the repository root.
+// The runners here load the embedded copy and run it; `qsim sweep -f
+// specs/<file>` replays the same bytes, and the CI spec-replay job
+// diffs each replay against its golden CSV under specs/golden/. To
+// change an experiment, edit its document and regenerate its golden.
 package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/sweep"
+	"repro/specs"
 )
 
-// SpecFile pairs a recorded experiment's sweep document with its
-// committed artifact filename.
-type SpecFile struct {
-	// File is the document's basename under specs/ ("e12_mix_sweep.json").
-	File string
-	Spec sweep.Spec
+// loadSpec reads the committed document file ("e13_sweep_modes.json")
+// and returns its grid.
+func loadSpec(file string) (sweep.Grid, error) {
+	f, err := specs.FS.Open(file)
+	if err != nil {
+		return sweep.Grid{}, fmt.Errorf("experiments: %w", err)
+	}
+	defer f.Close()
+	sp, err := sweep.LoadSpec(f)
+	if err != nil {
+		return sweep.Grid{}, fmt.Errorf("experiments: %s: %w", file, err)
+	}
+	return sp.Grid, nil
 }
 
-// SpecFiles returns the recorded sweep experiments' grids as versioned
-// spec documents, in experiment order.
-func SpecFiles() ([]SpecFile, error) {
-	e14, err := E14Grid()
+// runSpec runs the committed document file.
+func runSpec(file string) (*sweep.Outcome, error) {
+	g, err := loadSpec(file)
 	if err != nil {
 		return nil, err
 	}
-	e15, err := E15Grid()
-	if err != nil {
-		return nil, err
-	}
-	e20, err := E20Grid()
-	if err != nil {
-		return nil, err
-	}
-	return []SpecFile{
-		{"e12_mix_sweep.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E12 hybrid vs static across demand mixes", Grid: E12Grid()}},
-		{"e13_sweep_modes.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E13 cluster mode vs offered load", Grid: E13Grid()}},
-		{"e14_routing_policies.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E14 campus-grid routing policies", Grid: e14}},
-		{"e15_policy_suite.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E15 adaptive OS-switching policy suite", Grid: e15}},
-		{"e16_sched_policies.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E16 FCFS vs EASY backfill", Grid: E16Grid()}},
-		{"e17_metro_scale.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E17 metro scale tier", Grid: E17Grid()}},
-		{"e19_swf_replay.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E19 SWF replay", Grid: E19Grid()}},
-		{"e20_metro_policies.json", sweep.Spec{Version: sweep.SpecVersion, Name: "E20 metro policy tier", Grid: e20}},
-	}, nil
+	return sweep.Run(sweep.Config{Grid: g})
 }
 
-// WriteSpecs serialises every recorded experiment document into dir
-// (cmd/benchtab -specs regenerates the committed specs/ artifacts with
-// it).
-func WriteSpecs(dir string) error {
-	files, err := SpecFiles()
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, sf := range files {
-		b, err := sweep.MarshalSpec(sf.Spec)
+// rankedTable is the runner of an experiment whose table is its
+// sweep's own ranking (sweep.Header, sweep.Row): it runs the document
+// file and prefixes notes with the grid's shape.
+func rankedTable(id, file, title, notes string) func() (Table, error) {
+	return func() (Table, error) {
+		g, err := loadSpec(file)
 		if err != nil {
-			return fmt.Errorf("experiments: %s: %w", sf.File, err)
+			return Table{}, err
 		}
-		if err := os.WriteFile(filepath.Join(dir, sf.File), b, 0o644); err != nil {
-			return err
+		out, err := sweep.Run(sweep.Config{Grid: g})
+		if err != nil {
+			return Table{}, err
 		}
+		t := Table{
+			ID:        id,
+			Title:     title,
+			Header:    sweep.Header(),
+			EventsRun: sumEvents(out),
+			Notes:     g.Describe() + "; " + notes,
+		}
+		for i, r := range out.Ranked() {
+			if r.Err != nil {
+				return t, r.Err
+			}
+			t.Rows = append(t.Rows, sweep.Row(i+1, r))
+		}
+		return t, nil
 	}
-	return nil
+}
+
+// byTrace groups a sweep's cells by trace, traces in expansion order
+// and cells in expansion order within each. Expansion normalises trace
+// names, so they are read back off the cells rather than re-derived.
+func byTrace(out *sweep.Outcome) [][]sweep.CellResult {
+	var groups [][]sweep.CellResult
+	index := map[string]int{}
+	for _, r := range out.Results {
+		i, ok := index[r.Cell.Trace.Name]
+		if !ok {
+			i = len(groups)
+			index[r.Cell.Trace.Name] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], r)
+	}
+	return groups
 }

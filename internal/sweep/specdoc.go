@@ -17,9 +17,9 @@ const SpecVersion = 1
 // Spec is a versioned, replayable experiment document: a sweep grid
 // plus its seeds and horizon, serialised as JSON. A saved document is
 // a committed artifact — `qsim run -f` / `qsim sweep -f` replay it,
-// and internal/experiments emits one per recorded sweep experiment —
-// so every recorded result is reproducible from a file instead of a
-// flag incantation.
+// and each swept experiment in internal/experiments runs its committed
+// document under specs/ — so every recorded result is reproducible
+// from a file instead of a flag incantation.
 //
 // The canonical on-disk form is stable: SaveSpec always emits the same
 // bytes for the same grid (keys in axis-registry order, two-space

@@ -22,10 +22,15 @@ var specHashGoldens = map[string]string{
 	"e15_policy_suite.json":     "91624d6322b25e393445f35a364b130c0ba2b6e1d209990edb56b2be440c493d",
 	"e16_sched_policies.json":   "89e887356af49723253f2933aee1387d2de9a243eb0cc658e6a283c7290b8b65",
 	"e17_metro_scale.json":      "c6d4eee4419ed88c420dbc75bb01744c663467da6ef7304b81c9ebedf0ccea6e",
+	"e18_city_scale.json":       "cd41f838535297884ed9e415adc4b3d54598a84c4a4286a4e9feaff38545abba",
 	"e19_swf_replay.json":       "1912480f8fa4a7c10ca574fca896fafb0dc5616657cbe9fe2835adf79d8dda2e",
 	"e20_metro_policies.json":   "e17211c32ebec5edb1c72b33b42d8a12f764c24e05ee13fd83173ecb6899e200",
 }
 
+// TestSpecHashGoldenValues also holds every committed document to
+// canonical form (MarshalSpec of what LoadSpec read is the file, byte
+// for byte) with no deprecated keys: the documents are the experiments'
+// only definition, so nothing else keeps them tidy.
 func TestSpecHashGoldenValues(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.json"))
 	if err != nil {
@@ -49,6 +54,16 @@ func TestSpecHashGoldenValues(t *testing.T) {
 		sp, err := LoadSpec(bytes.NewReader(committed))
 		if err != nil {
 			t.Fatalf("%s: %v", base, err)
+		}
+		if len(sp.Warnings) != 0 {
+			t.Errorf("%s: committed document uses deprecated keys: %v", base, sp.Warnings)
+		}
+		canonical, err := MarshalSpec(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", base, err)
+		}
+		if !bytes.Equal(canonical, committed) {
+			t.Errorf("%s is not canonical; rewrite it as MarshalSpec renders it:\n%s", base, canonical)
 		}
 		got, err := SpecHash(sp)
 		if err != nil {
