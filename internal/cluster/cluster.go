@@ -177,6 +177,7 @@ type Cluster struct {
 	Rec *metrics.Recorder
 
 	cfg     Config
+	img     *oscar.Image // the generation's node image (buildImage)
 	nodes   []*Node
 	byName  map[string]*Node
 	rng     *rand.Rand
@@ -209,10 +210,12 @@ type Cluster struct {
 // integers (None, Linux, Windows).
 const osSlots = int(osid.Windows) + 1
 
-// New builds and provisions a cluster. Every node's disk is actually
-// deployed: Windows via diskpart (Figures 10/15 semantics) and Linux
-// via the OSCAR image for the configured generation, so OS switches
-// run through the real boot-chain interpreter.
+// New builds and provisions a cluster. One prototype disk is actually
+// deployed, Windows via diskpart (Figures 10/15 semantics) and Linux
+// via the OSCAR image for the configured generation, and every node
+// boots from its own copy-on-write clone of it (hardware.Disk.Clone),
+// so OS switches run through the real boot-chain interpreter and a
+// write to one node's disk never reaches another's.
 func New(cfg Config) (*Cluster, error) {
 	cfg.applyDefaults()
 	eng := cfg.Engine
@@ -275,28 +278,31 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// provisionNodes deploys every compute node's disk and registers it
-// with both schedulers (available only on its starting side).
+// provisionNodes deploys one prototype disk and gives every compute
+// node a copy-on-write clone of it, as systemimager pushes one image to
+// every node, then registers each node with both schedulers (available
+// only on its starting side).
 func (c *Cluster) provisionNodes() error {
-	version := oscar.V1
-	layoutText := deploy.V1IdeDisk
+	img, err := buildImage(c.cfg.Mode)
+	if err != nil {
+		return err
+	}
+	c.img = img
 	dpScript := deploy.V1Diskpart
 	if c.cfg.Mode != HybridV1 {
-		version = oscar.V2
-		layoutText = deploy.V2IdeDisk
 		dpScript = deploy.V2InitialDiskpart
-	}
-	layout, err := deploy.ParseIdeDisk(layoutText)
-	if err != nil {
-		return err
-	}
-	img, err := oscar.BuildImage("oscarimage", version, layout)
-	if err != nil {
-		return err
 	}
 	dp, err := deploy.ParseDiskpart(dpScript)
 	if err != nil {
 		return err
+	}
+	// Windows first (v1 ordering requirement), then Linux on top.
+	proto := hardware.NewNode(hardware.NodeSpec{Name: "prototype"})
+	if _, err := deploy.DeployWindows(proto, dp); err != nil {
+		return fmt.Errorf("cluster: %s: %w", proto.Name, err)
+	}
+	if _, err := oscar.DeployNode(proto, img); err != nil {
+		return fmt.Errorf("cluster: %s: %w", proto.Name, err)
 	}
 
 	for i := 1; i <= c.cfg.Nodes; i++ {
@@ -307,13 +313,7 @@ func (c *Cluster) provisionNodes() error {
 			Cores:    c.cfg.CoresPerNode,
 			PXEFirst: c.cfg.Mode != HybridV1,
 		})
-		// Windows first (v1 ordering requirement), then Linux on top.
-		if _, err := deploy.DeployWindows(hw, dp); err != nil {
-			return fmt.Errorf("cluster: %s: %w", name, err)
-		}
-		if _, err := oscar.DeployNode(hw, img); err != nil {
-			return fmt.Errorf("cluster: %s: %w", name, err)
-		}
+		hw.Disk = proto.Disk.Clone()
 
 		startOS := osid.Windows
 		if i <= c.cfg.InitialLinux {
@@ -366,6 +366,21 @@ func (c *Cluster) provisionNodes() error {
 		c.Rec.NodeUp(startOS)
 	}
 	return nil
+}
+
+// buildImage builds the OSCAR image matching the mode's generation:
+// what the head node keeps on disk, deployed at provisioning and again
+// when ReimageWindows repairs a Linux install the reimage destroyed.
+func buildImage(mode Mode) (*oscar.Image, error) {
+	version, layoutText := oscar.V1, deploy.V1IdeDisk
+	if mode != HybridV1 {
+		version, layoutText = oscar.V2, deploy.V2IdeDisk
+	}
+	layout, err := deploy.ParseIdeDisk(layoutText)
+	if err != nil {
+		return nil, err
+	}
+	return oscar.BuildImage("oscarimage", version, layout)
 }
 
 func nodePrefix(p string) string {

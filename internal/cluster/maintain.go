@@ -80,12 +80,7 @@ func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, 
 	c.logf("reimage: %s windows reimaged (linux partitions lost: %d)", name, winRep.LinuxPartitionsLost)
 
 	if rep.LinuxLost && repairLinux {
-		img, layout, err := c.currentImage()
-		if err != nil {
-			return rep, err
-		}
-		_ = layout
-		linRep, err := oscar.DeployNode(n.HW, img)
+		linRep, err := oscar.DeployNode(n.HW, c.img)
 		if err != nil {
 			return rep, fmt.Errorf("cluster: linux redeploy %s: %w", name, err)
 		}
@@ -105,26 +100,6 @@ func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, 
 	// is faithful — administrators reimaged whole batches per OS).
 	c.beginReimageBoot(n)
 	return rep, nil
-}
-
-// currentImage rebuilds the OSCAR image matching the cluster's
-// generation (what the head node keeps on disk).
-func (c *Cluster) currentImage() (*oscar.Image, *deploy.Layout, error) {
-	version := oscar.V1
-	layoutText := deploy.V1IdeDisk
-	if c.cfg.Mode != HybridV1 {
-		version = oscar.V2
-		layoutText = deploy.V2IdeDisk
-	}
-	layout, err := deploy.ParseIdeDisk(layoutText)
-	if err != nil {
-		return nil, nil, err
-	}
-	img, err := oscar.BuildImage("oscarimage", version, layout)
-	if err != nil {
-		return nil, nil, err
-	}
-	return img, layout, nil
 }
 
 // beginReimageBoot boots a node after maintenance; unlike beginSwitch

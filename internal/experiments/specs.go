@@ -28,8 +28,10 @@ func loadSpec(file string) (sweep.Grid, error) {
 	return sp.Grid, nil
 }
 
-// runSpec runs the committed document file.
-func runSpec(file string) (*sweep.Outcome, error) {
+// runSpec runs the committed document file. Every runner reaches its
+// document through it, so the tests can run each document once and
+// share the outcome between the table checks and the golden diff.
+var runSpec = func(file string) (*sweep.Outcome, error) {
 	g, err := loadSpec(file)
 	if err != nil {
 		return nil, err
@@ -46,7 +48,7 @@ func rankedTable(id, file, title, notes string) func() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		out, err := sweep.Run(sweep.Config{Grid: g})
+		out, err := runSpec(file)
 		if err != nil {
 			return Table{}, err
 		}

@@ -7,10 +7,20 @@
 // the middleware depends on is "who owns the MBR", "which partition
 // holds controlmenu.lst" and "does reimaging Windows destroy the Linux
 // partitions", all of which are partition-table and file-map questions.
+//
+// A cluster provisions one prototype disk and gives every node a
+// Clone of it, as systemimager pushes one image to many nodes. A clone
+// has its own MBR and partition table, but its partitions' file maps
+// are shared with the disk it was cloned from until one side writes:
+// WriteFile and RemoveFile first copy a shared map (copy-on-write), and
+// Format drops it. The file bytes themselves stay shared, which is safe
+// because WriteFile stores a copy and ReadFile returns one, so no
+// stored slice is ever written in place.
 package hardware
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -84,6 +94,7 @@ type Partition struct {
 	VBRGrubConfig string
 
 	files       map[string][]byte
+	shared      bool // files is shared with another disk's partition
 	formatCount int
 }
 
@@ -105,7 +116,7 @@ func (p *Partition) FormatCount() int { return p.formatCount }
 // and its volume boot record.
 func (p *Partition) Format(fs FSType) {
 	p.Type = fs
-	p.files = nil
+	p.files, p.shared = nil, false
 	p.VBR = BootNone
 	p.VBRGrubConfig = ""
 	p.formatCount++
@@ -118,6 +129,7 @@ func (p *Partition) WriteFile(path string, data []byte) error {
 	if !p.Formatted() {
 		return fmt.Errorf("hardware: write %s: partition %d is not formatted", path, p.Index)
 	}
+	p.own()
 	if p.files == nil {
 		p.files = make(map[string][]byte)
 	}
@@ -147,8 +159,17 @@ func (p *Partition) RemoveFile(path string) error {
 	if _, ok := p.files[cp]; !ok {
 		return fmt.Errorf("hardware: remove %s: no such file on partition %d", path, p.Index)
 	}
+	p.own()
 	delete(p.files, cp)
 	return nil
+}
+
+// own gives the partition a private copy of a shared file map before
+// it is changed.
+func (p *Partition) own() {
+	if p.shared {
+		p.files, p.shared = maps.Clone(p.files), false
+	}
 }
 
 // RenameFile renames a file in place, the operation the paper's batch
@@ -251,6 +272,19 @@ func NewDisk(sizeMB int64) *Disk {
 		panic("hardware: non-positive disk size")
 	}
 	return &Disk{SizeMB: sizeMB}
+}
+
+// Clone returns a copy of the disk: the same size, MBR and partitions,
+// whose file maps it shares with d until either side writes to them.
+func (d *Disk) Clone() *Disk {
+	c := &Disk{SizeMB: d.SizeMB, MBR: d.MBR, parts: make([]*Partition, len(d.parts))}
+	parts := make([]Partition, len(d.parts))
+	for i, p := range d.parts {
+		p.shared = p.files != nil
+		parts[i] = *p
+		c.parts[i] = &parts[i]
+	}
+	return c
 }
 
 // maxPrimary is the MBR limit on primary partition slots. Logical

@@ -1,6 +1,7 @@
 package hardware
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -141,6 +142,38 @@ func TestFormatDestroysFiles(t *testing.T) {
 	}
 	if p.FormatCount() != 2 {
 		t.Fatalf("FormatCount = %d, want 2", p.FormatCount())
+	}
+}
+
+// A clone shares its source's file maps until either side writes, and
+// then only the writer's map changes; the first write on each side
+// copies the map once.
+func TestCloneSharesFilesUntilWrite(t *testing.T) {
+	d := NewDisk(1000)
+	p, _ := d.AddPartition(1, 500)
+	p.Format(FSFAT)
+	p.WriteFile("/a", []byte("a"))
+	c := d.Clone()
+	cp, _ := c.Partition(1)
+	if cp == p || !p.shared || !cp.shared || reflect.ValueOf(p.files).Pointer() != reflect.ValueOf(cp.files).Pointer() {
+		t.Fatal("clone does not share the source's file map")
+	}
+	p.WriteFile("/a", []byte("source"))
+	cp.WriteFile("/b", []byte("clone"))
+	if p.shared || cp.shared {
+		t.Fatal("a write left the partition marked shared")
+	}
+	if got, _ := cp.ReadFile("/a"); string(got) != "a" {
+		t.Fatalf("clone reads /a = %q after the source wrote it", got)
+	}
+	if p.HasFile("/b") {
+		t.Fatal("the clone's write reached the source")
+	}
+	c2 := d.Clone()
+	p2, _ := c2.Partition(1)
+	p2.Format(FSExt3)
+	if p2.shared || p2.FileCount() != 0 || p.FileCount() != 1 || p2.FormatCount() != 2 {
+		t.Fatalf("format on a clone: shared=%v files=%d, source files=%d, formats=%d", p2.shared, p2.FileCount(), p.FileCount(), p2.FormatCount())
 	}
 }
 

@@ -220,7 +220,10 @@ func DeployNode(node *hardware.Node, img *Image) (DeployReport, error) {
 }
 
 // populatePartition writes the simulated system contents. WriteFile
-// copies, so every disk gets its own copy of the image's files.
+// copies, so the disk holds its own copy of the image's files; a
+// cluster deploys one prototype disk this way and gives its nodes
+// copy-on-write clones of it (hardware.Disk.Clone), which share these
+// bytes.
 func populatePartition(p *hardware.Partition, e deploy.LayoutEntry, img *Image) error {
 	switch {
 	case e.Bootable: // /boot: kernel, initrd, GRUB config

@@ -677,9 +677,31 @@ func (c *Core) touch(from, to int) {
 }
 
 // retire marks the key at slot i stale: its entry has left the queue.
+// Its block's summary is dirtied only when it may change: the block
+// holds more families than it summarises, or the key held its family's
+// smallest count or smallest limit. Otherwise other keys still hold
+// both, and the summary stays exact.
 func (c *Core) retire(i int) {
+	k := c.keys[i]
 	c.keys[i].fam = stale
-	c.touch(i, i+1)
+	if c.blocks[i/blockLen].holds(k) {
+		c.touch(i, i+1)
+	}
+}
+
+// holds reports that the summary may rest on key k: it is overflowed,
+// or k gives its family's smallest count or smallest limit. (A dirty
+// summary is recomputed before it is read whatever holds says.)
+func (s *summary) holds(k key) bool {
+	if s.n > sumFams {
+		return true
+	}
+	for j := range int(s.n) {
+		if s.fam[j] == k.fam {
+			return k.count == s.count[j] || k.limit == s.limit[j]
+		}
+	}
+	return true
 }
 
 // summarise recomputes block b's summary from its keys.
