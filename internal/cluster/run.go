@@ -130,24 +130,25 @@ func (c *Cluster) track(tab *[]int32, n int, id string, j workload.Job) {
 // ScheduleTrace arranges every job in the trace for submission at its
 // timestamp. A submission the scheduler rejects is counted — it
 // surfaces in Summary.SubmitFailures and fires the SubmitFailed hook —
-// so a run that "drains cleanly" cannot silently lose jobs.
+// so a run that "drains cleanly" cannot silently lose jobs. The
+// arrivals are an engine Chain: one is queued at a time, in the order
+// scheduling them all now would give. The cluster keeps a reference to
+// trace, so the caller must not modify it during the run.
 func (c *Cluster) ScheduleTrace(trace workload.Trace) error {
 	if err := trace.Validate(); err != nil {
 		return err
 	}
 	c.Rec.Reserve(len(trace))
-	for _, j := range trace {
-		j := j
-		c.toSubmit++
-		c.Eng.At(j.At, func() {
-			c.toSubmit--
-			if _, err := c.Submit(j); err != nil {
-				c.Rec.SubmitFailed()
-				c.notifySubmitFailed(j, err)
-				c.logf("submit %s failed: %v", j.App, err)
-			}
-		})
-	}
+	c.toSubmit += len(trace)
+	c.Eng.Chain(len(trace), func(i int) time.Duration { return trace[i].At }, func(i int) {
+		c.toSubmit--
+		j := trace[i]
+		if _, err := c.Submit(j); err != nil {
+			c.Rec.SubmitFailed()
+			c.notifySubmitFailed(j, err)
+			c.logf("submit %s failed: %v", j.App, err)
+		}
+	})
 	return nil
 }
 

@@ -1,0 +1,117 @@
+package cluster
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/pbs"
+	"repro/internal/winhpc"
+	"repro/internal/workload"
+)
+
+// collidingTrace submits three jobs at every 5-minute mark: several
+// jobs share each instant, every other mark is a controller cycle
+// (10 minutes), and runtimes are whole multiples of 5 minutes, so
+// arrivals land on the instants where earlier jobs end. The Windows
+// share outgrows its two initial nodes, so the controller switches
+// nodes; one Linux job is too wide to ever submit.
+func collidingTrace() workload.Trace {
+	var trace workload.Trace
+	for k := 0; k < 12; k++ {
+		at := time.Duration(k) * 5 * time.Minute
+		runtime := time.Duration(1+k%4) * 5 * time.Minute
+		trace = append(trace,
+			linJob(at, 1+k%3, runtime),
+			winJob(at, 1+k%2, 2*runtime),
+			linJob(at, 1, runtime))
+	}
+	trace[7].Nodes = 64
+	return trace
+}
+
+// scheduleEagerly is the reference ScheduleTrace: every arrival queued
+// at time zero, one engine event per job.
+func scheduleEagerly(c *Cluster, trace workload.Trace) {
+	c.Rec.Reserve(len(trace))
+	for _, j := range trace {
+		c.toSubmit++
+		c.Eng.At(j.At, func() {
+			c.toSubmit--
+			if _, err := c.Submit(j); err != nil {
+				c.Rec.SubmitFailed()
+				c.notifySubmitFailed(j, err)
+				c.logf("submit %s failed: %v", j.App, err)
+			}
+		})
+	}
+}
+
+// streamRun is what one run of a trace leaves to compare.
+type streamRun struct {
+	sum    metrics.Summary
+	ran    uint64
+	starts []string // "L<seq>@t" / "W<id>@t" in start order
+	ends   []time.Duration
+	events []Event
+}
+
+func runColliding(t *testing.T, trace workload.Trace, schedule func(*Cluster)) streamRun {
+	t.Helper()
+	c := newCluster(t, Config{Mode: HybridV2, Nodes: 8, InitialLinux: 6, Seed: 3})
+	var r streamRun
+	pbsStart, winStart := c.PBS.OnJobStart, c.Win.OnJobStart
+	c.PBS.OnJobStart = func(j *pbs.Job) {
+		r.starts = append(r.starts, fmt.Sprintf("L%d@%v", j.SeqNo, c.Eng.Now()))
+		pbsStart(j)
+	}
+	c.Win.OnJobStart = func(j *winhpc.Job) {
+		r.starts = append(r.starts, fmt.Sprintf("W%d@%v", j.ID, c.Eng.Now()))
+		winStart(j)
+	}
+	c.AddHooks(Hooks{JobCompleted: func(string, bool) { r.ends = append(r.ends, c.Eng.Now()) }})
+	schedule(c)
+	c.RunUntilDrained(48 * time.Hour)
+	r.sum, r.ran, r.events = c.Summary(), c.Eng.EventsRun(), c.Events()
+	return r
+}
+
+// TestStreamedTraceMatchesEager holds the chained arrivals of
+// ScheduleTrace to the eager schedule they replace: the same summary,
+// the same number of engine events, the same job starts in the same
+// order, and the same event log.
+func TestStreamedTraceMatchesEager(t *testing.T) {
+	trace := collidingTrace()
+	streamed := runColliding(t, trace, func(c *Cluster) {
+		if err := c.ScheduleTrace(trace); err != nil {
+			t.Fatal(err)
+		}
+	})
+	eager := runColliding(t, trace, func(c *Cluster) { scheduleEagerly(c, trace) })
+
+	collisions := 0
+	for _, j := range trace {
+		if slices.Contains(eager.ends, j.At) {
+			collisions++
+		}
+	}
+	if collisions == 0 || eager.sum.Switches == 0 || eager.sum.SubmitFailures != 1 {
+		t.Fatalf("trace exercises too little: %d arrivals on a job end, %d switches, %d submit failures",
+			collisions, eager.sum.Switches, eager.sum.SubmitFailures)
+	}
+	if !reflect.DeepEqual(streamed.sum, eager.sum) {
+		t.Errorf("summary %+v\nwant %+v", streamed.sum, eager.sum)
+	}
+	if streamed.ran != eager.ran {
+		t.Errorf("EventsRun = %d, eager %d", streamed.ran, eager.ran)
+	}
+	if !slices.Equal(streamed.starts, eager.starts) {
+		t.Errorf("start order %v\nwant %v", streamed.starts, eager.starts)
+	}
+	if !reflect.DeepEqual(streamed.events, eager.events) {
+		t.Errorf("event log differs:\n%v\nwant\n%v", streamed.events, eager.events)
+	}
+}

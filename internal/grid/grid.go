@@ -272,18 +272,18 @@ func leastLoaded(members []*Member, os osid.OS) *Member {
 }
 
 // ScheduleTrace arranges routing for every job at its submission time.
+// The arrivals are an engine Chain: one is queued at a time, in the
+// order scheduling them all now would give. The grid keeps a
+// reference to trace, so the caller must not modify it during the run.
 func (g *Grid) ScheduleTrace(trace workload.Trace) error {
 	if err := trace.Validate(); err != nil {
 		return err
 	}
-	for _, j := range trace {
-		j := j
-		g.scheduled++
-		g.Eng.At(j.At, func() {
-			g.scheduled--
-			_, _ = g.Route(j) // drops are counted
-		})
-	}
+	g.scheduled += len(trace)
+	g.Eng.Chain(len(trace), func(i int) time.Duration { return trace[i].At }, func(i int) {
+		g.scheduled--
+		_, _ = g.Route(trace[i]) // drops are counted
+	})
 	return nil
 }
 

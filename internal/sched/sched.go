@@ -228,13 +228,26 @@ type Core struct {
 	seen struct{ reserves, deepReplays, blockSkips int }
 
 	pending bool
+	// kicked is the callback of the event Kick schedules, built once.
+	kicked func()
 	// override replaces the scheduling pass; tests use it to rebuild
 	// state from scratch first, or to run a replica of an old policy.
 	override func()
 }
 
 // New creates a core on the simulation engine.
-func New(eng *simtime.Engine, f Face) *Core { return &Core{eng: eng, face: f} }
+func New(eng *simtime.Engine, f Face) *Core {
+	c := &Core{eng: eng, face: f}
+	c.kicked = func() {
+		c.pending = false
+		if c.override != nil {
+			c.override()
+			return
+		}
+		c.pass()
+	}
+	return c
+}
 
 // AddNode registers a node with the given slot count and returns its
 // index. Registration order is placement order.
@@ -495,14 +508,7 @@ func (c *Core) Kick() {
 		return
 	}
 	c.pending = true
-	c.eng.After(0, func() {
-		c.pending = false
-		if c.override != nil {
-			c.override()
-			return
-		}
-		c.pass()
-	})
+	c.eng.After(0, c.kicked)
 }
 
 // pass runs one scheduling pass. FCFS: start the head of the queue and

@@ -1,7 +1,8 @@
 package simtime
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -83,7 +84,10 @@ func (c *calendar) push(ev *event) {
 	}
 	b := &c.buckets[idx]
 	if n := len(b.evs); n == b.head {
-		b.sorted = true
+		// Every event in the slot is consumed: start it over, so a
+		// slot that sees many instants between window rebuilds reuses
+		// its storage instead of growing.
+		b.evs, b.head, b.sorted = b.evs[:0], 0, true
 	} else if b.sorted {
 		last := b.evs[n-1]
 		if ev.due < last.due || (ev.due == last.due && ev.seq < last.seq) {
@@ -125,12 +129,13 @@ func (c *calendar) next(consume bool) *event {
 				continue
 			}
 			if !b.sorted {
-				tail := b.evs[b.head:]
-				sort.Slice(tail, func(i, j int) bool {
-					if tail[i].due != tail[j].due {
-						return tail[i].due < tail[j].due
+				// (due, seq) keys are unique, so an unstable sort
+				// gives the one order there is.
+				slices.SortFunc(b.evs[b.head:], func(x, y *event) int {
+					if x.due != y.due {
+						return cmp.Compare(x.due, y.due)
 					}
-					return tail[i].seq < tail[j].seq
+					return cmp.Compare(x.seq, y.seq)
 				})
 				b.sorted = true
 			}

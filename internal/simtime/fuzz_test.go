@@ -12,11 +12,18 @@ import (
 // heapModel is the engine as a plain container/heap of events in
 // (due, seq) order, with the live and foreground counts kept by hand:
 // the reference FuzzCalendarMatchesHeap holds the calendar queue to.
+// It schedules every link of a chain up front, under the seqs the
+// engine reserves for them.
 type heapModel struct {
 	q                refHeap
 	now              time.Duration
 	live, foreground int
 	fired            []uint64 // seq of every event run, in order
+	// queuesNext marks the chain links that queue a successor when
+	// they run; unqueued counts the links the engine has not queued
+	// yet, all but the next of every unfinished chain.
+	queuesNext map[uint64]bool
+	unqueued   int
 }
 
 func (m *heapModel) schedule(ev *event) {
@@ -25,6 +32,24 @@ func (m *heapModel) schedule(ev *event) {
 	if !ev.background {
 		m.foreground++
 	}
+}
+
+// chain schedules the n links of a chain eagerly.
+func (m *heapModel) chain(base uint64, n int, due func(i int) time.Duration) {
+	if m.queuesNext == nil {
+		m.queuesNext = map[uint64]bool{}
+	}
+	for i := 0; i < n; i++ {
+		m.queuesNext[base+uint64(i)] = i < n-1
+		m.schedule(&event{due: due(i), seq: base + uint64(i)})
+	}
+	m.unqueued += n - 1
+}
+
+// queued returns the live and foreground counts the engine should
+// report.
+func (m *heapModel) queued() (live, foreground int) {
+	return m.live - m.unqueued, m.foreground - m.unqueued
 }
 
 // stop mirrors Timer.Stop: only a queued live event can be stopped.
@@ -64,6 +89,9 @@ func (m *heapModel) step() bool {
 	if !ev.background {
 		m.foreground--
 	}
+	if m.queuesNext[ev.seq] {
+		m.unqueued--
+	}
 	m.fired = append(m.fired, ev.seq)
 	return true
 }
@@ -97,29 +125,33 @@ func fuzzDelay(class, n byte) time.Duration {
 
 // calendarDiffers replays a byte-coded script on an engine and on the
 // heap model and reports the first disagreement. Each op is three
-// bytes: a kind and two arguments.
+// bytes: a kind and two arguments. Every callback records the seq the
+// model gave its event, so the fired lists compare order and identity.
 func calendarDiffers(script []byte) error {
 	e := NewEngine()
 	m := &heapModel{}
 	var fired []uint64
-	var timers []*Timer
+	var timers []Timer
 	var model []*event
+	var seq uint64 // the engine's next seq, tracked by hand
+	checked := 0   // fired entries already compared
 	for i := 0; i+2 < len(script); i += 3 {
-		op, a, b := script[i]%8, script[i+1], script[i+2]
+		op, a, b := script[i]%9, script[i+1], script[i+2]
 		switch op {
 		case 0, 1, 2, 3: // schedule; kind 3 is background
 			at, background := e.Now()+fuzzDelay(a, b), op == 3
-			seq := uint64(len(timers))
-			fn := func() { fired = append(fired, seq) }
+			s := seq
+			seq++
+			fn := func() { fired = append(fired, s) }
 			schedule := e.At
 			if background {
 				schedule = e.AtBackground
 			}
 			timers = append(timers, schedule(at, fn))
-			ev := &event{due: at, seq: seq, background: background}
+			ev := &event{due: at, seq: s, background: background}
 			model = append(model, ev)
 			m.schedule(ev)
-		case 4: // stop
+		case 4: // stop, possibly through a handle whose event ran and was reused
 			if len(timers) == 0 {
 				continue
 			}
@@ -136,27 +168,39 @@ func calendarDiffers(script []byte) error {
 			deadline := e.Now() + fuzzDelay(a, b)
 			e.RunUntil(deadline)
 			m.runUntil(deadline)
+		case 8: // chain of 1–8 links, evenly spaced (often by zero)
+			n := 1 + int(a%8)
+			start, gap := e.Now()+fuzzDelay(b, a), fuzzDelay(a>>3, b>>2)
+			due := func(i int) time.Duration { return start + time.Duration(i)*gap }
+			base := seq
+			seq += uint64(n)
+			e.Chain(n, due, func(i int) { fired = append(fired, base+uint64(i)) })
+			m.chain(base, n, due)
 		}
-		if err := sameState(e, m, fired); err != nil {
+		if err := sameState(e, m, fired, &checked); err != nil {
 			return fmt.Errorf("op %d: %v", i/3, err)
 		}
 	}
 	e.Run()
 	for m.step() {
 	}
-	return sameState(e, m, fired)
+	return sameState(e, m, fired, &checked)
 }
 
-// sameState compares what the engine exposes with the model.
-func sameState(e *Engine, m *heapModel, fired []uint64) error {
-	if !slices.Equal(fired, m.fired) {
-		return fmt.Errorf("fired %v, model %v", fired, m.fired)
+// sameState compares what the engine exposes with the model. The
+// fired lists agree on their first *checked entries already; only the
+// rest is compared, so a long script costs linear time.
+func sameState(e *Engine, m *heapModel, fired []uint64, checked *int) error {
+	if len(fired) != len(m.fired) || !slices.Equal(fired[*checked:], m.fired[*checked:]) {
+		return fmt.Errorf("fired %v, model %v", fired[*checked:], m.fired[*checked:])
 	}
+	*checked = len(fired)
 	if e.Now() != m.now {
 		return fmt.Errorf("clock %v, model %v", e.Now(), m.now)
 	}
-	if e.Pending() != m.live || e.ForegroundPending() != m.foreground {
-		return fmt.Errorf("pending %d (foreground %d), model %d (%d)", e.Pending(), e.ForegroundPending(), m.live, m.foreground)
+	live, foreground := m.queued()
+	if e.Pending() != live || e.ForegroundPending() != foreground {
+		return fmt.Errorf("pending %d (foreground %d), model %d (%d)", e.Pending(), e.ForegroundPending(), live, foreground)
 	}
 	at, ok := e.NextEventAt()
 	if ev := m.next(); ok != (ev != nil) || ok && at != ev.due {
@@ -168,14 +212,21 @@ func sameState(e *Engine, m *heapModel, fired []uint64) error {
 // FuzzCalendarMatchesHeap checks the calendar queue against a plain
 // container/heap with the same (due, seq) order under schedules
 // (foreground and background, due now, within a bucket, across the
-// near window's edge, far past it), Timer.Stop, single steps and
-// RunUntil jumps: the same callbacks run in the same order at the same
-// instants, every Stop reports the same, and Pending,
-// ForegroundPending and NextEventAt agree after every op.
+// near window's edge, far past it), chains, Timer.Stop (on recycled
+// events too), single steps and RunUntil jumps: the same callbacks run
+// in the same order at the same instants, every Stop reports the same,
+// and Pending, ForegroundPending and NextEventAt agree after every op.
 func FuzzCalendarMatchesHeap(f *testing.F) {
 	// Two events due exactly at the first window's edge, one of them
 	// background, a far one, then steps.
 	f.Add([]byte{0, 2, 128, 3, 2, 128, 0, 3, 1, 5, 0, 0, 5, 0, 0, 5, 0, 0})
+	// An event fires and its recycled slot takes a later schedule;
+	// Stop on the first handle must report false and leave the second
+	// event queued.
+	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 1, 5, 4, 0, 0, 5, 0, 0})
+	// Chains tied with plain events at one instant (gap zero), then a
+	// chain 31 ms apart across a plain event, then a drain.
+	f.Add([]byte{0, 0, 0, 8, 3, 0, 0, 0, 0, 5, 0, 0, 8, 11, 4, 1, 0, 2, 5, 0, 0, 7, 1, 31, 5, 0, 0})
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 3*(200+rng.Intn(400)))

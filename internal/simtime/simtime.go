@@ -8,6 +8,15 @@
 // simulation (epoch zero). Events scheduled for the same instant fire
 // in the order they were scheduled, which makes every run with the same
 // inputs bit-for-bit identical.
+//
+// The per-event path allocates nothing in steady state. The engine
+// recycles its events through a free list once they fire or are
+// reaped, and a Timer is a small value that carries the sequence
+// number of the event it was issued for, so a handle kept past its
+// event can never cancel the event's next use. Chain streams a long,
+// time-ordered series of events (a job trace's arrivals) one link at
+// a time while keeping the order they would have had if all were
+// scheduled up front.
 package simtime
 
 import (
@@ -20,19 +29,24 @@ import (
 // clock set to exactly the event's due time. Background events (ticker
 // maintenance such as controller polling or series sampling) fire like
 // any other event but do not count as outstanding work: quiescence
-// detection ignores them.
+// detection ignores them. An event is dead from the moment it fires
+// or is stopped; the engine reuses it for a later schedule once it
+// leaves the queue.
 type event struct {
 	due        time.Duration
 	seq        uint64
 	fn         func()
 	dead       bool
 	background bool
-	eng        *Engine
 }
 
-// Timer is a handle to a scheduled event that can be cancelled.
+// Timer is a handle to a scheduled event that can be cancelled. It is
+// a value: the zero Timer stops nothing, and a copy acts like the
+// original.
 type Timer struct {
-	ev *event
+	ev  *event
+	seq uint64 // the event's seq when the timer was issued
+	eng *Engine
 }
 
 // Stop cancels the timer. It reports whether the timer was still
@@ -40,18 +54,19 @@ type Timer struct {
 // was stopped earlier). The cancelled event leaves Pending() and (for
 // foreground timers) ForegroundPending immediately — quiescence
 // detection never waits on a corpse — while the queue slot itself is
-// reaped lazily at fire time.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.dead {
+// reaped lazily at fire time. The seq check makes a timer whose event
+// fired, was reaped and was reused for a later schedule a no-op: seqs
+// are never issued twice.
+func (t Timer) Stop() bool {
+	ev := t.ev
+	if ev == nil || ev.seq != t.seq || ev.dead {
 		return false
 	}
-	t.ev.dead = true
-	t.ev.fn = nil
-	if eng := t.ev.eng; eng != nil {
-		eng.live--
-		if !t.ev.background {
-			eng.foreground--
-		}
+	ev.dead = true
+	ev.fn = nil
+	t.eng.live--
+	if !ev.background {
+		t.eng.foreground--
 	}
 	return true
 }
@@ -65,6 +80,7 @@ type Engine struct {
 	now        time.Duration
 	seq        uint64
 	queue      *calendar
+	free       []*event // dead events out of the queue, ready for reuse
 	stopped    bool
 	ran        uint64
 	live       int // live events still queued (cancelled ones excluded)
@@ -85,43 +101,68 @@ func (e *Engine) EventsRun() uint64 { return e.ran }
 
 // Pending returns the number of live events still queued. Cancelled
 // timers leave the count at Stop time, not at their original fire
-// time, even though their queue slots are reaped lazily.
+// time, even though their queue slots are reaped lazily. An unfinished
+// Chain counts as one event, however many links it has left: only its
+// next link is queued.
 func (e *Engine) Pending() int { return e.live }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past
 // (t < Now) panics: it indicates a logic error in the caller, and
 // silently reordering time would destroy determinism.
-func (e *Engine) At(t time.Duration, fn func()) *Timer {
+func (e *Engine) At(t time.Duration, fn func()) Timer {
 	return e.at(t, fn, false)
 }
 
 // AtBackground schedules fn at absolute time t as a background event:
 // it fires like any other event but does not count as outstanding
 // work, so it never keeps a quiescence-aware run alive on its own.
-func (e *Engine) AtBackground(t time.Duration, fn func()) *Timer {
+func (e *Engine) AtBackground(t time.Duration, fn func()) Timer {
 	return e.at(t, fn, true)
 }
 
-func (e *Engine) at(t time.Duration, fn func(), background bool) *Timer {
+func (e *Engine) at(t time.Duration, fn func(), background bool) Timer {
+	seq := e.seq
+	e.seq++
+	return Timer{ev: e.push(t, seq, fn, background), seq: seq, eng: e}
+}
+
+// push queues fn at t under the given seq, reusing a recycled event
+// when there is one.
+func (e *Engine) push(t time.Duration, seq uint64, fn func(), background bool) *event {
 	if fn == nil {
 		panic("simtime: nil callback")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", t, e.now))
 	}
-	ev := &event{due: t, seq: e.seq, fn: fn, background: background, eng: e}
-	e.seq++
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{due: t, seq: seq, fn: fn, background: background}
 	e.live++
 	if !background {
 		e.foreground++
 	}
 	e.queue.push(ev)
-	return &Timer{ev: ev}
+	return ev
+}
+
+// recycle takes an event the queue has given up and keeps it for
+// reuse. It is marked dead so that a Timer still holding it stops
+// nothing until a new seq is written over it.
+func (e *Engine) recycle(ev *event) {
+	ev.dead = true
+	ev.fn = nil
+	e.free = append(e.free, ev)
 }
 
 // After schedules fn d after the current virtual time. Negative d is
 // clamped to zero.
-func (e *Engine) After(d time.Duration, fn func()) *Timer {
+func (e *Engine) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -129,11 +170,44 @@ func (e *Engine) After(d time.Duration, fn func()) *Timer {
 }
 
 // AfterBackground schedules a background event d from now.
-func (e *Engine) AfterBackground(d time.Duration, fn func()) *Timer {
+func (e *Engine) AfterBackground(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
 	return e.AtBackground(e.now+d, fn)
+}
+
+// Chain schedules n foreground events, event i due at due(i) and
+// running fire(i), while queueing only one at a time. It reserves n
+// consecutive seqs now and queues link 0; link i queues link i+1
+// under its reserved seq before it calls fire(i). Pop order is by
+// (due, seq), so every link fires exactly where it would have if all
+// n had been scheduled with At in this call — ties included — while
+// the queue holds one event instead of n. due must be non-decreasing
+// in i (a link due before the one that queues it panics, as At in the
+// past does), and it is called for each link when the previous one
+// fires, so what it reads must not change in between. Pending counts
+// an unfinished chain as one event.
+func (e *Engine) Chain(n int, due func(i int) time.Duration, fire func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if due == nil || fire == nil {
+		panic("simtime: nil callback")
+	}
+	base := e.seq
+	e.seq += uint64(n)
+	next := 0
+	var link func()
+	link = func() {
+		i := next
+		next++
+		if next < n {
+			e.push(due(next), base+uint64(next), link, false)
+		}
+		fire(i)
+	}
+	e.push(due(0), base, link, false)
 }
 
 // Every schedules fn every interval, first firing one interval from
@@ -142,15 +216,13 @@ func (e *Engine) AfterBackground(d time.Duration, fn func()) *Timer {
 // RunUntil deadlines.
 type Ticker struct {
 	stopped bool
-	timer   *Timer
+	timer   Timer
 }
 
 // Stop cancels future ticks.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.timer != nil {
-		t.timer.Stop()
-	}
+	t.timer.Stop()
 }
 
 // Every arranges for fn to run every interval of virtual time. The
@@ -167,29 +239,24 @@ func (e *Engine) EveryBackground(interval time.Duration, fn func()) *Ticker {
 	return e.every(interval, fn, true)
 }
 
+// every builds the tick callback once; each tick reschedules the same
+// function value.
 func (e *Engine) every(interval time.Duration, fn func(), background bool) *Ticker {
 	if interval <= 0 {
 		panic("simtime: non-positive ticker interval")
 	}
 	tk := &Ticker{}
-	var schedule func()
-	schedule = func() {
-		tick := func() {
-			if tk.stopped {
-				return
-			}
-			fn()
-			if !tk.stopped {
-				schedule()
-			}
+	var tick func()
+	tick = func() {
+		if tk.stopped {
+			return
 		}
-		if background {
-			tk.timer = e.AfterBackground(interval, tick)
-		} else {
-			tk.timer = e.After(interval, tick)
+		fn()
+		if !tk.stopped {
+			tk.timer = e.at(e.now+interval, tick, background)
 		}
 	}
-	schedule()
+	tk.timer = e.at(e.now+interval, tick, background)
 	return tk
 }
 
@@ -205,17 +272,17 @@ func (e *Engine) step() bool {
 			return false
 		}
 		if ev.dead {
+			e.recycle(ev)
 			continue
 		}
 		if ev.due < e.now {
 			panic("simtime: event queue went backwards")
 		}
 		e.now = ev.due
-		fn := ev.fn
-		ev.dead = true
-		ev.fn = nil
+		fn, background := ev.fn, ev.background
+		e.recycle(ev)
 		e.live--
-		if !ev.background {
+		if !background {
 			e.foreground--
 		}
 		e.ran++
@@ -296,8 +363,8 @@ func (e *Engine) RunUntilQuiescent(deadline time.Duration) {
 	}
 }
 
-// peek returns the due time of the next live event, reaping cancelled
-// ones it walks over.
+// peek returns the due time of the next live event, reaping (and
+// recycling) cancelled ones it walks over.
 func (e *Engine) peek() (time.Duration, bool) {
 	for {
 		ev := e.queue.peek()
@@ -305,7 +372,7 @@ func (e *Engine) peek() (time.Duration, bool) {
 			return 0, false
 		}
 		if ev.dead {
-			e.queue.pop()
+			e.recycle(e.queue.pop())
 			continue
 		}
 		return ev.due, true

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -405,5 +407,120 @@ func TestRunWhileInactiveReturnsImmediately(t *testing.T) {
 	e.RunWhile(24*time.Hour, func() bool { return false })
 	if e.Now() != 0 {
 		t.Fatalf("clock moved to %v", e.Now())
+	}
+}
+
+func TestStaleTimerCannotStopRecycledEvent(t *testing.T) {
+	e := NewEngine()
+	first := e.After(time.Second, func() {})
+	e.Run()
+	ran := false
+	second := e.After(time.Second, func() { ran = true })
+	if first.ev != second.ev {
+		t.Fatal("the fired event was not reused for the next schedule")
+	}
+	if first.Stop() {
+		t.Fatal("Stop() through a stale handle = true")
+	}
+	if e.Pending() != 1 || e.ForegroundPending() != 1 {
+		t.Fatalf("Pending = %d (foreground %d) after stale Stop, want 1 (1)", e.Pending(), e.ForegroundPending())
+	}
+	e.Run()
+	if !ran {
+		t.Fatal("a stale handle cancelled the recycled event")
+	}
+	if second.Stop() {
+		t.Fatal("Stop() = true after the timer fired")
+	}
+}
+
+func TestZeroTimerStopsNothing(t *testing.T) {
+	var tm Timer
+	if tm.Stop() {
+		t.Fatal("zero Timer Stop() = true")
+	}
+}
+
+// TestChainMatchesEagerAt runs the same instants twice, once with one
+// At per link and once as a Chain, each amid plain events sharing
+// those instants (scheduled before and after), and requires the same
+// firing order.
+func TestChainMatchesEagerAt(t *testing.T) {
+	dues := []time.Duration{0, 0, time.Second, time.Second, time.Second, time.Hour, 3 * time.Hour, 3 * time.Hour}
+	run := func(chain bool) []string {
+		e := NewEngine()
+		var got []string
+		plain := func(tag string, at time.Duration) {
+			e.At(at, func() { got = append(got, fmt.Sprintf("%s@%v", tag, e.Now())) })
+		}
+		plain("before", time.Second)
+		fire := func(i int) {
+			got = append(got, fmt.Sprintf("link%d@%v", i, e.Now()))
+			// A link's own work schedules at its instant, as a job
+			// submission's Kick does.
+			e.After(0, func() { got = append(got, fmt.Sprintf("kick%d", i)) })
+		}
+		if chain {
+			e.Chain(len(dues), func(i int) time.Duration { return dues[i] }, fire)
+			if e.Pending() != 2 {
+				t.Fatalf("Pending = %d with a chain queued, want 2 (one per chain)", e.Pending())
+			}
+		} else {
+			for i, at := range dues {
+				e.At(at, func() { fire(i) })
+			}
+		}
+		plain("after", time.Second)
+		plain("after", 3*time.Hour)
+		e.Run()
+		if e.Pending() != 0 || e.EventsRun() != uint64(len(got)) {
+			t.Fatalf("Pending = %d, EventsRun = %d after %d callbacks", e.Pending(), e.EventsRun(), len(got))
+		}
+		return got
+	}
+	eager, chained := run(false), run(true)
+	if !slices.Equal(eager, chained) {
+		t.Fatalf("chain order %v\nwant %v", chained, eager)
+	}
+}
+
+func TestChainOutOfOrderPanics(t *testing.T) {
+	e := NewEngine()
+	dues := []time.Duration{time.Hour, time.Minute}
+	e.Chain(len(dues), func(i int) time.Duration { return dues[i] }, func(int) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a link due before its predecessor did not panic")
+		}
+	}()
+	e.Run()
+}
+
+// TestEventPathAllocatesNothing locks the recycled event path: once
+// the queue's storage has grown, scheduling and firing events with a
+// prebuilt callback — plain, stopped, and ticker hops — allocates
+// nothing.
+func TestEventPathAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	tk := e.Every(time.Minute, fn)
+	defer tk.Stop()
+	round := func() {
+		for i := 0; i < 64; i++ {
+			e.After(0, fn)
+			e.After(time.Second, fn)
+			e.After(time.Hour, fn).Stop()
+			e.RunFor(time.Second)
+		}
+	}
+	// Warm up until every bucket and the far heap have grown to this
+	// load. Window rebuilds start at the far heap's earliest event, so
+	// which buckets a second maps to drifts from pass to pass; they
+	// have all reached their size after about 17 windows.
+	for e.Now() < 20*calBuckets*calWidth {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("%v allocations per round of 64 schedule-and-fire steps, want 0", allocs)
 	}
 }

@@ -180,7 +180,7 @@ func Poisson(cfg PoissonConfig) Trace {
 		cfg.RuntimeScale = 1
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var trace Trace
+	trace := make(Trace, 0, poissonSizeHint(cfg))
 	winApps := append(CatalogByPlatform(WindowsOnly), CatalogByPlatform(Both)...)
 	linApps := append(CatalogByPlatform(LinuxOnly), CatalogByPlatform(Both)...)
 
@@ -217,14 +217,42 @@ func Poisson(cfg PoissonConfig) Trace {
 			At:      now,
 			App:     app.Name,
 			OS:      os,
-			Owner:   fmt.Sprintf("user%02d", rng.Intn(12)+1),
+			Owner:   owners[rng.Intn(len(owners))],
 			Nodes:   nodes,
 			PPN:     app.TypicalPPN,
 			Runtime: runtime,
 		})
 	}
-	trace.Sort()
+	// No sort: every gap is non-negative, so now never falls and the
+	// jobs are generated in submission order already.
+	if len(trace) == 0 {
+		return nil
+	}
 	return trace
+}
+
+// owners are the user names Poisson draws from: user01 … user12.
+var owners = func() (names [12]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("user%02d", i+1)
+	}
+	return names
+}()
+
+// maxPoissonHint caps the up-front allocation of a Poisson trace at
+// about 75 MB, room for the city tier's million jobs (E18: 2000 jobs/h
+// for 500 h). Past it the trace grows by append, so an outsized rate
+// or window costs only what it generates.
+const maxPoissonHint = 1 << 20
+
+// poissonSizeHint returns the expected job count of cfg plus four
+// standard deviations of its Poisson count, capped at maxPoissonHint.
+func poissonSizeHint(cfg PoissonConfig) int {
+	mean := cfg.JobsPerHour * cfg.Duration.Hours()
+	if !(mean < maxPoissonHint) { // also catches NaN
+		return maxPoissonHint
+	}
+	return min(int(mean+4*math.Sqrt(mean))+16, maxPoissonHint)
 }
 
 // BurstConfig parameterises a demand burst on one side.

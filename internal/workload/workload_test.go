@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -171,6 +172,22 @@ func TestPoissonRateApproximation(t *testing.T) {
 	perHour := float64(len(trace)) / 1000
 	if perHour < 7 || perHour > 9 {
 		t.Fatalf("rate = %.2f jobs/hour, want ≈8", perHour)
+	}
+}
+
+// The size hint covers what Poisson generates, so a trace is built in
+// one allocation, and it is capped for an outsized rate.
+func TestPoissonSizeHint(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		cfg := PoissonConfig{Seed: seed, Duration: 100 * time.Hour, JobsPerHour: 50, WindowsFrac: 0.3}
+		if n, hint := len(Poisson(cfg)), poissonSizeHint(cfg); n > hint {
+			t.Fatalf("seed %d: %d jobs, hint %d", seed, n, hint)
+		}
+	}
+	for _, rate := range []float64{1e9, math.Inf(1)} {
+		if hint := poissonSizeHint(PoissonConfig{Duration: time.Hour, JobsPerHour: rate}); hint != maxPoissonHint {
+			t.Fatalf("rate %v: hint %d, want the cap %d", rate, hint, maxPoissonHint)
+		}
 	}
 }
 
