@@ -18,6 +18,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"repro/internal/bootmgr"
@@ -201,9 +202,12 @@ type Cluster struct {
 	// marks handle h as a workload job not yet completed.
 	pbsJobs, winJobs []int32
 	awaiting         []bool
-	unfinished       int
-	toSubmit         int     // trace jobs scheduled but not yet submitted
-	hooks            []Hooks // lifecycle observers (see run.go)
+	// owners interns each trace user's scheduler-side owner names, so
+	// a submission builds no owner string.
+	owners     map[string]owner
+	unfinished int
+	toSubmit   int     // trace jobs scheduled but not yet submitted
+	hooks      []Hooks // lifecycle observers (see run.go)
 }
 
 // osSlots sizes the per-side arrays: osid values are dense small
@@ -238,6 +242,7 @@ func New(cfg Config) (*Cluster, error) {
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	c.Rec = metrics.NewRecorder(eng.Now, cfg.Nodes*cfg.CoresPerNode)
+	c.Rec.JobIDs = c.jobID
 	if cfg.SchedPolicy == SchedBackfill {
 		c.PBS.Backfill = true
 		c.Win.Backfill = true
@@ -457,7 +462,14 @@ func (c *Cluster) wireSchedulers() {
 	}
 }
 
-func winJobID(id int) string { return fmt.Sprintf("W%d", id) }
+// jobID renders the ID of scheduler job number n on a side:
+// "<seq>.<fqdn>" for PBS, "W<id>" for Windows HPC.
+func (c *Cluster) jobID(os osid.OS, n int) string {
+	if os == osid.Linux {
+		return c.PBS.JobID(n)
+	}
+	return "W" + strconv.Itoa(n)
+}
 
 // handle returns the recorder handle of scheduler job number n (counted
 // from 1), -1 when no workload job is behind it.
@@ -483,7 +495,7 @@ func (c *Cluster) markDone(h int, completed bool) {
 		c.awaiting[h] = false
 		c.unfinished--
 		if len(c.hooks) > 0 {
-			c.notifyJobCompleted(c.Rec.JobID(h), completed)
+			c.notifyJobCompleted(h, completed)
 		}
 	}
 }

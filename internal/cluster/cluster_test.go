@@ -377,12 +377,12 @@ func TestSmallPPNWindowsJobUsesCoreScheduling(t *testing.T) {
 	c := newCluster(t, Config{Mode: Static, InitialLinux: 8})
 	j := workload.Job{At: 0, App: "MATLAB", OS: osid.Windows, Owner: "u",
 		Nodes: 1, PPN: 2, Runtime: 30 * time.Minute}
-	id, err := c.Submit(j)
+	h, err := c.Submit(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(id, "W") {
-		t.Fatalf("id = %q", id)
+	if id := c.Rec.JobID(h); id != "W1" {
+		t.Fatalf("id = %q, want W1", id)
 	}
 	c.Eng.RunFor(time.Hour)
 	if c.Unfinished() != 0 {
@@ -492,9 +492,9 @@ func TestHooksObserveCompletionsAndSwitches(t *testing.T) {
 	var completions, landings int
 	var landedOS osid.OS
 	c.AddHooks(Hooks{
-		JobCompleted: func(id string, completed bool) {
+		JobCompleted: func(h int, completed bool) {
 			if !completed {
-				t.Errorf("job %s reported incomplete", id)
+				t.Errorf("job %s reported incomplete", c.Rec.JobID(h))
 			}
 			completions++
 		},
@@ -530,7 +530,7 @@ func TestHooksObserveCompletionsAndSwitches(t *testing.T) {
 func TestInterruptedNonRerunnableJobNotCounted(t *testing.T) {
 	c := newCluster(t, Config{Mode: Static, Nodes: 2, InitialLinux: 2})
 	var sawCompleted *bool
-	c.AddHooks(Hooks{JobCompleted: func(id string, completed bool) {
+	c.AddHooks(Hooks{JobCompleted: func(_ int, completed bool) {
 		sawCompleted = &completed
 	}})
 	j, err := c.PBS.Qsub(pbs.SubmitRequest{Name: "fragile", Owner: "u@x",
@@ -538,13 +538,13 @@ func TestInterruptedNonRerunnableJobNotCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.track(&c.pbsJobs, j.SeqNo, j.ID, workload.Job{App: "fragile", OS: osid.Linux, Owner: "u",
+	c.track(&c.pbsJobs, j.SeqNo, workload.Job{App: "fragile", OS: osid.Linux, Owner: "u",
 		Nodes: 1, PPN: 4, Runtime: time.Hour})
 	c.Eng.RunUntil(time.Minute)
 	if j.State != pbs.StateRunning {
 		t.Fatalf("job state = %v, want running", j.State)
 	}
-	if err := c.PBS.SetNodeAvailable(j.ExecHost[0].Node, false); err != nil {
+	if err := c.PBS.SetNodeAvailable(j.ExecHost()[0].Node, false); err != nil {
 		t.Fatal(err)
 	}
 	c.Eng.RunUntil(2 * time.Minute)
@@ -566,17 +566,17 @@ func TestInterruptedNonRerunnableJobNotCounted(t *testing.T) {
 // counts the restart, and still reports the job completed.
 func TestRequeuedJobKeepsFirstStartAccounting(t *testing.T) {
 	c := newCluster(t, Config{Mode: Static, Nodes: 2, InitialLinux: 2})
-	id, err := c.Submit(workload.Job{App: "DL_POLY", OS: osid.Linux, Owner: "u",
+	h, err := c.Submit(workload.Job{App: "DL_POLY", OS: osid.Linux, Owner: "u",
 		Nodes: 1, PPN: 4, Runtime: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Eng.RunUntil(10 * time.Minute)
-	j, err := c.PBS.Job(id)
+	j, err := c.PBS.Job(c.Rec.JobID(h))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PBS.SetNodeAvailable(j.ExecHost[0].Node, false); err != nil {
+	if err := c.PBS.SetNodeAvailable(j.ExecHost()[0].Node, false); err != nil {
 		t.Fatal(err)
 	}
 	c.Eng.Run()

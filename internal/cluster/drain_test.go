@@ -57,10 +57,11 @@ func TestRunUntilDrainedQdelQueuedJob(t *testing.T) {
 	if _, err := c.Submit(job); err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.Submit(job)
+	h, err := c.Submit(job)
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := c.Rec.JobID(h)
 	c.Eng.RunUntil(time.Minute)
 	if j, err := c.PBS.Job(id); err != nil || j.State != pbs.StateQueued {
 		t.Fatalf("second job %v, err %v; want it queued behind the first", j, err)

@@ -118,15 +118,14 @@ func TestReimageRefusesBusyNode(t *testing.T) {
 
 func TestQholdQrls(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 8})
-	id, err := c.Submit(linJob(0, 8, time.Hour)) // occupies all linux nodes
+	if _, err := c.Submit(linJob(0, 8, time.Hour)); err != nil { // occupies all linux nodes
+		t.Fatal(err)
+	}
+	h, err := c.Submit(linJob(0, 2, 30*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = id
-	held, err := c.Submit(linJob(0, 2, 30*time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
+	held := c.Rec.JobID(h)
 	c.Eng.RunFor(time.Minute)
 	if err := c.PBS.Qhold(held); err != nil {
 		t.Fatal(err)

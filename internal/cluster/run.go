@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/driver"
@@ -25,8 +26,9 @@ import (
 type Hooks struct {
 	// JobCompleted fires when a tracked workload job leaves the
 	// system; completed is false when the job died (walltime kill,
-	// cancellation).
-	JobCompleted func(id string, completed bool)
+	// cancellation). h is the job's recorder handle: Rec.JobID(h)
+	// renders its ID, which nothing builds unless asked.
+	JobCompleted func(h int, completed bool)
 	// SwitchLanded fires when an OS switch (or maintenance reboot)
 	// ends: os is the side the node came up on (None for a boot-chain
 	// casualty) and ok whether it matched the intent.
@@ -40,10 +42,10 @@ type Hooks struct {
 // registration order.
 func (c *Cluster) AddHooks(h Hooks) { c.hooks = append(c.hooks, h) }
 
-func (c *Cluster) notifyJobCompleted(id string, completed bool) {
+func (c *Cluster) notifyJobCompleted(job int, completed bool) {
 	for _, h := range c.hooks {
 		if h.JobCompleted != nil {
-			h.JobCompleted(id, completed)
+			h.JobCompleted(job, completed)
 		}
 	}
 }
@@ -64,32 +66,31 @@ func (c *Cluster) notifySubmitFailed(j workload.Job, err error) {
 	}
 }
 
-// Submit routes one workload job to the appropriate scheduler now.
-// The returned ID is the metrics key ("<seq>.<fqdn>" for PBS, "W<id>"
-// for Windows HPC).
-func (c *Cluster) Submit(j workload.Job) (string, error) {
+// Submit routes one workload job to the appropriate scheduler now and
+// returns its recorder handle; Rec.JobID renders the job's ID
+// ("<seq>.<fqdn>" for PBS, "W<id>" for Windows HPC).
+func (c *Cluster) Submit(j workload.Job) (int, error) {
 	if err := j.Validate(); err != nil {
-		return "", err
+		return -1, err
 	}
 	switch j.OS {
 	case osid.Linux:
 		pj, err := c.PBS.Qsub(pbs.SubmitRequest{
 			Name:    j.App,
-			Owner:   j.Owner + "@" + c.PBS.Name(),
+			Owner:   c.owner(j.Owner).pbs,
 			Nodes:   j.Nodes,
 			PPN:     j.PPN,
 			Runtime: j.Runtime,
 			Rerun:   true, // campus jobs restart if a node is lost
 		})
 		if err != nil {
-			return "", err
+			return -1, err
 		}
-		c.track(&c.pbsJobs, pj.SeqNo, pj.ID, j)
-		return pj.ID, nil
+		return c.track(&c.pbsJobs, pj.SeqNo, j), nil
 	case osid.Windows:
 		spec := winhpc.JobSpec{
 			Name:    j.App,
-			Owner:   "HPC\\" + j.Owner,
+			Owner:   c.owner(j.Owner).win,
 			Runtime: j.Runtime,
 			Rerun:   true,
 		}
@@ -102,22 +103,36 @@ func (c *Cluster) Submit(j workload.Job) (string, error) {
 		}
 		wj, err := c.Win.SubmitJob(spec)
 		if err != nil {
-			return "", err
+			return -1, err
 		}
-		id := winJobID(wj.ID)
-		c.track(&c.winJobs, wj.ID, id, j)
-		return id, nil
+		return c.track(&c.winJobs, wj.ID, j), nil
 	default:
-		return "", fmt.Errorf("cluster: job %q has no valid OS", j.App)
+		return -1, fmt.Errorf("cluster: job %q has no valid OS", j.App)
 	}
 }
 
-// track books workload job j, submitted as scheduler job number n
-// under id: it gets a recorder handle, bound to n in the scheduler's
-// handle table. The ID is rendered once, before this, and stored with
-// the record.
-func (c *Cluster) track(tab *[]int32, n int, id string, j workload.Job) {
-	h := c.Rec.JobSubmitted(id, j.OS, j.App, j.CPUs())
+// owner holds one trace user's owner names on the two head nodes.
+type owner struct{ pbs, win string }
+
+// owner returns user u's owner names, "u@<fqdn>" and `HPC\u`, built
+// on u's first job.
+func (c *Cluster) owner(u string) owner {
+	o, ok := c.owners[u]
+	if !ok {
+		if c.owners == nil {
+			c.owners = make(map[string]owner)
+		}
+		o = owner{pbs: u + "@" + c.PBS.Name(), win: "HPC\\" + u}
+		c.owners[u] = o
+	}
+	return o
+}
+
+// track books workload job j, submitted as scheduler job number n: it
+// gets a recorder handle, bound to n in the scheduler's handle table,
+// and returns it.
+func (c *Cluster) track(tab *[]int32, n int, j workload.Job) int {
+	h := c.Rec.JobSubmitted(n, j.OS, j.App, j.CPUs())
 	*tab = bind(*tab, n, h)
 	for len(c.awaiting) <= h {
 		c.awaiting = append(c.awaiting, false)
@@ -125,6 +140,7 @@ func (c *Cluster) track(tab *[]int32, n int, id string, j workload.Job) {
 	c.awaiting[h] = true
 	c.arrived[j.OS] += j.CPUs()
 	c.unfinished++
+	return h
 }
 
 // ScheduleTrace arranges every job in the trace for submission at its
@@ -138,7 +154,7 @@ func (c *Cluster) ScheduleTrace(trace workload.Trace) error {
 	if err := trace.Validate(); err != nil {
 		return err
 	}
-	c.Rec.Reserve(len(trace))
+	c.reserve(trace)
 	c.toSubmit += len(trace)
 	c.Eng.Chain(len(trace), func(i int) time.Duration { return trace[i].At }, func(i int) {
 		c.toSubmit--
@@ -150,6 +166,22 @@ func (c *Cluster) ScheduleTrace(trace workload.Trace) error {
 		}
 	})
 	return nil
+}
+
+// reserve sizes the job bookkeeping for a trace once: the recorder's
+// rows, the tracked-job flags and each scheduler's handle table (switch
+// jobs the controller submits still grow the latter by append).
+func (c *Cluster) reserve(trace workload.Trace) {
+	c.Rec.Reserve(len(trace))
+	c.awaiting = slices.Grow(c.awaiting, len(trace))
+	linux := 0
+	for i := range trace {
+		if trace[i].OS == osid.Linux {
+			linux++
+		}
+	}
+	c.pbsJobs = slices.Grow(c.pbsJobs, linux)
+	c.winJobs = slices.Grow(c.winJobs, len(trace)-linux)
 }
 
 // Unfinished reports workload jobs not yet completed.

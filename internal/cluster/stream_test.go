@@ -72,7 +72,7 @@ func runColliding(t *testing.T, trace workload.Trace, schedule func(*Cluster)) s
 		r.starts = append(r.starts, fmt.Sprintf("W%d@%v", j.ID, c.Eng.Now()))
 		winStart(j)
 	}
-	c.AddHooks(Hooks{JobCompleted: func(string, bool) { r.ends = append(r.ends, c.Eng.Now()) }})
+	c.AddHooks(Hooks{JobCompleted: func(int, bool) { r.ends = append(r.ends, c.Eng.Now()) }})
 	schedule(c)
 	c.RunUntilDrained(48 * time.Hour)
 	r.sum, r.ran, r.events = c.Summary(), c.Eng.EventsRun(), c.Events()

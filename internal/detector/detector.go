@@ -159,7 +159,7 @@ func (d *PBSDetector) Detect() (Report, error) {
 		stats := d.Server.QueueStats()
 		return buildReport(stats.Running, stats.Queued, func() (int, string) {
 			j := d.Server.FirstQueued()
-			return j.Nodes * j.PPN, j.ID
+			return j.Nodes * j.PPN, j.ID()
 		}), nil
 	}
 	running, queued, err := d.scan()

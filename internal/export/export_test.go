@@ -198,10 +198,10 @@ func TestWriteSweepCSVEmpty(t *testing.T) {
 
 func TestWriteJobsCSV(t *testing.T) {
 	jobs := []metrics.JobRecord{
-		{ID: "1.e", OS: osid.Linux, App: "DL_POLY", CPUs: 8,
-			Submitted: 0, Started: time.Minute, Ended: time.Hour, Completed: true},
-		{ID: "W2", OS: osid.Windows, App: "Opera", CPUs: 4,
-			Submitted: time.Minute, Completed: false},
+		{ID: "1.e", Lifecycle: metrics.Lifecycle{OS: osid.Linux, App: "DL_POLY", CPUs: 8,
+			Submitted: 0, Started: time.Minute, Ended: time.Hour, Completed: true}},
+		{ID: "W2", Lifecycle: metrics.Lifecycle{OS: osid.Windows, App: "Opera", CPUs: 4,
+			Submitted: time.Minute, Completed: false}},
 	}
 	var buf bytes.Buffer
 	if err := WriteJobsCSV(&buf, jobs); err != nil {

@@ -147,7 +147,7 @@ func New(policy RoutingPolicy, specs []MemberSpec) (*Grid, error) {
 		// Completion observer instead of polling: the member tells the
 		// grid when a routed job leaves the system. Walltime kills and
 		// failures report completed=false and are not counted.
-		c.AddHooks(cluster.Hooks{JobCompleted: func(_ string, completed bool) {
+		c.AddHooks(cluster.Hooks{JobCompleted: func(_ int, completed bool) {
 			if completed {
 				g.completed[name]++
 			}

@@ -71,7 +71,7 @@ func runColliding(t *testing.T, trace workload.Trace, schedule func(*Grid)) stre
 			r.starts = append(r.starts, fmt.Sprintf("%s:W%d@%v", name, j.ID, g.Eng.Now()))
 			winStart(j)
 		}
-		c.AddHooks(cluster.Hooks{JobCompleted: func(string, bool) { r.ends = append(r.ends, g.Eng.Now()) }})
+		c.AddHooks(cluster.Hooks{JobCompleted: func(int, bool) { r.ends = append(r.ends, g.Eng.Now()) }})
 	}
 	schedule(g)
 	g.RunUntilDrained(48 * time.Hour)

@@ -9,29 +9,40 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/osid"
 )
 
-// JobRecord is one job's lifecycle summary. Started is the *first*
-// start: a rerunnable job that is requeued after node loss and served
-// again keeps its original start, so Wait measures submission to
-// first service and the job's span covers every attempt. (A previous
-// revision overwrote Started on restart, which silently deflated the
-// reported queue wait and shrank the job's span to the last attempt.)
+// JobRecord is one job's lifecycle summary as Jobs reports it: the
+// recorder's row plus the job's rendered ID.
 type JobRecord struct {
-	ID        string
-	OS        osid.OS
+	ID string // "<seq>.<fqdn>" for PBS, "W<id>" for Windows HPC
+	Lifecycle
+}
+
+// Lifecycle is the row the recorder keeps per job: fixed-size fields,
+// with the scheduler's job number in place of the rendered ID. Started
+// is the *first* start: a rerunnable job that is requeued after node
+// loss and served again keeps its original start, so Wait measures
+// submission to first service and the job's span covers every attempt.
+// (A previous revision overwrote Started on restart, which silently
+// deflated the reported queue wait and shrank the job's span to the
+// last attempt.)
+type Lifecycle struct {
 	App       string
 	CPUs      int
 	Submitted time.Duration
 	Started   time.Duration
 	Ended     time.Duration
-	Completed bool
 	// Restarts counts requeue-and-start cycles after the first start.
 	Restarts int
+	// Num is the job's number on its scheduler (PBS SeqNo, HPC job ID).
+	Num       int32
+	OS        osid.OS
+	Completed bool
 
 	running     bool          // busy-core integration in progress
 	everStarted bool          // first start seen (Started == 0 is ambiguous at t=0)
@@ -43,10 +54,10 @@ type JobRecord struct {
 // of its running windows across every attempt. For a never-interrupted
 // job this equals Ended - Started; for a requeued one it counts each
 // attempt's running window but not the queued gap between them.
-func (j JobRecord) BusyTime() time.Duration { return j.busy }
+func (j Lifecycle) BusyTime() time.Duration { return j.busy }
 
 // Wait returns queue wait (first start - submit).
-func (j JobRecord) Wait() time.Duration { return j.Started - j.Submitted }
+func (j Lifecycle) Wait() time.Duration { return j.Started - j.Submitted }
 
 // SwitchRecord is one OS switch of one node.
 type SwitchRecord struct {
@@ -68,6 +79,11 @@ const osSlots = int(osid.Windows) + 1
 type Recorder struct {
 	now func() time.Duration
 
+	// JobIDs renders a job's ID from its side and scheduler job number,
+	// for JobID and Jobs; nil renders the number alone. IDs are never
+	// built per job, only when asked for.
+	JobIDs func(os osid.OS, num int) string
+
 	totalCores int
 
 	// The integration state is indexed by osid value rather than keyed
@@ -81,10 +97,10 @@ type Recorder struct {
 	upNodeNS   [osSlots]float64 // ∫ nodes-up dt
 	switchNS   float64          // ∫ nodes-switching dt
 
-	// jobs holds one record per submission, indexed by the handle
+	// jobs holds one row per submission, indexed by the handle
 	// JobSubmitted returned, so the lifecycle calls index rather than
 	// hash.
-	jobs        []JobRecord
+	jobs        []Lifecycle
 	switches    []SwitchRecord
 	inFlight    map[string]*SwitchRecord
 	seenSwitch  int
@@ -125,31 +141,38 @@ func (r *Recorder) advance() {
 // trace length grows the record table once.
 func (r *Recorder) Reserve(n int) { r.jobs = slices.Grow(r.jobs, n) }
 
-// JobSubmitted records a submission and returns its handle: the
-// record's index in submission order, which the lifecycle calls take.
-// Every submission gets its own record; id is only reported back.
-func (r *Recorder) JobSubmitted(id string, os osid.OS, app string, cpus int) int {
+// JobSubmitted records a submission of job number num on the os side's
+// scheduler and returns its handle: the row's index in submission
+// order, which the lifecycle calls take. Every submission gets its own
+// row; num only names the job in JobID and Jobs.
+func (r *Recorder) JobSubmitted(num int, os osid.OS, app string, cpus int) int {
 	r.advance()
-	r.jobs = append(r.jobs, JobRecord{ID: id, OS: os, App: app, CPUs: cpus, Submitted: r.now()})
+	r.jobs = append(r.jobs, Lifecycle{Num: int32(num), OS: os, App: app, CPUs: cpus, Submitted: r.now()})
 	return len(r.jobs) - 1
 }
 
 // job resolves a handle; lifecycle events for a handle JobSubmitted
 // never returned are ignored.
-func (r *Recorder) job(h int) (*JobRecord, bool) {
+func (r *Recorder) job(h int) (*Lifecycle, bool) {
 	if h < 0 || h >= len(r.jobs) {
 		return nil, false
 	}
 	return &r.jobs[h], true
 }
 
-// JobID returns the ID a handle's job was submitted under ("" for an
-// unknown handle).
+// JobID renders the ID of a handle's job ("" for an unknown handle).
 func (r *Recorder) JobID(h int) string {
 	if j, ok := r.job(h); ok {
-		return j.ID
+		return r.id(j)
 	}
 	return ""
+}
+
+func (r *Recorder) id(j *Lifecycle) string {
+	if r.JobIDs == nil {
+		return strconv.Itoa(int(j.Num))
+	}
+	return r.JobIDs(j.OS, int(j.Num))
 }
 
 // JobStarted records a start and begins busy-core integration. A
@@ -461,9 +484,13 @@ func Aggregate(parts []Summary) Summary {
 	return out
 }
 
-// Jobs returns job records in submission order.
+// Jobs returns job records in submission order, IDs rendered.
 func (r *Recorder) Jobs() []JobRecord {
-	return append(make([]JobRecord, 0, len(r.jobs)), r.jobs...)
+	out := make([]JobRecord, len(r.jobs))
+	for i := range r.jobs {
+		out[i] = JobRecord{ID: r.id(&r.jobs[i]), Lifecycle: r.jobs[i]}
+	}
+	return out
 }
 
 // Switches returns completed switch records.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ func (c *fakeClock) now() time.Duration { return c.t }
 func TestUtilisationSingleJob(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 8) // 2 nodes × 4 cores
-	j1 := r.JobSubmitted("j1", osid.Linux, "GULP", 4)
+	j1 := r.JobSubmitted(1, osid.Linux, "GULP", 4)
 	r.JobStarted(j1)
 	c.t = time.Hour
 	r.JobEnded(j1, true)
@@ -34,12 +35,12 @@ func TestUtilisationSingleJob(t *testing.T) {
 func TestWaits(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	a := r.JobSubmitted("a", osid.Windows, "Opera", 4)
+	a := r.JobSubmitted(1, osid.Windows, "Opera", 4)
 	c.t = 10 * time.Minute
 	r.JobStarted(a)
 	c.t = 30 * time.Minute
 	r.JobEnded(a, true)
-	b := r.JobSubmitted("b", osid.Windows, "Opera", 4)
+	b := r.JobSubmitted(2, osid.Windows, "Opera", 4)
 	c.t = 40 * time.Minute
 	r.JobStarted(b)
 	c.t = time.Hour
@@ -67,7 +68,7 @@ func TestWaits(t *testing.T) {
 func TestRequeueKeepsFirstStartWait(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 8)
-	j1 := r.JobSubmitted("j1", osid.Linux, "LAMMPS", 4)
+	j1 := r.JobSubmitted(1, osid.Linux, "LAMMPS", 4)
 	c.t = 10 * time.Minute
 	r.JobStarted(j1)
 	c.t = 40 * time.Minute
@@ -115,7 +116,7 @@ func TestRequeueKeepsFirstStartWait(t *testing.T) {
 func TestInterruptWithoutRestartReleasesOnce(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	j1 := r.JobSubmitted("j1", osid.Windows, "Opera", 4)
+	j1 := r.JobSubmitted(1, osid.Windows, "Opera", 4)
 	r.JobStarted(j1)
 	c.t = time.Hour
 	r.JobInterrupted(j1)
@@ -174,15 +175,15 @@ func TestSwitchFinishedUnknownNodeIgnored(t *testing.T) {
 	}
 }
 
-// TestDuplicateSubmissionIgnored: the ID a job is submitted under is
-// only reported back, never a key, so a second submission under the
-// same ID is not merged into the first: it gets its own handle and
-// record, and lifecycle events for one leave the other alone.
+// TestDuplicateSubmissionIgnored: the job number a job is submitted
+// under only names it, it is never a key, so a second submission under
+// the same number is not merged into the first: it gets its own handle
+// and record, and lifecycle events for one leave the other alone.
 func TestDuplicateSubmissionIgnored(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	h1 := r.JobSubmitted("x", osid.Linux, "a", 2)
-	h2 := r.JobSubmitted("x", osid.Linux, "a", 2)
+	h1 := r.JobSubmitted(7, osid.Linux, "a", 2)
+	h2 := r.JobSubmitted(7, osid.Linux, "a", 2)
 	if h1 == h2 {
 		t.Fatalf("both submissions got handle %d", h1)
 	}
@@ -193,8 +194,8 @@ func TestDuplicateSubmissionIgnored(t *testing.T) {
 	if len(jobs) != 2 || jobs[0].Completed || !jobs[1].Completed {
 		t.Fatalf("jobs = %+v, want two records with only the second completed", jobs)
 	}
-	if r.JobID(h1) != "x" || r.JobID(h2) != "x" {
-		t.Fatalf("IDs %q, %q, want both x", r.JobID(h1), r.JobID(h2))
+	if r.JobID(h1) != "7" || r.JobID(h2) != "7" {
+		t.Fatalf("IDs %q, %q, want both 7", r.JobID(h1), r.JobID(h2))
 	}
 }
 
@@ -203,7 +204,7 @@ func TestDuplicateSubmissionIgnored(t *testing.T) {
 func TestUnknownJobEventsIgnored(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	h := r.JobSubmitted("x", osid.Linux, "a", 2)
+	h := r.JobSubmitted(7, osid.Linux, "a", 2)
 	for _, bad := range []int{-1, h + 1, 1 << 30} {
 		r.JobStarted(bad)
 		r.JobInterrupted(bad)
@@ -244,8 +245,7 @@ func TestWaitPercentile(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 100)
 	for i, wait := range []time.Duration{0, time.Minute, 2 * time.Minute, 3 * time.Minute, 100 * time.Minute} {
-		id := string(rune('a' + i))
-		h := r.JobSubmitted(id, osid.Linux, "x", 1)
+		h := r.JobSubmitted(i+1, osid.Linux, "x", 1)
 		c.t += wait
 		r.JobStarted(h)
 		r.JobEnded(h, true)
@@ -278,14 +278,14 @@ func TestSummariseEmpty(t *testing.T) {
 func TestClockBackwardsPanics(t *testing.T) {
 	c := &fakeClock{t: time.Hour}
 	r := NewRecorder(c.now, 4)
-	r.JobSubmitted("x", osid.Linux, "a", 1)
+	r.JobSubmitted(7, osid.Linux, "a", 1)
 	c.t = 0
 	defer func() {
 		if recover() == nil {
 			t.Fatal("backwards clock not detected")
 		}
 	}()
-	r.JobSubmitted("y", osid.Linux, "a", 1)
+	r.JobSubmitted(8, osid.Linux, "a", 1)
 }
 
 func TestTableRendering(t *testing.T) {
@@ -317,7 +317,7 @@ func TestFormatters(t *testing.T) {
 func TestCancelledInQueueNotCompleted(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	q := r.JobSubmitted("q", osid.Linux, "x", 2)
+	q := r.JobSubmitted(1, osid.Linux, "x", 2)
 	c.t = time.Minute
 	r.JobEnded(q, false) // cancelled before start
 	s := r.Summarise(1)
@@ -330,24 +330,24 @@ func TestAppStats(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 64)
 	// Two DL_POLY runs with waits of 0 and 10m, one Opera run.
-	a := r.JobSubmitted("a", osid.Linux, "DL_POLY", 16)
+	a := r.JobSubmitted(1, osid.Linux, "DL_POLY", 16)
 	r.JobStarted(a)
 	c.t = time.Hour
 	r.JobEnded(a, true)
 
-	b := r.JobSubmitted("b", osid.Linux, "DL_POLY", 16)
+	b := r.JobSubmitted(2, osid.Linux, "DL_POLY", 16)
 	c.t = time.Hour + 10*time.Minute
 	r.JobStarted(b)
 	c.t = 2 * time.Hour
 	r.JobEnded(b, true)
 
-	cj := r.JobSubmitted("c", osid.Windows, "Opera", 4)
+	cj := r.JobSubmitted(3, osid.Windows, "Opera", 4)
 	r.JobStarted(cj)
 	c.t = 3 * time.Hour
 	r.JobEnded(cj, true)
 
 	// An incomplete job must not show up.
-	r.JobSubmitted("d", osid.Linux, "DL_POLY", 16)
+	r.JobSubmitted(4, osid.Linux, "DL_POLY", 16)
 
 	stats := r.AppStats()
 	if len(stats) != 2 {
@@ -446,5 +446,34 @@ func TestSubmitFailedCountsIntoSummary(t *testing.T) {
 	now = time.Hour
 	if got := r.Summarise(1).SubmitFailures; got != 2 {
 		t.Fatalf("SubmitFailures = %d", got)
+	}
+}
+
+// TestJobIDsRenderedOnDemand: the recorder keeps job numbers and
+// renders IDs through JobIDs only when JobID or Jobs asks.
+func TestJobIDsRenderedOnDemand(t *testing.T) {
+	c := &fakeClock{}
+	r := NewRecorder(c.now, 4)
+	calls := 0
+	r.JobIDs = func(os osid.OS, num int) string {
+		calls++
+		if os == osid.Windows {
+			return fmt.Sprintf("W%d", num)
+		}
+		return fmt.Sprintf("%d.eridani", num)
+	}
+	l := r.JobSubmitted(1185, osid.Linux, "GULP", 4)
+	w := r.JobSubmitted(3, osid.Windows, "Opera", 4)
+	r.JobStarted(l)
+	r.JobEnded(l, true)
+	if calls != 0 {
+		t.Fatalf("JobIDs called %d times by the lifecycle calls", calls)
+	}
+	if r.JobID(l) != "1185.eridani" || r.JobID(w) != "W3" {
+		t.Fatalf("IDs %q, %q", r.JobID(l), r.JobID(w))
+	}
+	jobs := r.Jobs()
+	if jobs[0].ID != "1185.eridani" || jobs[0].Num != 1185 || jobs[1].ID != "W3" || !jobs[0].Completed {
+		t.Fatalf("jobs = %+v", jobs)
 	}
 }

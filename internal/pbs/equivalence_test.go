@@ -33,7 +33,7 @@ func checkAgainstScratch(s *Server) error {
 		case StateRunning:
 			running = append(running, j)
 			perQueue[j.Queue]++
-			for _, slot := range j.ExecHost {
+			for _, slot := range j.ExecHost() {
 				owner[slot] = j
 			}
 		}
@@ -53,15 +53,19 @@ func checkAgainstScratch(s *Server) error {
 		}
 	}
 	cpus, up, idle := 0, 0, 0
-	for i, n := range s.Nodes() {
+	for _, n := range s.Nodes() {
 		st := n.State()
 		if st != NodeDown {
 			cpus += n.NP
 		}
 		used := 0
-		for c, j := range n.busy {
-			if j != owner[ExecSlot{Node: n.Name, CPU: int32(c), node: int32(i)}] {
-				return fmt.Errorf("%s cpu %d held by %v, exec hosts say %v", n.Name, c, j, owner[ExecSlot{Node: n.Name, CPU: int32(c), node: int32(i)}])
+		for c, seq := range n.busy {
+			var j *Job
+			if seq != 0 {
+				j = s.job(seq)
+			}
+			if want := owner[ExecSlot{Node: n.Name, CPU: int32(c)}]; j != want {
+				return fmt.Errorf("%s cpu %d held by %v, exec hosts say %v", n.Name, c, j, want)
 			}
 			if j != nil {
 				used++
@@ -164,7 +168,7 @@ func runPBSScript(t *testing.T, script []pbsAction, nodes int, backfill bool) *S
 					t.Errorf("qsub %s: %v", a.req.Name, err)
 					return
 				}
-				ids[a.job] = j.ID
+				ids[a.job] = j.ID()
 			case 1:
 				_ = s.Qhold(ids[a.job]) // may legitimately race the start
 			case 2:
@@ -203,7 +207,7 @@ func TestPBSIncrementalMatchesScratchRecompute(t *testing.T) {
 			}
 			for _, j := range s.Jobs() {
 				if j.State != StateComplete {
-					t.Fatalf("job %s ended in state %v", j.ID, j.State)
+					t.Fatalf("job %s ended in state %v", j.ID(), j.State)
 				}
 			}
 		})

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/slab"
 )
 
 // JobState is the single-letter PBS job state.
@@ -35,18 +36,22 @@ func (s JobState) String() string { return string(rune(s)) }
 type ExecSlot struct {
 	Node string
 	CPU  int32
-	node int32 // the node's index in the server's table
 }
 
-// Job is a PBS batch job.
+// execSlot is how the server stores an ExecSlot: the node's index in
+// its table instead of the name.
+type execSlot struct {
+	node, cpu int32
+}
+
+// Job is a PBS batch job. The server keeps its jobs by value in one
+// table, and no field is built per job: the ID and the exec_host text
+// are rendered when asked for.
 type Job struct {
-	ID     string // "1185.eridani.qgg.hud.ac.uk"
-	SeqNo  int
-	Name   string
-	Owner  string
-	State  JobState
-	Queue  string
-	Server string
+	SeqNo int
+	Name  string
+	Owner string
+	Queue string
 
 	// Resource request: nodes=Nodes:ppn=PPN.
 	Nodes int
@@ -59,29 +64,33 @@ type Job struct {
 	Walltime time.Duration
 
 	Priority   int
-	Rerunnable bool
-	JoinOE     bool
 	OutputPath string
 
 	QTime     time.Duration // submission (virtual time)
 	StartTime time.Duration
 	EndTime   time.Duration
 
-	ExecHost []ExecSlot
+	srv *Server
+	// exec locates the job's CPU slots in the server's slot arena: set
+	// at each start, kept once the job ends, emptied by a requeue.
+	exec slab.Ref
 
-	// Exec, when non-nil, runs at job start. dualboot-oscar packs the
-	// OS switch action into such a job (Figure 4): change the boot
-	// default, then reboot.
-	Exec func(hosts []string)
-	// OnEnd, when non-nil, runs when the job finishes or is killed.
-	OnEnd func(j *Job)
+	State      JobState
+	Rerunnable bool
+	JoinOE     bool
 
 	killedAtLimit bool
 	failed        bool
+	hooked        bool // has an entry in the server's hooks table
 
 	// e is the job's entry in the server's scheduling core.
 	e sched.Entry
 }
+
+// ID renders the job ID, "<SeqNo>.<server>" ("1185.eridani.qgg.hud.ac.uk").
+func (j *Job) ID() string { return j.srv.JobID(j.SeqNo) }
+
+func jobID(seq int, domain string) string { return strconv.Itoa(seq) + "." + domain }
 
 // CPUs returns the total virtual processors the job needs.
 func (j *Job) CPUs() int { return j.Nodes * j.PPN }
@@ -95,14 +104,31 @@ func (j *Job) KilledAtWalltime() bool { return j.killedAtLimit }
 // reported separately through KilledAtWalltime.
 func (j *Job) Failed() bool { return j.failed }
 
+// ExecHost lists the job's virtual processors, highest CPU first on
+// each node; empty while it waits. A completed job keeps the slots of
+// its last run.
+func (j *Job) ExecHost() []ExecSlot {
+	slots := j.srv.slots.Run(j.exec)
+	out := make([]ExecSlot, len(slots))
+	for i, sl := range slots {
+		out[i] = ExecSlot{Node: j.srv.nodeList[sl.node].Name, CPU: sl.cpu}
+	}
+	return out
+}
+
 // ExecHostString renders the exec_host attribute the way PBS does:
 // "node16/3+node16/2+node16/1+node16/0".
-func (j *Job) ExecHostString(domain string) string {
-	parts := make([]string, len(j.ExecHost))
-	for i, s := range j.ExecHost {
-		parts[i] = fmt.Sprintf("%s/%d", fqdn(s.Node, domain), s.CPU)
+func (j *Job) ExecHostString() string {
+	var b strings.Builder
+	for i, sl := range j.srv.slots.Run(j.exec) {
+		if i > 0 {
+			b.WriteByte('+')
+		}
+		b.WriteString(fqdn(j.srv.nodeList[sl.node].Name, j.srv.domain))
+		b.WriteByte('/')
+		b.WriteString(strconv.Itoa(int(sl.cpu)))
 	}
-	return strings.Join(parts, "+")
+	return b.String()
 }
 
 // SubmitRequest is the programmatic form of qsub.
@@ -118,8 +144,14 @@ type SubmitRequest struct {
 	JoinOE   bool
 	Output   string
 	Rerun    bool
-	Exec     func(hosts []string)
-	OnEnd    func(j *Job)
+	// Exec, when non-nil, runs at each start with the booked hosts.
+	// dualboot-oscar packs the OS switch action into such a job
+	// (Figure 4): change the boot default, then reboot. OnEnd, when
+	// non-nil, runs when the job finishes or is killed. The server
+	// keeps them in a side table, since only the OS-switch jobs have
+	// them.
+	Exec  func(hosts []string)
+	OnEnd func(j *Job)
 }
 
 // normalise applies PBS defaults.

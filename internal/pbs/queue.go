@@ -121,7 +121,8 @@ func (s *Server) QstatSummary() string {
 	fmt.Fprintf(&b, "%-28s %-16s %-12s %-8s %s %s\n", "Job ID", "Name", "User", "Time Use", "S", "Queue")
 	fmt.Fprintf(&b, "%s %s %s %s - %s\n",
 		strings.Repeat("-", 28), strings.Repeat("-", 16), strings.Repeat("-", 12), strings.Repeat("-", 8), strings.Repeat("-", 7))
-	for _, j := range s.Jobs() {
+	for i := range s.jobs.Len() {
+		j := s.jobs.At(i)
 		if j.State == StateComplete {
 			continue
 		}
@@ -131,7 +132,7 @@ func (s *Server) QstatSummary() string {
 			use = s.eng.Now() - j.StartTime
 		}
 		fmt.Fprintf(&b, "%-28s %-16s %-12s %-8s %s %s\n",
-			truncate(j.ID, 28), truncate(j.Name, 16), truncate(user, 12),
+			truncate(j.ID(), 28), truncate(j.Name, 16), truncate(user, 12),
 			fmtHMS(use), j.State, j.Queue)
 	}
 	return b.String()

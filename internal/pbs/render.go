@@ -15,7 +15,8 @@ import (
 // only cares about Q/R/E states.
 func (s *Server) QstatF() string {
 	var b strings.Builder
-	for _, j := range s.Jobs() {
+	for i := range s.jobs.Len() {
+		j := s.jobs.At(i)
 		if j.State == StateComplete {
 			continue
 		}
@@ -37,21 +38,21 @@ func (s *Server) QstatFJob(id string) (string, error) {
 }
 
 func (s *Server) renderJob(b *strings.Builder, j *Job) {
-	fmt.Fprintf(b, "Job Id: %s\n", j.ID)
+	fmt.Fprintf(b, "Job Id: %s\n", j.ID())
 	attr := func(k, v string) { fmt.Fprintf(b, "    %s = %s\n", k, v) }
 	attr("Job_Name", j.Name)
 	attr("Job_Owner", j.Owner)
 	attr("job_state", j.State.String())
 	attr("queue", j.Queue)
-	attr("server", j.Server)
+	attr("server", s.domain)
 	if j.JoinOE {
 		attr("Join_Path", "oe")
 	}
 	if j.OutputPath != "" {
 		attr("Output_Path", j.OutputPath)
 	}
-	if len(j.ExecHost) > 0 {
-		attr("exec_host", j.ExecHostString(s.domain))
+	if j.exec.Len() > 0 {
+		attr("exec_host", j.ExecHostString())
 	}
 	attr("Priority", fmt.Sprintf("%d", j.Priority))
 	attr("qtime", s.stamp(j.QTime))

@@ -173,17 +173,24 @@ func TestQsubScriptEndToEnd(t *testing.T) {
 		t.Fatalf("name = %q", j.Name)
 	}
 	// The switch job books the whole 4-core node.
-	if len(j.ExecHost) != 4 {
-		t.Fatalf("slots = %d, want full node", len(j.ExecHost))
+	if len(j.ExecHost()) != 4 {
+		t.Fatalf("slots = %d, want full node", len(j.ExecHost()))
 	}
 }
 
 func TestExecHostString(t *testing.T) {
-	j := &Job{ExecHost: []ExecSlot{
-		{Node: "node16", CPU: 3}, {Node: "node16", CPU: 2},
-		{Node: "node16", CPU: 1}, {Node: "node16", CPU: 0},
-	}}
-	got := j.ExecHostString("eridani.qgg.hud.ac.uk")
+	eng := simtime.NewEngine()
+	s := NewServer(eng, "eridani.qgg.hud.ac.uk")
+	s.AddNode("node16", 4, true)
+	j, err := s.Qsub(SubmitRequest{Nodes: 1, PPN: 4, Runtime: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.ExecHostString(); got != "" {
+		t.Fatalf("queued job's exec_host = %q, want empty", got)
+	}
+	eng.RunUntil(time.Second)
+	got := j.ExecHostString()
 	want := "node16.eridani.qgg.hud.ac.uk/3+node16.eridani.qgg.hud.ac.uk/2+node16.eridani.qgg.hud.ac.uk/1+node16.eridani.qgg.hud.ac.uk/0"
 	if got != want {
 		t.Fatalf("exec_host =\n%s\nwant\n%s", got, want)

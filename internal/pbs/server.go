@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/simtime"
+	"repro/internal/slab"
 )
 
 // NodeState mirrors pbsnodes state values.
@@ -28,18 +29,18 @@ type Node struct {
 	Name       string
 	NP         int
 	Properties []string
-	core       *sched.Core
+	srv        *Server
 	idx        int // index in the core's node table
-	// busy[cpu] holds the job occupying that virtual processor (nil
-	// when the slot is free).
-	busy []*Job
+	// busy[cpu] holds the SeqNo of the job occupying that virtual
+	// processor (0 when the slot is free).
+	busy []int
 }
 
 // State derives the reported state: offline/down are administrative or
 // connectivity conditions; otherwise free vs job-exclusive depends on
 // occupancy.
 func (n *Node) State() NodeState {
-	switch n.core.State(n.idx) {
+	switch n.srv.core.State(n.idx) {
 	case sched.Offline:
 		return NodeOffline
 	case sched.Down:
@@ -53,22 +54,22 @@ func (n *Node) State() NodeState {
 
 // FreeCPUs counts unoccupied virtual processors (0 when offline/down).
 func (n *Node) FreeCPUs() int {
-	if n.core.State(n.idx) != sched.Up {
+	if n.srv.core.State(n.idx) != sched.Up {
 		return 0
 	}
 	return n.NP - n.UsedCPUs()
 }
 
 // UsedCPUs counts occupied virtual processors.
-func (n *Node) UsedCPUs() int { return n.core.Used(n.idx) }
+func (n *Node) UsedCPUs() int { return n.srv.core.Used(n.idx) }
 
 // Jobs lists IDs of jobs with slots on this node, PBS-style
 // "cpu/jobid" pairs sorted by CPU.
 func (n *Node) Jobs() []string {
 	out := make([]string, 0, n.UsedCPUs())
-	for c, j := range n.busy {
-		if j != nil {
-			out = append(out, fmt.Sprintf("%d/%s", c, j.ID))
+	for c, seq := range n.busy {
+		if seq != 0 {
+			out = append(out, strconv.Itoa(c)+"/"+jobID(seq, n.srv.domain))
 		}
 	}
 	return out
@@ -88,7 +89,13 @@ type Server struct {
 	domain string
 	core   *sched.Core
 
-	list     []*Job // submission order; job n is list[n-1]
+	// jobs holds every job by value in submission order: job n is
+	// jobs.At(n-1). slots holds the jobs' exec_host CPU slots, and
+	// hooks the Exec/OnEnd callbacks of the few jobs that have them
+	// (the OS-switch jobs), by SeqNo.
+	jobs     slab.Slab[Job]
+	slots    slab.Arena[execSlot]
+	hooks    map[int]jobHooks
 	nodes    map[string]*Node
 	nodeList []*Node // registration order, indexed like the core's table
 
@@ -139,7 +146,7 @@ func NewServer(eng *simtime.Engine, fqdn string) *Server {
 	s.core = sched.New(eng, sched.Face{
 		Backfill: &s.Backfill,
 		// Jobs in stopped or capped queues wait without blocking.
-		Skip:     func(e *sched.Entry) bool { return !s.schedulable(s.job(e)) },
+		Skip:     func(e *sched.Entry) bool { return !s.schedulable(s.job(e.Seq)) },
 		Started:  s.started,
 		Finished: s.finished,
 	})
@@ -164,7 +171,7 @@ func (s *Server) AddNode(name string, np int, avail bool) (*Node, error) {
 	if np <= 0 {
 		return nil, fmt.Errorf("pbs: node %s: bad np %d", name, np)
 	}
-	n := &Node{Name: name, NP: np, Properties: []string{"all"}, core: s.core, busy: make([]*Job, np)}
+	n := &Node{Name: name, NP: np, Properties: []string{"all"}, srv: s, busy: make([]int, np)}
 	s.nodes[name] = n
 	s.nodeList = append(s.nodeList, n)
 	for len(s.npHist) <= np {
@@ -207,7 +214,7 @@ func (s *Server) SetNodeAvailable(name string, avail bool) error {
 	// Victims in submission order, so the interrupt/requeue sequence
 	// (and the hooks it fires) is deterministic.
 	for _, e := range s.core.Holding(n.idx) {
-		s.interruptJob(s.job(e))
+		s.interruptJob(s.job(e.Seq))
 	}
 	return nil
 }
@@ -234,7 +241,7 @@ func (s *Server) interruptJob(j *Job) {
 	s.vacate(j)
 	if s.core.Interrupt(&j.e) {
 		j.State = StateQueued
-		j.ExecHost = nil
+		j.exec = slab.Ref{}
 		if s.OnJobRequeue != nil {
 			s.OnJobRequeue(j)
 		}
@@ -271,15 +278,14 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 	if !q.enabled {
 		return nil, fmt.Errorf("pbs: qsub: queue %q is not enabled", req.Queue)
 	}
-	seq := len(s.list) + 1
-	j := &Job{
-		ID:         fmt.Sprintf("%d.%s", seq, s.Name()),
+	seq := s.jobs.Len() + 1
+	j := s.jobs.Add()
+	*j = Job{
 		SeqNo:      seq,
 		Name:       req.Name,
 		Owner:      req.Owner,
 		State:      StateQueued,
 		Queue:      req.Queue,
-		Server:     s.Name(),
 		Nodes:      req.Nodes,
 		PPN:        req.PPN,
 		Runtime:    req.Runtime,
@@ -289,14 +295,19 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 		JoinOE:     req.JoinOE,
 		OutputPath: req.Output,
 		QTime:      s.eng.Now(),
-		Exec:       req.Exec,
-		OnEnd:      req.OnEnd,
+		srv:        s,
+		// Torque's -p priority is reported, not scheduled on: the
+		// queue is strict submission order.
+		e: sched.Entry{Seq: seq, Shape: sched.PerNode, Count: req.Nodes, PPN: req.PPN,
+			Runtime: req.Runtime, Walltime: req.Walltime, Rerun: req.Rerun},
 	}
-	// Torque's -p priority is reported, not scheduled on: the queue is
-	// strict submission order.
-	j.e = sched.Entry{Seq: seq, Shape: sched.PerNode, Count: j.Nodes, PPN: j.PPN,
-		Runtime: j.Runtime, Walltime: j.Walltime, Rerun: j.Rerunnable}
-	s.list = append(s.list, j)
+	if req.Exec != nil || req.OnEnd != nil {
+		if s.hooks == nil {
+			s.hooks = make(map[int]jobHooks)
+		}
+		s.hooks[seq] = jobHooks{exec: req.Exec, onEnd: req.OnEnd}
+		j.hooked = true
+	}
 	s.core.Submit(&j.e)
 	return j, nil
 }
@@ -372,26 +383,53 @@ func (s *Server) Qrls(id string) error {
 }
 
 // Job returns a job by ID. IDs are "<SeqNo>.<server>", and SeqNo
-// indexes the submission list.
+// indexes the job table; the ID is parsed, not compared with a
+// rendered one.
 func (s *Server) Job(id string) (*Job, error) {
-	seq, _, _ := strings.Cut(id, ".")
-	if n, err := strconv.Atoi(seq); err == nil && n >= 1 && n <= len(s.list) && s.list[n-1].ID == id {
-		return s.list[n-1], nil
+	if n, ok := parseJobID(id, s.domain); ok && n <= s.jobs.Len() {
+		return s.job(n), nil
 	}
 	return nil, fmt.Errorf("pbs: unknown job %s", id)
 }
 
-// Jobs returns all jobs in submission order.
-func (s *Server) Jobs() []*Job { return slices.Clone(s.list) }
+// JobID renders the ID of job number seq, "<seq>.<server>", whether or
+// not the server has issued it.
+func (s *Server) JobID(seq int) string { return jobID(seq, s.domain) }
 
-// job maps a core entry to its job: entries carry the job's SeqNo.
-func (s *Server) job(e *sched.Entry) *Job { return s.list[e.Seq-1] }
+// parseJobID returns the SeqNo of an ID of this domain as jobID renders
+// it: a decimal number from 1 without leading zeros, a dot, the domain.
+func parseJobID(id, domain string) (int, bool) {
+	seq, rest, ok := strings.Cut(id, ".")
+	if !ok || rest != domain || seq == "" || len(seq) > 18 || seq[0] == '0' {
+		return 0, false
+	}
+	n := 0
+	for _, c := range []byte(seq) {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
+// Jobs returns all jobs in submission order.
+func (s *Server) Jobs() []*Job {
+	out := make([]*Job, s.jobs.Len())
+	for i := range out {
+		out[i] = s.jobs.At(i)
+	}
+	return out
+}
+
+// job returns job number seq; core entries carry it as their Seq.
+func (s *Server) job(seq int) *Job { return s.jobs.At(seq - 1) }
 
 // jobsOf maps core entries to their jobs.
 func (s *Server) jobsOf(es []*sched.Entry) []*Job {
 	out := make([]*Job, len(es))
 	for i, e := range es {
-		out[i] = s.job(e)
+		out[i] = s.job(e.Seq)
 	}
 	return out
 }
@@ -421,7 +459,7 @@ func (s *Server) QueueStats() Stats {
 // is empty — the detector's head-of-line candidate.
 func (s *Server) FirstQueued() *Job {
 	if e := s.core.First(); e != nil {
-		return s.job(e)
+		return s.job(e.Seq)
 	}
 	return nil
 }
@@ -435,15 +473,20 @@ func (s *Server) AvailableNodes() int { return s.core.Census().NodesOnline }
 // started binds the core's grants to CPU slots — the highest free
 // virtual processors on each node — and starts the job.
 func (s *Server) started(e *sched.Entry) {
-	j := s.job(e)
+	j := s.job(e.Seq)
 	grants := s.core.Grants(e)
-	j.ExecHost = make([]ExecSlot, 0, j.CPUs())
+	// The grants cover the request exactly, nodes × ppn slots, so they
+	// fill the run to its end.
+	var slots []execSlot
+	j.exec, slots = s.slots.Alloc(j.CPUs())
+	k := 0
 	for _, g := range grants {
 		n := s.nodeList[g.Node]
 		for c, left := n.NP-1, g.Slots; left > 0; c-- {
-			if n.busy[c] == nil {
-				n.busy[c] = j
-				j.ExecHost = append(j.ExecHost, ExecSlot{Node: n.Name, CPU: int32(c), node: int32(g.Node)})
+			if n.busy[c] == 0 {
+				n.busy[c] = j.SeqNo
+				slots[k] = execSlot{node: int32(g.Node), cpu: int32(c)}
+				k++
 				left--
 			}
 		}
@@ -456,19 +499,19 @@ func (s *Server) started(e *sched.Entry) {
 	if s.OnJobStart != nil {
 		s.OnJobStart(j)
 	}
-	if j.Exec != nil {
+	if exec := s.hooks[j.SeqNo].exec; j.hooked && exec != nil {
 		hosts := make([]string, len(grants))
 		for i, g := range grants {
 			hosts[i] = s.nodeList[g.Node].Name
 		}
-		j.Exec(hosts)
+		exec(hosts)
 	}
 }
 
 // finished completes a job that ran to its end, which is its walltime
 // when the runtime overran it.
 func (s *Server) finished(e *sched.Entry) {
-	j := s.job(e)
+	j := s.job(e.Seq)
 	j.killedAtLimit = j.Walltime > 0 && j.Runtime > j.Walltime
 	s.vacate(j)
 	s.end(j)
@@ -482,20 +525,31 @@ func (s *Server) end(j *Job) {
 	if s.OnJobEnd != nil {
 		s.OnJobEnd(j)
 	}
-	if j.OnEnd != nil {
-		j.OnEnd(j)
+	if j.hooked {
+		h := s.hooks[j.SeqNo]
+		delete(s.hooks, j.SeqNo)
+		j.hooked = false
+		if h.onEnd != nil {
+			h.onEnd(j)
+		}
 	}
 }
 
 // vacate frees a stopped job's CPU slots and its queue's running
 // count; the core releases the slot counts themselves.
 func (s *Server) vacate(j *Job) {
-	for _, slot := range j.ExecHost {
-		s.nodeList[slot.node].busy[slot.CPU] = nil
+	for _, sl := range s.slots.Run(j.exec) {
+		s.nodeList[sl.node].busy[sl.cpu] = 0
 	}
 	if q := s.queue(j.Queue); q != nil {
 		q.running--
 	}
+}
+
+// jobHooks are a job's optional callbacks (SubmitRequest.Exec, OnEnd).
+type jobHooks struct {
+	exec  func(hosts []string)
+	onEnd func(j *Job)
 }
 
 // stamp renders a virtual time as the wall-clock string PBS prints.

@@ -37,8 +37,8 @@ func TestQsubAssignsSequentialIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2, _ := s.Qsub(SubmitRequest{Name: "b", Runtime: time.Minute})
-	if j1.ID != "1.eridani.qgg.hud.ac.uk" || j2.ID != "2.eridani.qgg.hud.ac.uk" {
-		t.Fatalf("IDs = %q, %q", j1.ID, j2.ID)
+	if j1.ID() != "1.eridani.qgg.hud.ac.uk" || j2.ID() != "2.eridani.qgg.hud.ac.uk" {
+		t.Fatalf("IDs = %q, %q", j1.ID(), j2.ID())
 	}
 	eng.Run()
 }
@@ -64,8 +64,8 @@ func TestFCFSRunsJobToCompletion(t *testing.T) {
 	if ended != 10*time.Minute {
 		t.Fatalf("ended at %v, want 10m", ended)
 	}
-	if len(j.ExecHost) != 4 {
-		t.Fatalf("exec slots = %d", len(j.ExecHost))
+	if len(j.ExecHost()) != 4 {
+		t.Fatalf("exec slots = %d", len(j.ExecHost()))
 	}
 }
 
@@ -100,11 +100,11 @@ func TestMultiNodeJob(t *testing.T) {
 		t.Fatalf("state = %v", j.State)
 	}
 	hosts := map[string]bool{}
-	for _, slot := range j.ExecHost {
+	for _, slot := range j.ExecHost() {
 		hosts[slot.Node] = true
 	}
-	if len(hosts) != 3 || len(j.ExecHost) != 12 {
-		t.Fatalf("hosts = %v, slots = %d", hosts, len(j.ExecHost))
+	if len(hosts) != 3 || len(j.ExecHost()) != 12 {
+		t.Fatalf("hosts = %v, slots = %d", hosts, len(j.ExecHost()))
 	}
 	eng.Run()
 }
@@ -195,26 +195,26 @@ func TestWalltimeKill(t *testing.T) {
 func TestQdelQueuedAndRunning(t *testing.T) {
 	eng, s := newTestServer(t, 1)
 	var ended []string
-	s.OnJobEnd = func(j *Job) { ended = append(ended, j.ID) }
+	s.OnJobEnd = func(j *Job) { ended = append(ended, j.ID()) }
 	run, _ := s.Qsub(SubmitRequest{Name: "r", Nodes: 1, PPN: 4, Runtime: time.Hour})
 	wait, _ := s.Qsub(SubmitRequest{Name: "w", Nodes: 1, PPN: 4, Runtime: time.Hour})
 	held, _ := s.Qsub(SubmitRequest{Name: "h", Nodes: 1, PPN: 4, Runtime: time.Hour})
 	eng.RunUntil(time.Minute)
-	if err := s.Qhold(held.ID); err != nil {
+	if err := s.Qhold(held.ID()); err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range []*Job{wait, held} {
-		if err := s.Qdel(j.ID); err != nil {
+		if err := s.Qdel(j.ID()); err != nil {
 			t.Fatal(err)
 		}
 		if j.State != StateComplete || !j.KilledAtWalltime() || j.EndTime != time.Minute {
 			t.Fatalf("qdel of waiting job %s: state %v killed %v end %v", j.Name, j.State, j.KilledAtWalltime(), j.EndTime)
 		}
 	}
-	if len(ended) != 2 || ended[0] != wait.ID || ended[1] != held.ID {
+	if len(ended) != 2 || ended[0] != wait.ID() || ended[1] != held.ID() {
 		t.Fatalf("end hook fired for %v, want the queued and the held job", ended)
 	}
-	if err := s.Qdel(run.ID); err != nil {
+	if err := s.Qdel(run.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if run.State != StateComplete {
@@ -237,7 +237,7 @@ func TestNodeDownRequeuesRerunnable(t *testing.T) {
 	if j.State != StateRunning {
 		t.Fatal("not running")
 	}
-	victim := j.ExecHost[0].Node
+	victim := j.ExecHost()[0].Node
 	if err := s.SetNodeAvailable(victim, false); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestNodeDownRequeuesRerunnable(t *testing.T) {
 	if j.State != StateRunning {
 		t.Fatalf("state = %v, want rescheduled", j.State)
 	}
-	if j.ExecHost[0].Node == victim {
+	if j.ExecHost()[0].Node == victim {
 		t.Fatal("rescheduled onto the dead node")
 	}
 }
@@ -260,7 +260,7 @@ func TestNodeDownKillsNonRerunnable(t *testing.T) {
 	j, _ := s.Qsub(SubmitRequest{Name: "fragile", Nodes: 1, PPN: 4, Runtime: time.Hour,
 		OnEnd: func(*Job) { ended = true }})
 	eng.RunUntil(time.Minute)
-	s.SetNodeAvailable(j.ExecHost[0].Node, false)
+	s.SetNodeAvailable(j.ExecHost()[0].Node, false)
 	if j.State != StateComplete || !ended {
 		t.Fatalf("state=%v ended=%v", j.State, ended)
 	}
@@ -282,7 +282,7 @@ func TestRequeueFiresOnJobRequeueNotEnd(t *testing.T) {
 	s.OnJobEnd = func(*Job) { ended++ }
 	j, _ := s.Qsub(SubmitRequest{Name: "rerun", Nodes: 1, PPN: 4, Runtime: time.Hour, Rerun: true})
 	eng.RunUntil(time.Minute)
-	s.SetNodeAvailable(j.ExecHost[0].Node, false)
+	s.SetNodeAvailable(j.ExecHost()[0].Node, false)
 	if requeued != 1 || ended != 0 {
 		t.Fatalf("requeued=%d ended=%d after node loss", requeued, ended)
 	}
@@ -388,7 +388,7 @@ func TestQueuedAndRunningViews(t *testing.T) {
 func TestJobLookup(t *testing.T) {
 	eng, s := newTestServer(t, 1)
 	j, _ := s.Qsub(SubmitRequest{Name: "x", Runtime: time.Second})
-	got, err := s.Job(j.ID)
+	got, err := s.Job(j.ID())
 	if err != nil || got != j {
 		t.Fatalf("Job() = %v, %v", got, err)
 	}

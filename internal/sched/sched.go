@@ -228,8 +228,10 @@ type Core struct {
 	seen struct{ reserves, deepReplays, blockSkips int }
 
 	pending bool
-	// kicked is the callback of the event Kick schedules, built once.
+	// kicked is the callback of the event Kick schedules, and ended
+	// the end timer of a run (runEnded); both are built once.
 	kicked func()
+	ended  func(any)
 	// override replaces the scheduling pass; tests use it to rebuild
 	// state from scratch first, or to run a replica of an old policy.
 	override func()
@@ -246,6 +248,7 @@ func New(eng *simtime.Engine, f Face) *Core {
 		}
 		c.pass()
 	}
+	c.ended = c.runEnded
 	return c
 }
 
@@ -1110,17 +1113,20 @@ func (c *Core) start(e *Entry, g []Grant) {
 		c.rel.push(release{r.end, e.runIdx})
 	}
 	c.face.Started(e)
-	c.eng.After(e.runFor(), func() {
-		// Only the timer of the current run may end it. The run this
-		// timer belongs to started runFor ago; an entry interrupted,
-		// requeued and started again since has a later projected end,
-		// and its own timer.
-		if e.state == running && c.running[e.runIdx].end == c.eng.Now()-e.runFor()+e.limit() {
-			c.Stop(e)
-			c.face.Finished(e)
-			c.Kick()
-		}
-	})
+	c.eng.AfterArg(e.runFor(), c.ended, e)
+}
+
+// runEnded is the end timer of a run of entry x, set by start. Only the
+// timer of the current run may end it. The run this timer belongs to
+// started runFor ago; an entry interrupted, requeued and started again
+// since has a later projected end, and its own timer.
+func (c *Core) runEnded(x any) {
+	e := x.(*Entry)
+	if e.state == running && c.running[e.runIdx].end == c.eng.Now()-e.runFor()+e.limit() {
+		c.Stop(e)
+		c.face.Finished(e)
+		c.Kick()
+	}
 }
 
 // use adds d allocated slots on node i (negative releases them) and

@@ -33,9 +33,12 @@ import (
 // or is stopped; the engine reuses it for a later schedule once it
 // leaves the queue.
 type event struct {
-	due        time.Duration
-	seq        uint64
-	fn         func()
+	due time.Duration
+	seq uint64
+	fn  func()
+	// call(arg) runs instead of fn for events scheduled by AfterArg.
+	call       func(any)
+	arg        any
 	dead       bool
 	background bool
 }
@@ -63,7 +66,7 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	ev.dead = true
-	ev.fn = nil
+	ev.fn, ev.call, ev.arg = nil, nil, nil
 	t.eng.live--
 	if !ev.background {
 		t.eng.foreground--
@@ -123,17 +126,17 @@ func (e *Engine) AtBackground(t time.Duration, fn func()) Timer {
 func (e *Engine) at(t time.Duration, fn func(), background bool) Timer {
 	seq := e.seq
 	e.seq++
-	return Timer{ev: e.push(t, seq, fn, background), seq: seq, eng: e}
+	return Timer{ev: e.push(event{due: t, seq: seq, fn: fn, background: background}), seq: seq, eng: e}
 }
 
-// push queues fn at t under the given seq, reusing a recycled event
-// when there is one.
-func (e *Engine) push(t time.Duration, seq uint64, fn func(), background bool) *event {
-	if fn == nil {
+// push queues x (its due time, seq, callback and background flag set),
+// reusing a recycled event when there is one.
+func (e *Engine) push(x event) *event {
+	if x.fn == nil && x.call == nil {
 		panic("simtime: nil callback")
 	}
-	if t < e.now {
-		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", t, e.now))
+	if x.due < e.now {
+		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", x.due, e.now))
 	}
 	var ev *event
 	if n := len(e.free); n > 0 {
@@ -142,9 +145,9 @@ func (e *Engine) push(t time.Duration, seq uint64, fn func(), background bool) *
 	} else {
 		ev = new(event)
 	}
-	*ev = event{due: t, seq: seq, fn: fn, background: background}
+	*ev = x
 	e.live++
-	if !background {
+	if !x.background {
 		e.foreground++
 	}
 	e.queue.push(ev)
@@ -156,7 +159,7 @@ func (e *Engine) push(t time.Duration, seq uint64, fn func(), background bool) *
 // nothing until a new seq is written over it.
 func (e *Engine) recycle(ev *event) {
 	ev.dead = true
-	ev.fn = nil
+	ev.fn, ev.call, ev.arg = nil, nil, nil
 	e.free = append(e.free, ev)
 }
 
@@ -167,6 +170,19 @@ func (e *Engine) After(d time.Duration, fn func()) Timer {
 		d = 0
 	}
 	return e.At(e.now+d, fn)
+}
+
+// AfterArg schedules fn(arg) d after the current virtual time, like
+// After. It spares a caller that would build a closure per event the
+// allocation: fn can be a method value made once, and a pointer in arg
+// costs nothing.
+func (e *Engine) AfterArg(d time.Duration, fn func(arg any), arg any) Timer {
+	if fn == nil {
+		panic("simtime: nil callback")
+	}
+	seq := e.seq
+	e.seq++
+	return Timer{ev: e.push(event{due: e.now + max(d, 0), seq: seq, call: fn, arg: arg}), seq: seq, eng: e}
 }
 
 // AfterBackground schedules a background event d from now.
@@ -203,11 +219,11 @@ func (e *Engine) Chain(n int, due func(i int) time.Duration, fire func(i int)) {
 		i := next
 		next++
 		if next < n {
-			e.push(due(next), base+uint64(next), link, false)
+			e.push(event{due: due(next), seq: base + uint64(next), fn: link})
 		}
 		fire(i)
 	}
-	e.push(due(0), base, link, false)
+	e.push(event{due: due(0), seq: base, fn: link})
 }
 
 // Every schedules fn every interval, first firing one interval from
@@ -279,14 +295,18 @@ func (e *Engine) step() bool {
 			panic("simtime: event queue went backwards")
 		}
 		e.now = ev.due
-		fn, background := ev.fn, ev.background
+		fn, call, arg, background := ev.fn, ev.call, ev.arg, ev.background
 		e.recycle(ev)
 		e.live--
 		if !background {
 			e.foreground--
 		}
 		e.ran++
-		fn()
+		if call != nil {
+			call(arg)
+		} else {
+			fn()
+		}
 		return true
 	}
 }

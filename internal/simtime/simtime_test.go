@@ -524,3 +524,51 @@ func TestEventPathAllocatesNothing(t *testing.T) {
 		t.Fatalf("%v allocations per round of 64 schedule-and-fire steps, want 0", allocs)
 	}
 }
+
+// TestAfterArgMatchesAfter: an AfterArg event takes its place in the
+// (due, seq) order exactly as an After closure would, runs its callback
+// with its argument, counts as foreground work, stops like any timer,
+// and costs no allocation once the engine is warm.
+func TestAfterArgMatchesAfter(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	var args [4]int
+	record := func(x any) { got = append(got, fmt.Sprintf("arg%d@%v", *x.(*int), e.Now())) }
+	for i := range args {
+		args[i] = i
+	}
+	e.After(time.Minute, func() { got = append(got, fmt.Sprintf("fn@%v", e.Now())) })
+	e.AfterArg(time.Minute, record, &args[0])
+	e.AfterArg(-time.Second, record, &args[1]) // clamped to now
+	stopped := e.AfterArg(time.Second, record, &args[2])
+	e.AfterArg(time.Second, record, &args[3])
+	if e.ForegroundPending() != 5 {
+		t.Fatalf("ForegroundPending = %d, want 5", e.ForegroundPending())
+	}
+	if !stopped.Stop() {
+		t.Fatal("pending AfterArg timer did not stop")
+	}
+	e.Run()
+	want := []string{"arg1@0s", "arg3@1s", "fn@1m0s", "arg0@1m0s"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	n := 0
+	count := func(x any) { n += *x.(*int) }
+	round := func() {
+		for range 64 {
+			e.AfterArg(time.Second, count, &args[1])
+			e.RunFor(time.Second)
+		}
+	}
+	for e.Now() < 20*calBuckets*calWidth { // as in TestEventPathAllocatesNothing
+		round()
+	}
+	n = 0
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("%v allocations per round of 64 AfterArg events, want 0", allocs)
+	}
+	if n != 64*21 {
+		t.Fatalf("callbacks ran %d times, want %d", n, 64*21)
+	}
+}

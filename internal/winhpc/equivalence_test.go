@@ -31,7 +31,7 @@ func checkAgainstScratch(s *Scheduler) error {
 			pending += j.Cores(s.typicalCores())
 		case JobRunning:
 			running = append(running, j)
-			for _, a := range j.Alloc {
+			for _, a := range j.Allocations() {
 				used[a.Node] += a.Cores
 			}
 		}

@@ -14,7 +14,8 @@ import (
 func (s *Scheduler) JobList() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %-16s %-14s %-10s %-9s %s\n", "Id", "Name", "Owner", "State", "Priority", "Resources")
-	for _, j := range s.Jobs() {
+	for i := range s.jobs.Len() {
+		j := s.jobs.At(i)
 		if j.State == JobFinished || j.State == JobCanceled || j.State == JobFailed {
 			continue
 		}
@@ -43,13 +44,14 @@ func (s *Scheduler) NodeList() string {
 func (s *Scheduler) FinishedJobReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %-16s %-10s %-12s %s\n", "Id", "Name", "State", "Elapsed", "Allocated")
-	for _, j := range s.Jobs() {
+	for i := range s.jobs.Len() {
+		j := s.jobs.At(i)
 		switch j.State {
 		case JobFinished, JobFailed, JobCanceled:
 			// Jobs that never started (cancelled in queue) keep a zero
 			// elapsed time; an allocation proves the job ran.
 			elapsed := time.Duration(0)
-			if len(j.Alloc) > 0 {
+			if j.alloc.Len() > 0 {
 				elapsed = j.EndTime - j.StartTime
 			}
 			fmt.Fprintf(&b, "%-6d %-16s %-10s %-12s %s\n",

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/simtime"
+	"repro/internal/slab"
 )
 
 // JobState follows the HPC Pack state machine (condensed to the states
@@ -75,16 +76,22 @@ type Allocation struct {
 	Cores int
 }
 
+// grant is how the scheduler stores an Allocation: the node's index in
+// its table instead of the name.
+type grant struct {
+	node, cores int32
+}
+
 // Job is a Windows HPC job. The simulation uses a single required
 // resource count rather than the product's min–max range; grow/shrink
-// is out of scope for the middleware's behaviour.
+// is out of scope for the middleware's behaviour. The scheduler keeps
+// its jobs by value in one table; the allocation is rendered when
+// asked for.
 type Job struct {
 	ID       int
 	Name     string
 	Owner    string
 	Template string
-	State    JobState
-	Unit     ResourceUnit
 	Count    int // cores (UnitCore) or nodes (UnitNode)
 
 	Runtime    time.Duration
@@ -92,17 +99,31 @@ type Job struct {
 	StartTime  time.Duration
 	EndTime    time.Duration
 
-	Rerunnable bool
-	Priority   Priority
-	Alloc      []Allocation
+	srv *Scheduler
+	// alloc locates the job's grants in the scheduler's grant arena:
+	// set at each start, kept once the job ends, emptied by a requeue.
+	alloc slab.Ref
 
-	// Exec runs at job start with the allocated node names; OnEnd
-	// fires at completion, failure or cancellation.
-	Exec  func(nodes []string)
-	OnEnd func(*Job)
+	State      JobState
+	Unit       ResourceUnit
+	Priority   Priority
+	Rerunnable bool
+	hooked     bool // has an entry in the scheduler's hooks table
 
 	// e is the job's entry in the scheduler's core.
 	e sched.Entry
+}
+
+// Allocations lists the cores granted per node, in grant order; empty
+// while the job waits. A finished job keeps the grants of its last
+// run.
+func (j *Job) Allocations() []Allocation {
+	gs := j.srv.grants.Run(j.alloc)
+	out := make([]Allocation, len(gs))
+	for i, g := range gs {
+		out[i] = Allocation{Node: j.srv.nodeList[g.node].Name, Cores: int(g.cores)}
+	}
+	return out
 }
 
 // Cores returns the total cores the job occupies once allocated, or
@@ -118,10 +139,10 @@ func (j *Job) Cores(coresPerNode int) int {
 func (j *Job) AllocatedNodes() []string {
 	var out []string
 	seen := map[string]bool{}
-	for _, a := range j.Alloc {
-		if !seen[a.Node] {
-			seen[a.Node] = true
-			out = append(out, a.Node)
+	for _, g := range j.srv.grants.Run(j.alloc) {
+		if name := j.srv.nodeList[g.node].Name; !seen[name] {
+			seen[name] = true
+			out = append(out, name)
 		}
 	}
 	return out
@@ -219,8 +240,11 @@ type JobSpec struct {
 	Runtime  time.Duration
 	Rerun    bool
 	Priority Priority
-	Exec     func(nodes []string)
-	OnEnd    func(*Job)
+	// Exec runs at each start with the allocated node names; OnEnd
+	// fires at completion, failure or cancellation. The scheduler keeps
+	// them in a side table, since only the OS-switch jobs have them.
+	Exec  func(nodes []string)
+	OnEnd func(*Job)
 }
 
 // Scheduler is the head-node scheduler service. The queueing itself
@@ -231,7 +255,13 @@ type Scheduler struct {
 	cluster string
 	core    *sched.Core
 
-	list     []*Job // submission order; job n is list[n-1]
+	// jobs holds every job by value in submission order: job n is
+	// jobs.At(n-1). grants holds the jobs' allocations, and hooks the
+	// Exec/OnEnd callbacks of the few jobs that have them (the OS-switch
+	// jobs), by ID.
+	jobs     slab.Slab[Job]
+	grants   slab.Arena[grant]
+	hooks    map[int]jobHooks
 	nodes    map[string]*Node
 	nodeList []*Node // registration order, indexed like the core's table
 
@@ -325,10 +355,10 @@ func (s *Scheduler) SetNodeOnline(name string, online bool) error {
 	// Victims in submission order, so requeue/end hooks fire in a
 	// deterministic order.
 	for _, e := range s.core.Holding(n.idx) {
-		j := s.job(e)
+		j := s.job(e.Seq)
 		if s.core.Interrupt(e) {
 			j.State = JobQueued
-			j.Alloc = nil
+			j.alloc = slab.Ref{}
 			if s.OnJobRequeue != nil {
 				s.OnJobRequeue(j)
 			}
@@ -384,8 +414,10 @@ func (s *Scheduler) SubmitJob(spec JobSpec) (*Job, error) {
 			return nil, fmt.Errorf("winhpc: job needs %d cores, cluster has %d", spec.Count, s.allCores)
 		}
 	}
-	j := &Job{
-		ID:         len(s.list) + 1,
+	id := s.jobs.Len() + 1
+	j := s.jobs.Add()
+	*j = Job{
+		ID:         id,
 		Name:       spec.Name,
 		Owner:      spec.Owner,
 		Template:   spec.Template,
@@ -396,13 +428,19 @@ func (s *Scheduler) SubmitJob(spec JobSpec) (*Job, error) {
 		SubmitTime: s.eng.Now(),
 		Rerunnable: spec.Rerun,
 		Priority:   spec.Priority,
-		Exec:       spec.Exec,
-		OnEnd:      spec.OnEnd,
+		srv:        s,
+		// The HPC job model has no walltime: the runtime bounds the
+		// run.
+		e: sched.Entry{Prio: int8(spec.Priority), Seq: id, Shape: shape, Count: spec.Count,
+			Runtime: spec.Runtime, Rerun: spec.Rerun},
 	}
-	// The HPC job model has no walltime: the runtime bounds the run.
-	j.e = sched.Entry{Prio: int8(j.Priority), Seq: j.ID, Shape: shape, Count: j.Count,
-		Runtime: j.Runtime, Rerun: j.Rerunnable}
-	s.list = append(s.list, j)
+	if spec.Exec != nil || spec.OnEnd != nil {
+		if s.hooks == nil {
+			s.hooks = make(map[int]jobHooks)
+		}
+		s.hooks[id] = jobHooks{exec: spec.Exec, onEnd: spec.OnEnd}
+		j.hooked = true
+	}
 	s.core.Submit(&j.e)
 	return j, nil
 }
@@ -429,23 +467,29 @@ func (s *Scheduler) CancelJob(id int) error {
 
 // Job returns a job by ID.
 func (s *Scheduler) Job(id int) (*Job, error) {
-	if id < 1 || id > len(s.list) {
+	if id < 1 || id > s.jobs.Len() {
 		return nil, fmt.Errorf("winhpc: unknown job %d", id)
 	}
-	return s.list[id-1], nil
+	return s.job(id), nil
 }
 
 // Jobs returns all jobs in submission order.
-func (s *Scheduler) Jobs() []*Job { return slices.Clone(s.list) }
+func (s *Scheduler) Jobs() []*Job {
+	out := make([]*Job, s.jobs.Len())
+	for i := range out {
+		out[i] = s.jobs.At(i)
+	}
+	return out
+}
 
-// job maps a core entry to its job: entries carry the job's ID.
-func (s *Scheduler) job(e *sched.Entry) *Job { return s.list[e.Seq-1] }
+// job returns job number id; core entries carry it as their Seq.
+func (s *Scheduler) job(id int) *Job { return s.jobs.At(id - 1) }
 
 // jobsOf maps core entries to their jobs.
 func (s *Scheduler) jobsOf(es []*sched.Entry) []*Job {
 	out := make([]*Job, len(es))
 	for i, e := range es {
-		out[i] = s.job(e)
+		out[i] = s.job(e.Seq)
 	}
 	return out
 }
@@ -492,7 +536,7 @@ func (s *Scheduler) Snapshot() QueueSnapshot {
 	// The queue head follows scheduling order (priority first), since
 	// that is the job whose demand a dual-boot controller must satisfy.
 	if e := s.core.First(); e != nil {
-		head := s.job(e)
+		head := s.job(e.Seq)
 		snap.FirstQueued = head.ID
 		snap.FirstName = head.Name
 		snap.NeededCores = head.Cores(cpn)
@@ -526,23 +570,24 @@ func (s *Scheduler) recomputeTypicalCores() {
 // started records the core's grants as the job's allocation and starts
 // it.
 func (s *Scheduler) started(e *sched.Entry) {
-	j := s.job(e)
+	j := s.job(e.Seq)
 	grants := s.core.Grants(e)
-	j.Alloc = make([]Allocation, len(grants))
+	var run []grant
+	j.alloc, run = s.grants.Alloc(len(grants))
 	for i, g := range grants {
-		j.Alloc[i] = Allocation{Node: s.nodeList[g.Node].Name, Cores: g.Slots}
+		run[i] = grant{node: int32(g.Node), cores: int32(g.Slots)}
 	}
 	j.State = JobRunning
 	j.StartTime = s.eng.Now()
 	if s.OnJobStart != nil {
 		s.OnJobStart(j)
 	}
-	if j.Exec != nil {
-		j.Exec(j.AllocatedNodes())
+	if exec := s.hooks[j.ID].exec; j.hooked && exec != nil {
+		exec(j.AllocatedNodes())
 	}
 }
 
-func (s *Scheduler) finished(e *sched.Entry) { s.end(s.job(e), JobFinished) }
+func (s *Scheduler) finished(e *sched.Entry) { s.end(s.job(e.Seq), JobFinished) }
 
 // end moves a job to a terminal state and fires the end hooks.
 func (s *Scheduler) end(j *Job, st JobState) {
@@ -551,7 +596,18 @@ func (s *Scheduler) end(j *Job, st JobState) {
 	if s.OnJobEnd != nil {
 		s.OnJobEnd(j)
 	}
-	if j.OnEnd != nil {
-		j.OnEnd(j)
+	if j.hooked {
+		h := s.hooks[j.ID]
+		delete(s.hooks, j.ID)
+		j.hooked = false
+		if h.onEnd != nil {
+			h.onEnd(j)
+		}
 	}
+}
+
+// jobHooks are a job's optional callbacks (JobSpec.Exec, OnEnd).
+type jobHooks struct {
+	exec  func(nodes []string)
+	onEnd func(*Job)
 }

@@ -50,8 +50,8 @@ func TestCoreSchedulingSpansNodes(t *testing.T) {
 	if j.State != JobRunning {
 		t.Fatalf("state = %v", j.State)
 	}
-	if len(j.Alloc) != 2 || j.Alloc[0].Cores != 4 || j.Alloc[1].Cores != 2 {
-		t.Fatalf("alloc = %+v", j.Alloc)
+	if len(j.Allocations()) != 2 || j.Allocations()[0].Cores != 4 || j.Allocations()[1].Cores != 2 {
+		t.Fatalf("alloc = %+v", j.Allocations())
 	}
 	n2, _ := s.Node(nodeName(2))
 	if n2.FreeCores() != 2 {
