@@ -441,19 +441,19 @@ func (c *Cluster) v1FATPartition(hw *hardware.Node) (*hardware.Partition, error)
 // requeued rerunnable jobs suspend busy-core integration until their
 // next attempt starts.
 func (c *Cluster) wireSchedulers() {
-	c.PBS.OnJobStart = func(j *pbs.Job) { c.Rec.JobStarted(handle(c.pbsJobs, j.SeqNo)) }
-	c.PBS.OnJobRequeue = func(j *pbs.Job) { c.Rec.JobInterrupted(handle(c.pbsJobs, j.SeqNo)) }
+	c.PBS.OnJobStart = func(j *pbs.Job) { c.Rec.JobStarted(handle(c.pbsJobs, j.SeqNo())) }
+	c.PBS.OnJobRequeue = func(j *pbs.Job) { c.Rec.JobInterrupted(handle(c.pbsJobs, j.SeqNo())) }
 	c.PBS.OnJobEnd = func(j *pbs.Job) {
 		ok := !j.KilledAtWalltime() && !j.Failed()
-		h := handle(c.pbsJobs, j.SeqNo)
+		h := handle(c.pbsJobs, j.SeqNo())
 		c.Rec.JobEnded(h, ok)
 		c.markDone(h, ok)
 	}
-	c.Win.OnJobStart = func(j *winhpc.Job) { c.Rec.JobStarted(handle(c.winJobs, j.ID)) }
-	c.Win.OnJobRequeue = func(j *winhpc.Job) { c.Rec.JobInterrupted(handle(c.winJobs, j.ID)) }
+	c.Win.OnJobStart = func(j *winhpc.Job) { c.Rec.JobStarted(handle(c.winJobs, j.ID())) }
+	c.Win.OnJobRequeue = func(j *winhpc.Job) { c.Rec.JobInterrupted(handle(c.winJobs, j.ID())) }
 	c.Win.OnJobEnd = func(j *winhpc.Job) {
 		ok := j.State == winhpc.JobFinished
-		h := handle(c.winJobs, j.ID)
+		h := handle(c.winJobs, j.ID())
 		c.Rec.JobEnded(h, ok)
 		c.markDone(h, ok)
 		if c.cfg.Mode == MonoStable {

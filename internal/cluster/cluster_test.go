@@ -538,7 +538,7 @@ func TestInterruptedNonRerunnableJobNotCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.track(&c.pbsJobs, j.SeqNo, workload.Job{App: "fragile", OS: osid.Linux, Owner: "u",
+	c.track(&c.pbsJobs, j.SeqNo(), workload.Job{App: "fragile", OS: osid.Linux, Owner: "u",
 		Nodes: 1, PPN: 4, Runtime: time.Hour})
 	c.Eng.RunUntil(time.Minute)
 	if j.State != pbs.StateRunning {

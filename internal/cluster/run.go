@@ -86,7 +86,7 @@ func (c *Cluster) Submit(j workload.Job) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		return c.track(&c.pbsJobs, pj.SeqNo, j), nil
+		return c.track(&c.pbsJobs, pj.SeqNo(), j), nil
 	case osid.Windows:
 		spec := winhpc.JobSpec{
 			Name:    j.App,
@@ -105,7 +105,7 @@ func (c *Cluster) Submit(j workload.Job) (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		return c.track(&c.winJobs, wj.ID, j), nil
+		return c.track(&c.winJobs, wj.ID(), j), nil
 	default:
 		return -1, fmt.Errorf("cluster: job %q has no valid OS", j.App)
 	}

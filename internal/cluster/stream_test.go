@@ -65,11 +65,11 @@ func runColliding(t *testing.T, trace workload.Trace, schedule func(*Cluster)) s
 	var r streamRun
 	pbsStart, winStart := c.PBS.OnJobStart, c.Win.OnJobStart
 	c.PBS.OnJobStart = func(j *pbs.Job) {
-		r.starts = append(r.starts, fmt.Sprintf("L%d@%v", j.SeqNo, c.Eng.Now()))
+		r.starts = append(r.starts, fmt.Sprintf("L%d@%v", j.SeqNo(), c.Eng.Now()))
 		pbsStart(j)
 	}
 	c.Win.OnJobStart = func(j *winhpc.Job) {
-		r.starts = append(r.starts, fmt.Sprintf("W%d@%v", j.ID, c.Eng.Now()))
+		r.starts = append(r.starts, fmt.Sprintf("W%d@%v", j.ID(), c.Eng.Now()))
 		winStart(j)
 	}
 	c.AddHooks(Hooks{JobCompleted: func(int, bool) { r.ends = append(r.ends, c.Eng.Now()) }})

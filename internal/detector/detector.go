@@ -159,7 +159,7 @@ func (d *PBSDetector) Detect() (Report, error) {
 		stats := d.Server.QueueStats()
 		return buildReport(stats.Running, stats.Queued, func() (int, string) {
 			j := d.Server.FirstQueued()
-			return j.Nodes * j.PPN, j.ID()
+			return j.Nodes() * j.PPN(), j.ID()
 		}), nil
 	}
 	running, queued, err := d.scan()
@@ -226,7 +226,7 @@ func (d *WinHPCDetector) Describe() (string, error) {
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "R=%d nR=%d\n", snap.Running, snap.Queued)
 	for _, j := range d.Sched.RunningJobs() {
-		fmt.Fprintf(&b, "%d.%s\n", j.ID, d.Sched.ClusterName())
+		fmt.Fprintf(&b, "%d.%s\n", j.ID(), d.Sched.ClusterName())
 		fmt.Fprintf(&b, "    Job_Name=%s\n", j.Name)
 		fmt.Fprintf(&b, "    Job_Owner=%s\n", j.Owner)
 		fmt.Fprintf(&b, "    state=%s\n", j.State)

@@ -64,11 +64,11 @@ func runColliding(t *testing.T, trace workload.Trace, schedule func(*Grid)) stre
 		c, name := m.Cluster, m.Name
 		pbsStart, winStart := c.PBS.OnJobStart, c.Win.OnJobStart
 		c.PBS.OnJobStart = func(j *pbs.Job) {
-			r.starts = append(r.starts, fmt.Sprintf("%s:L%d@%v", name, j.SeqNo, g.Eng.Now()))
+			r.starts = append(r.starts, fmt.Sprintf("%s:L%d@%v", name, j.SeqNo(), g.Eng.Now()))
 			pbsStart(j)
 		}
 		c.Win.OnJobStart = func(j *winhpc.Job) {
-			r.starts = append(r.starts, fmt.Sprintf("%s:W%d@%v", name, j.ID, g.Eng.Now()))
+			r.starts = append(r.starts, fmt.Sprintf("%s:W%d@%v", name, j.ID(), g.Eng.Now()))
 			winStart(j)
 		}
 		c.AddHooks(cluster.Hooks{JobCompleted: func(int, bool) { r.ends = append(r.ends, g.Eng.Now()) }})

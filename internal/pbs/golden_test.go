@@ -137,7 +137,7 @@ func TestForeignJobIDsRejected(t *testing.T) {
 		"99999999999999999999999.eridani.qgg.hud.ac.uk",
 	} {
 		if j, err := s.Job(id); err == nil {
-			t.Errorf("Job(%q) = job %d, want an error", id, j.SeqNo)
+			t.Errorf("Job(%q) = job %d, want an error", id, j.SeqNo())
 		}
 		if _, err := s.QstatFJob(id); err == nil {
 			t.Errorf("QstatFJob(%q) rendered a job", id)

@@ -46,23 +46,13 @@ type execSlot struct {
 
 // Job is a PBS batch job. The server keeps its jobs by value in one
 // table, and no field is built per job: the ID and the exec_host text
-// are rendered when asked for.
+// are rendered when asked for. What the scheduling core's entry holds
+// (sequence number, request, runtime, walltime, rerun flag) is read
+// from it through methods, not stored twice.
 type Job struct {
-	SeqNo int
-	Name  string
-	Owner string
-	Queue string
-
-	// Resource request: nodes=Nodes:ppn=PPN.
-	Nodes int
-	PPN   int
-
-	// Runtime is how long the job actually runs once started.
-	Runtime time.Duration
-	// Walltime is the requested limit (0 = unlimited). Jobs whose
-	// Runtime exceeds Walltime are killed at the limit.
-	Walltime time.Duration
-
+	Name       string
+	Owner      string
+	Queue      string
 	Priority   int
 	OutputPath string
 
@@ -75,9 +65,8 @@ type Job struct {
 	// at each start, kept once the job ends, emptied by a requeue.
 	exec slab.Ref
 
-	State      JobState
-	Rerunnable bool
-	JoinOE     bool
+	State  JobState
+	JoinOE bool
 
 	killedAtLimit bool
 	failed        bool
@@ -88,12 +77,31 @@ type Job struct {
 }
 
 // ID renders the job ID, "<SeqNo>.<server>" ("1185.eridani.qgg.hud.ac.uk").
-func (j *Job) ID() string { return j.srv.JobID(j.SeqNo) }
+func (j *Job) ID() string { return j.srv.JobID(j.SeqNo()) }
+
+// SeqNo returns the job's sequence number, counted from 1 per server.
+func (j *Job) SeqNo() int { return j.e.Seq }
+
+// Nodes returns the nodes requested (nodes=Nodes:ppn=PPN).
+func (j *Job) Nodes() int { return j.e.Count }
+
+// PPN returns the virtual processors requested per node.
+func (j *Job) PPN() int { return j.e.PPN }
+
+// Runtime returns how long the job actually runs once started.
+func (j *Job) Runtime() time.Duration { return j.e.Runtime }
+
+// Walltime returns the requested limit (0 = unlimited). Jobs whose
+// Runtime exceeds Walltime are killed at the limit.
+func (j *Job) Walltime() time.Duration { return j.e.Walltime }
+
+// Rerunnable reports whether node loss requeues the job (qsub -r y).
+func (j *Job) Rerunnable() bool { return j.e.Rerun }
 
 func jobID(seq int, domain string) string { return strconv.Itoa(seq) + "." + domain }
 
 // CPUs returns the total virtual processors the job needs.
-func (j *Job) CPUs() int { return j.Nodes * j.PPN }
+func (j *Job) CPUs() int { return j.Nodes() * j.PPN() }
 
 // KilledAtWalltime reports whether the job was killed: it hit its
 // walltime limit, or it was deleted with Qdel.

@@ -59,12 +59,12 @@ func (s *Server) renderJob(b *strings.Builder, j *Job) {
 	if j.State == StateRunning || j.State == StateExiting {
 		attr("start_time", s.stamp(j.StartTime))
 	}
-	attr("Resource_List.nodes", fmt.Sprintf("%d:ppn=%d", j.Nodes, j.PPN))
-	if j.Walltime > 0 {
-		attr("Resource_List.walltime", fmtHMS(j.Walltime))
+	attr("Resource_List.nodes", fmt.Sprintf("%d:ppn=%d", j.Nodes(), j.PPN()))
+	if j.Walltime() > 0 {
+		attr("Resource_List.walltime", fmtHMS(j.Walltime()))
 	}
 	rerun := "n"
-	if j.Rerunnable {
+	if j.Rerunnable() {
 		rerun = "y"
 	}
 	attr("Rerunable", rerun)

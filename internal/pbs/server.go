@@ -281,17 +281,11 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 	seq := s.jobs.Len() + 1
 	j := s.jobs.Add()
 	*j = Job{
-		SeqNo:      seq,
 		Name:       req.Name,
 		Owner:      req.Owner,
 		State:      StateQueued,
 		Queue:      req.Queue,
-		Nodes:      req.Nodes,
-		PPN:        req.PPN,
-		Runtime:    req.Runtime,
-		Walltime:   req.Walltime,
 		Priority:   req.Priority,
-		Rerunnable: req.Rerun,
 		JoinOE:     req.JoinOE,
 		OutputPath: req.Output,
 		QTime:      s.eng.Now(),
@@ -484,7 +478,7 @@ func (s *Server) started(e *sched.Entry) {
 		n := s.nodeList[g.Node]
 		for c, left := n.NP-1, g.Slots; left > 0; c-- {
 			if n.busy[c] == 0 {
-				n.busy[c] = j.SeqNo
+				n.busy[c] = j.SeqNo()
 				slots[k] = execSlot{node: int32(g.Node), cpu: int32(c)}
 				k++
 				left--
@@ -499,12 +493,12 @@ func (s *Server) started(e *sched.Entry) {
 	if s.OnJobStart != nil {
 		s.OnJobStart(j)
 	}
-	if exec := s.hooks[j.SeqNo].exec; j.hooked && exec != nil {
+	if j.hooked && s.hooks[j.SeqNo()].exec != nil {
 		hosts := make([]string, len(grants))
 		for i, g := range grants {
 			hosts[i] = s.nodeList[g.Node].Name
 		}
-		exec(hosts)
+		s.hooks[j.SeqNo()].exec(hosts)
 	}
 }
 
@@ -512,7 +506,7 @@ func (s *Server) started(e *sched.Entry) {
 // when the runtime overran it.
 func (s *Server) finished(e *sched.Entry) {
 	j := s.job(e.Seq)
-	j.killedAtLimit = j.Walltime > 0 && j.Runtime > j.Walltime
+	j.killedAtLimit = j.Walltime() > 0 && j.Runtime() > j.Walltime()
 	s.vacate(j)
 	s.end(j)
 }
@@ -526,8 +520,8 @@ func (s *Server) end(j *Job) {
 		s.OnJobEnd(j)
 	}
 	if j.hooked {
-		h := s.hooks[j.SeqNo]
-		delete(s.hooks, j.SeqNo)
+		h := s.hooks[j.SeqNo()]
+		delete(s.hooks, j.SeqNo())
 		j.hooked = false
 		if h.onEnd != nil {
 			h.onEnd(j)

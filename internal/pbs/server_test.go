@@ -404,7 +404,7 @@ func TestEmptyRequestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Nodes != 1 || j.PPN != 1 || j.Name != "STDIN" || j.Owner != "nobody" || j.Queue != "default" {
+	if j.Nodes() != 1 || j.PPN() != 1 || j.Name != "STDIN" || j.Owner != "nobody" || j.Queue != "default" {
 		t.Fatalf("defaults = %+v", j)
 	}
 	eng.Run()

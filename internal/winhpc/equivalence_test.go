@@ -36,7 +36,7 @@ func checkAgainstScratch(s *Scheduler) error {
 			}
 		}
 	}
-	sort.SliceStable(queued, func(i, k int) bool { return queued[i].Priority > queued[k].Priority })
+	sort.SliceStable(queued, func(i, k int) bool { return queued[i].Priority() > queued[k].Priority() })
 	cores, online, onlineCores, idle := 0, 0, 0, 0
 	for _, n := range s.Nodes() {
 		if n.State() != NodeUnreachable {
@@ -55,7 +55,7 @@ func checkAgainstScratch(s *Scheduler) error {
 	}
 	want := QueueSnapshot{Running: len(running), Queued: len(queued), OnlineCores: onlineCores, PendingCores: pending, IdleNodes: idle}
 	if len(queued) > 0 {
-		want.FirstQueued, want.FirstName = queued[0].ID, queued[0].Name
+		want.FirstQueued, want.FirstName = queued[0].ID(), queued[0].Name
 		want.NeededCores = queued[0].Cores(s.typicalCores())
 	}
 	if got := s.Snapshot(); got != want {
@@ -141,7 +141,7 @@ func runWinScript(t *testing.T, script []winAction, nodes int, backfill bool) *S
 					t.Errorf("submit %s: %v", a.spec.Name, err)
 					return
 				}
-				ids[a.job] = j.ID
+				ids[a.job] = j.ID()
 			case 1:
 				_ = s.CancelJob(ids[a.job]) // may legitimately race completion
 			case 2:
@@ -176,7 +176,7 @@ func TestWinHPCIncrementalMatchesScratchRecompute(t *testing.T) {
 			}
 			for _, j := range s.Jobs() {
 				if j.State == JobQueued || j.State == JobRunning {
-					t.Fatalf("job %d ended in state %v", j.ID, j.State)
+					t.Fatalf("job %d ended in state %v", j.ID(), j.State)
 				}
 			}
 		})

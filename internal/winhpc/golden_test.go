@@ -65,8 +65,8 @@ func TestHeadNodeTextGolden(t *testing.T) {
 	eng.RunUntil(time.Second)
 	snapshot()
 	eng.RunUntil(20 * time.Minute)
-	must(s.CancelJob(opera.ID))
-	must(s.CancelJob(wide.ID))
+	must(s.CancelJob(opera.ID()))
+	must(s.CancelJob(wide.ID()))
 	eng.RunUntil(21 * time.Minute)
 	snapshot()
 

@@ -71,7 +71,7 @@ func TestQuickCoresReleasedAfterDrain(t *testing.T) {
 				Runtime: time.Duration(b%60+1) * time.Minute,
 			})
 			if err == nil && b%11 == 0 {
-				s.CancelJob(j.ID)
+				s.CancelJob(j.ID())
 			}
 			if b%13 == 0 {
 				name := nodeName(int(b%4) + 1)
@@ -100,13 +100,13 @@ func TestQuickTerminalStatesStable(t *testing.T) {
 		terminal := map[int]JobState{}
 		ok := true
 		s.OnJobEnd = func(j *Job) {
-			if prev, seen := terminal[j.ID]; seen && prev != j.State {
+			if prev, seen := terminal[j.ID()]; seen && prev != j.State {
 				ok = false
 			}
-			terminal[j.ID] = j.State
+			terminal[j.ID()] = j.State
 		}
 		s.OnJobStart = func(j *Job) {
-			if _, seen := terminal[j.ID]; seen {
+			if _, seen := terminal[j.ID()]; seen {
 				ok = false // resurrection
 			}
 		}
@@ -117,7 +117,7 @@ func TestQuickTerminalStatesStable(t *testing.T) {
 			j, err := s.SubmitJob(JobSpec{Name: "p", Unit: UnitNode, Count: int(b%2) + 1,
 				Runtime: time.Duration(b%30+1) * time.Minute})
 			if err == nil && b%7 == 0 {
-				s.CancelJob(j.ID)
+				s.CancelJob(j.ID())
 			}
 		}
 		eng.Run()

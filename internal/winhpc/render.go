@@ -19,12 +19,12 @@ func (s *Scheduler) JobList() string {
 		if j.State == JobFinished || j.State == JobCanceled || j.State == JobFailed {
 			continue
 		}
-		res := fmt.Sprintf("%d %s", j.Count, strings.ToLower(j.Unit.String()))
-		if j.Count != 1 {
+		res := fmt.Sprintf("%d %s", j.Count(), strings.ToLower(j.Unit.String()))
+		if j.Count() != 1 {
 			res += "s"
 		}
 		fmt.Fprintf(&b, "%-6d %-16s %-14s %-10s %-9s %s\n",
-			j.ID, clip(j.Name, 16), clip(j.Owner, 14), j.State, j.Priority, res)
+			j.ID(), clip(j.Name, 16), clip(j.Owner, 14), j.State, j.Priority(), res)
 	}
 	return b.String()
 }
@@ -55,7 +55,7 @@ func (s *Scheduler) FinishedJobReport() string {
 				elapsed = j.EndTime - j.StartTime
 			}
 			fmt.Fprintf(&b, "%-6d %-16s %-10s %-12s %s\n",
-				j.ID, clip(j.Name, 16), j.State, elapsed.Round(time.Second), strings.Join(j.AllocatedNodes(), ","))
+				j.ID(), clip(j.Name, 16), j.State, elapsed.Round(time.Second), strings.Join(j.AllocatedNodes(), ","))
 		}
 	}
 	return b.String()

@@ -50,7 +50,7 @@ func TestFinishedJobReport(t *testing.T) {
 	s.SubmitJob(JobSpec{Name: "done", Unit: UnitNode, Count: 1, Runtime: 30 * time.Minute})
 	j2, _ := s.SubmitJob(JobSpec{Name: "killed", Unit: UnitNode, Count: 1, Runtime: time.Hour})
 	eng.RunUntil(time.Minute)
-	s.CancelJob(j2.ID)
+	s.CancelJob(j2.ID())
 	eng.Run()
 	out := s.FinishedJobReport()
 	for _, want := range []string{"done", "Finished", "30m0s", "killed", "Canceled", "ENODE01"} {

@@ -86,15 +86,14 @@ type grant struct {
 // resource count rather than the product's min–max range; grow/shrink
 // is out of scope for the middleware's behaviour. The scheduler keeps
 // its jobs by value in one table; the allocation is rendered when
-// asked for.
+// asked for. What the scheduling core's entry holds (ID, count,
+// runtime, rerun flag, priority) is read from it through methods, not
+// stored twice.
 type Job struct {
-	ID       int
 	Name     string
 	Owner    string
 	Template string
-	Count    int // cores (UnitCore) or nodes (UnitNode)
 
-	Runtime    time.Duration
 	SubmitTime time.Duration
 	StartTime  time.Duration
 	EndTime    time.Duration
@@ -104,15 +103,28 @@ type Job struct {
 	// set at each start, kept once the job ends, emptied by a requeue.
 	alloc slab.Ref
 
-	State      JobState
-	Unit       ResourceUnit
-	Priority   Priority
-	Rerunnable bool
-	hooked     bool // has an entry in the scheduler's hooks table
+	State  JobState
+	Unit   ResourceUnit
+	hooked bool // has an entry in the scheduler's hooks table
 
 	// e is the job's entry in the scheduler's core.
 	e sched.Entry
 }
+
+// ID returns the job ID, counted from 1 per scheduler.
+func (j *Job) ID() int { return j.e.Seq }
+
+// Count returns the cores (UnitCore) or nodes (UnitNode) requested.
+func (j *Job) Count() int { return j.e.Count }
+
+// Runtime returns how long the job runs once started.
+func (j *Job) Runtime() time.Duration { return j.e.Runtime }
+
+// Rerunnable reports whether node loss requeues the job.
+func (j *Job) Rerunnable() bool { return j.e.Rerun }
+
+// Priority returns the job's priority level.
+func (j *Job) Priority() Priority { return Priority(j.e.Prio) }
 
 // Allocations lists the cores granted per node, in grant order; empty
 // while the job waits. A finished job keeps the grants of its last
@@ -130,9 +142,9 @@ func (j *Job) Allocations() []Allocation {
 // would occupy given 0 knowledge of node sizes for UnitNode jobs.
 func (j *Job) Cores(coresPerNode int) int {
 	if j.Unit == UnitCore {
-		return j.Count
+		return j.Count()
 	}
-	return j.Count * coresPerNode
+	return j.Count() * coresPerNode
 }
 
 // AllocatedNodes lists distinct node names in allocation order.
@@ -417,17 +429,12 @@ func (s *Scheduler) SubmitJob(spec JobSpec) (*Job, error) {
 	id := s.jobs.Len() + 1
 	j := s.jobs.Add()
 	*j = Job{
-		ID:         id,
 		Name:       spec.Name,
 		Owner:      spec.Owner,
 		Template:   spec.Template,
 		State:      JobQueued,
 		Unit:       spec.Unit,
-		Count:      spec.Count,
-		Runtime:    spec.Runtime,
 		SubmitTime: s.eng.Now(),
-		Rerunnable: spec.Rerun,
-		Priority:   spec.Priority,
 		srv:        s,
 		// The HPC job model has no walltime: the runtime bounds the
 		// run.
@@ -537,7 +544,7 @@ func (s *Scheduler) Snapshot() QueueSnapshot {
 	// that is the job whose demand a dual-boot controller must satisfy.
 	if e := s.core.First(); e != nil {
 		head := s.job(e.Seq)
-		snap.FirstQueued = head.ID
+		snap.FirstQueued = head.ID()
 		snap.FirstName = head.Name
 		snap.NeededCores = head.Cores(cpn)
 	}
@@ -582,8 +589,8 @@ func (s *Scheduler) started(e *sched.Entry) {
 	if s.OnJobStart != nil {
 		s.OnJobStart(j)
 	}
-	if exec := s.hooks[j.ID].exec; j.hooked && exec != nil {
-		exec(j.AllocatedNodes())
+	if j.hooked && s.hooks[j.ID()].exec != nil {
+		s.hooks[j.ID()].exec(j.AllocatedNodes())
 	}
 }
 
@@ -597,8 +604,8 @@ func (s *Scheduler) end(j *Job, st JobState) {
 		s.OnJobEnd(j)
 	}
 	if j.hooked {
-		h := s.hooks[j.ID]
-		delete(s.hooks, j.ID)
+		h := s.hooks[j.ID()]
+		delete(s.hooks, j.ID())
 		j.hooked = false
 		if h.onEnd != nil {
 			h.onEnd(j)

@@ -38,8 +38,8 @@ func TestSubmitRunFinish(t *testing.T) {
 	if endedAt != 20*time.Minute {
 		t.Fatalf("ended at %v", endedAt)
 	}
-	if j.ID != 1 {
-		t.Fatalf("id = %d", j.ID)
+	if j.ID() != 1 {
+		t.Fatalf("id = %d", j.ID())
 	}
 }
 
@@ -126,19 +126,19 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	run, _ := s.SubmitJob(JobSpec{Name: "r", Unit: UnitNode, Count: 1, Runtime: time.Hour})
 	wait, _ := s.SubmitJob(JobSpec{Name: "w", Unit: UnitNode, Count: 1, Runtime: time.Hour})
 	eng.RunUntil(time.Minute)
-	if err := s.CancelJob(wait.ID); err != nil {
+	if err := s.CancelJob(wait.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if wait.State != JobCanceled {
 		t.Fatalf("wait = %v", wait.State)
 	}
-	if err := s.CancelJob(run.ID); err != nil {
+	if err := s.CancelJob(run.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if run.State != JobCanceled {
 		t.Fatalf("run = %v", run.State)
 	}
-	if err := s.CancelJob(run.ID); err == nil {
+	if err := s.CancelJob(run.ID()); err == nil {
 		t.Fatal("double cancel succeeded")
 	}
 	if err := s.CancelJob(99); err == nil {
@@ -266,7 +266,7 @@ func TestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Name != "Job" || j.Owner != "HPC\\user" || j.Count != 1 || j.Unit != UnitCore {
+	if j.Name != "Job" || j.Owner != "HPC\\user" || j.Count() != 1 || j.Unit != UnitCore {
 		t.Fatalf("defaults = %+v", j)
 	}
 	eng.Run()
