@@ -70,7 +70,6 @@ type Job struct {
 
 	killedAtLimit bool
 	failed        bool
-	hooked        bool // has an entry in the server's hooks table
 
 	// e is the job's entry in the server's scheduling core.
 	e sched.Entry
@@ -97,8 +96,6 @@ func (j *Job) Walltime() time.Duration { return j.e.Walltime }
 
 // Rerunnable reports whether node loss requeues the job (qsub -r y).
 func (j *Job) Rerunnable() bool { return j.e.Rerun }
-
-func jobID(seq int, domain string) string { return strconv.Itoa(seq) + "." + domain }
 
 // CPUs returns the total virtual processors the job needs.
 func (j *Job) CPUs() int { return j.Nodes() * j.PPN() }

@@ -69,7 +69,7 @@ func (n *Node) Jobs() []string {
 	out := make([]string, 0, n.UsedCPUs())
 	for c, seq := range n.busy {
 		if seq != 0 {
-			out = append(out, strconv.Itoa(c)+"/"+jobID(seq, n.srv.domain))
+			out = append(out, strconv.Itoa(c)+"/"+n.srv.JobID(seq))
 		}
 	}
 	return out
@@ -300,7 +300,6 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 			s.hooks = make(map[int]jobHooks)
 		}
 		s.hooks[seq] = jobHooks{exec: req.Exec, onEnd: req.OnEnd}
-		j.hooked = true
 	}
 	s.core.Submit(&j.e)
 	return j, nil
@@ -388,7 +387,7 @@ func (s *Server) Job(id string) (*Job, error) {
 
 // JobID renders the ID of job number seq, "<seq>.<server>", whether or
 // not the server has issued it.
-func (s *Server) JobID(seq int) string { return jobID(seq, s.domain) }
+func (s *Server) JobID(seq int) string { return strconv.Itoa(seq) + "." + s.domain }
 
 // parseJobID returns the SeqNo of an ID of this domain as jobID renders
 // it: a decimal number from 1 without leading zeros, a dot, the domain.
@@ -493,12 +492,12 @@ func (s *Server) started(e *sched.Entry) {
 	if s.OnJobStart != nil {
 		s.OnJobStart(j)
 	}
-	if j.hooked && s.hooks[j.SeqNo()].exec != nil {
+	if exec := s.hooks[j.SeqNo()].exec; exec != nil {
 		hosts := make([]string, len(grants))
 		for i, g := range grants {
 			hosts[i] = s.nodeList[g.Node].Name
 		}
-		s.hooks[j.SeqNo()].exec(hosts)
+		exec(hosts)
 	}
 }
 
@@ -519,10 +518,8 @@ func (s *Server) end(j *Job) {
 	if s.OnJobEnd != nil {
 		s.OnJobEnd(j)
 	}
-	if j.hooked {
-		h := s.hooks[j.SeqNo()]
+	if h, ok := s.hooks[j.SeqNo()]; ok {
 		delete(s.hooks, j.SeqNo())
-		j.hooked = false
 		if h.onEnd != nil {
 			h.onEnd(j)
 		}

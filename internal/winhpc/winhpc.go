@@ -103,9 +103,8 @@ type Job struct {
 	// set at each start, kept once the job ends, emptied by a requeue.
 	alloc slab.Ref
 
-	State  JobState
-	Unit   ResourceUnit
-	hooked bool // has an entry in the scheduler's hooks table
+	State JobState
+	Unit  ResourceUnit
 
 	// e is the job's entry in the scheduler's core.
 	e sched.Entry
@@ -446,7 +445,6 @@ func (s *Scheduler) SubmitJob(spec JobSpec) (*Job, error) {
 			s.hooks = make(map[int]jobHooks)
 		}
 		s.hooks[id] = jobHooks{exec: spec.Exec, onEnd: spec.OnEnd}
-		j.hooked = true
 	}
 	s.core.Submit(&j.e)
 	return j, nil
@@ -589,8 +587,8 @@ func (s *Scheduler) started(e *sched.Entry) {
 	if s.OnJobStart != nil {
 		s.OnJobStart(j)
 	}
-	if j.hooked && s.hooks[j.ID()].exec != nil {
-		s.hooks[j.ID()].exec(j.AllocatedNodes())
+	if exec := s.hooks[j.ID()].exec; exec != nil {
+		exec(j.AllocatedNodes())
 	}
 }
 
@@ -603,10 +601,8 @@ func (s *Scheduler) end(j *Job, st JobState) {
 	if s.OnJobEnd != nil {
 		s.OnJobEnd(j)
 	}
-	if j.hooked {
-		h := s.hooks[j.ID()]
+	if h, ok := s.hooks[j.ID()]; ok {
 		delete(s.hooks, j.ID())
-		j.hooked = false
 		if h.onEnd != nil {
 			h.onEnd(j)
 		}
