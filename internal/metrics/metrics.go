@@ -19,7 +19,7 @@ import (
 // JobRecord is one job's lifecycle summary as Jobs reports it: the
 // recorder's row plus the job's rendered ID.
 type JobRecord struct {
-	ID string // "<seq>.<fqdn>" for PBS, "W<id>" for Windows HPC
+	ID string // as Recorder.JobIDs renders it
 	Lifecycle
 }
 

@@ -389,7 +389,7 @@ func (s *Server) Job(id string) (*Job, error) {
 // not the server has issued it.
 func (s *Server) JobID(seq int) string { return strconv.Itoa(seq) + "." + s.domain }
 
-// parseJobID returns the SeqNo of an ID of this domain as jobID renders
+// parseJobID returns the SeqNo of an ID of this domain as JobID renders
 // it: a decimal number from 1 without leading zeros, a dot, the domain.
 func parseJobID(id, domain string) (int, bool) {
 	seq, rest, ok := strings.Cut(id, ".")
