@@ -13,8 +13,9 @@ import (
 // metrics record, on both head nodes. A mixed Linux/Windows trace runs
 // through ScheduleTrace on a prebuilt hybrid cluster until it drains;
 // the job tables grow in chunks and no per-job text is rendered, so
-// what remains per job is the amortised growth of those tables and the
-// controller's per-cycle work. The city tier runs this path a million
+// what remains per job is the amortised growth of those tables and of
+// the engine's calendar, and the stuck reports' job IDs (a control
+// cycle allocates nothing else). The city tier runs this path a million
 // times per cell.
 func TestTraceAllocationsPerJob(t *testing.T) {
 	trace := workload.Poisson(workload.PoissonConfig{Seed: 7, Duration: 8 * time.Hour,
@@ -42,7 +43,7 @@ func TestTraceAllocationsPerJob(t *testing.T) {
 	}
 	perJob := allocs / float64(len(trace))
 	t.Logf("%d jobs: %.0f allocations per run, %.2f per job", len(trace), allocs, perJob)
-	if perJob > 2 {
-		t.Fatalf("%.2f allocations per submitted job, want at most 2", perJob)
+	if perJob > 1 {
+		t.Fatalf("%.2f allocations per submitted job, want at most 1", perJob)
 	}
 }

@@ -84,6 +84,35 @@ func TestBusDeliversAfterLatency(t *testing.T) {
 	}
 }
 
+// TestDeliveredStuckIDOutlivesLaterSends: the Bus reuses its line
+// buffers, so a delivered report's job ID must be a copy; later sends
+// over the same buffers must not change it.
+func TestDeliveredStuckIDOutlivesLaterSends(t *testing.T) {
+	eng := simtime.NewEngine()
+	bus := NewBus(eng, time.Millisecond)
+	var got []Message
+	bus.Register("LINHEAD", func(_ string, m Message) { got = append(got, m) })
+	send := func(id string) {
+		bus.Send("WINHEAD", "LINHEAD", Message{Kind: KindState, From: osid.Windows,
+			Report: detector.Report{Stuck: true, NeededCPUs: 8, StuckJobID: id}})
+	}
+	send("7.WINHEAD")
+	eng.Run()
+	for _, id := range []string{"8.WINHEAD", "9.WINHEAD", "none", "123456789.WINHEAD"} {
+		send(id)
+		eng.Run()
+	}
+	if len(got) != 5 {
+		t.Fatalf("delivered %d messages, want 5", len(got))
+	}
+	if id := got[0].Report.StuckJobID; id != "7.WINHEAD" {
+		t.Fatalf("first delivered job ID became %q after later sends, want 7.WINHEAD", id)
+	}
+	if got[3].Report.StuckJobID != detector.NoneID {
+		t.Fatalf("none ID delivered as %q", got[3].Report.StuckJobID)
+	}
+}
+
 func TestBusDropsUnknownEndpoint(t *testing.T) {
 	eng := simtime.NewEngine()
 	bus := NewBus(eng, 0)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/osid"
 	"repro/internal/simtime"
+	"repro/internal/slab"
 )
 
 // Endpoint names on the communicator bus, after the programs in the
@@ -67,9 +68,11 @@ type Manager struct {
 	policy Policy
 	cycle  time.Duration
 
-	ticker  *simtime.Ticker
-	stats   Stats
-	history []DecisionRecord
+	ticker *simtime.Ticker
+	stats  Stats
+	// history logs every cycle's outcome in chunks that never move, so
+	// a long run does not copy the log as it grows.
+	history slab.Slab[DecisionRecord]
 }
 
 // NewManager wires the daemons. Call Start to begin the cycle.
@@ -116,7 +119,11 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // History returns the decision log.
 func (m *Manager) History() []DecisionRecord {
-	return append([]DecisionRecord(nil), m.history...)
+	out := make([]DecisionRecord, m.history.Len())
+	for i := range out {
+		out[i] = *m.history.At(i)
+	}
+	return out
 }
 
 // windowsCycle is step 1–2: the Windows communicator fetches its queue
@@ -143,7 +150,8 @@ func (m *Manager) onLinuxMessage(from string, msg comm.Message) {
 	linux := m.gw.SideInfo(osid.Linux)
 
 	d := m.policy.Decide(m.eng.Now(), linux, windows)
-	rec := DecisionRecord{At: m.eng.Now(), Decision: d}
+	rec := m.history.Add()
+	*rec = DecisionRecord{At: m.eng.Now(), Decision: d}
 	if d.Act {
 		m.stats.Switches++
 		switch d.Donor {
@@ -162,7 +170,6 @@ func (m *Manager) onLinuxMessage(from string, msg comm.Message) {
 			})
 		}
 	}
-	m.history = append(m.history, rec)
 }
 
 // onWindowsMessage handles reboot orders arriving from the Linux head.
@@ -174,9 +181,9 @@ func (m *Manager) onWindowsMessage(from string, msg comm.Message) {
 	m.stats.NodesOrdered += submitted
 	// Attach the submission count to the most recent acting record so
 	// the history reflects what actually happened.
-	for i := len(m.history) - 1; i >= 0; i-- {
-		if m.history[i].Decision.Act && m.history[i].Decision.Donor == osid.Windows && m.history[i].Submitted == 0 {
-			m.history[i].Submitted = submitted
+	for i := m.history.Len() - 1; i >= 0; i-- {
+		if rec := m.history.At(i); rec.Decision.Act && rec.Decision.Donor == osid.Windows && rec.Submitted == 0 {
+			rec.Submitted = submitted
 			break
 		}
 	}
@@ -192,7 +199,7 @@ func (m *Manager) RunOnce() Decision {
 		n := m.gw.OrderSwitch(d.Donor, d.Target, d.Nodes)
 		m.stats.Switches++
 		m.stats.NodesOrdered += n
-		m.history = append(m.history, DecisionRecord{At: m.eng.Now(), Decision: d, Submitted: n})
+		*m.history.Add() = DecisionRecord{At: m.eng.Now(), Decision: d, Submitted: n}
 	}
 	return d
 }

@@ -589,3 +589,49 @@ func TestQuickPoliciesRespectDonatable(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFCFSNeverSwitchesWithoutStuckQueue pins E20's structural zero at
+// the policy level: over a table of side states whose reports follow
+// the detector's stuck rule (no job running, at least one queued),
+// FCFS never acts while every side with a queue also runs a job, and
+// does act on a stuck side whose peer has a donatable node.
+func TestFCFSNeverSwitchesWithoutStuckQueue(t *testing.T) {
+	var states []SideState
+	for _, running := range []int{0, 1, 5} {
+		for _, queued := range []int{0, 1, 7} {
+			for _, idle := range []int{0, 2, 8} {
+				for _, pending := range []int{0, 1} {
+					s := side(osid.None, 8, idle)
+					s.RunningJobs, s.QueuedJobs, s.QueuedCPUs, s.PendingAway = running, queued, 4*queued, pending
+					s.Report = detector.Report{StuckJobID: detector.NoneID}
+					if running == 0 && queued > 0 {
+						s.Report = detector.Report{Stuck: true, NeededCPUs: 4, StuckJobID: "1.head"}
+					}
+					states = append(states, s)
+				}
+			}
+		}
+	}
+	saturated, acted := 0, 0
+	for _, linux := range states {
+		for _, windows := range states {
+			linux.OS, windows.OS = osid.Linux, osid.Windows
+			d := FCFS{}.Decide(0, linux, windows)
+			switch {
+			case (linux.QueuedJobs == 0 || linux.RunningJobs > 0) && (windows.QueuedJobs == 0 || windows.RunningJobs > 0):
+				saturated++
+				if d.Act {
+					t.Fatalf("fcfs switched with no stuck queue: linux %+v, windows %+v: %v", linux, windows, d)
+				}
+			case linux.Report.Stuck && windows.DonatableNodes() > 0 || windows.Report.Stuck && linux.DonatableNodes() > 0:
+				acted++
+				if !d.Act {
+					t.Fatalf("fcfs ignored a stuck side with a donor: linux %+v, windows %+v: %v", linux, windows, d)
+				}
+			}
+		}
+	}
+	if saturated == 0 || acted == 0 {
+		t.Fatalf("table covers %d unstuck and %d stuck pairs", saturated, acted)
+	}
+}

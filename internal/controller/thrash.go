@@ -18,29 +18,35 @@ const DefaultDwell = 30 * time.Minute
 // ping-pong at a 30-minute period scores one thrash per about-face,
 // which is what the E15 ranking charges a policy for.
 func ThrashCount(history []DecisionRecord, window time.Duration) int {
+	return countThrash(len(history), func(i int) *DecisionRecord { return &history[i] }, window)
+}
+
+// countThrash is ThrashCount over n records read through at.
+func countThrash(n int, at func(int) *DecisionRecord, window time.Duration) int {
 	if window <= 0 {
 		window = DefaultDwell
 	}
 	thrash := 0
-	have := false
-	var prev DecisionRecord
-	for _, rec := range history {
+	var prev *DecisionRecord
+	for i := range n {
+		rec := at(i)
 		if !rec.Decision.Act {
 			continue
 		}
-		if have &&
+		if prev != nil &&
 			rec.Decision.Donor == prev.Decision.Target &&
 			rec.Decision.Target == prev.Decision.Donor &&
 			rec.At-prev.At < window {
 			thrash++
 		}
-		prev, have = rec, true
+		prev = rec
 	}
 	return thrash
 }
 
 // Thrash reports the manager's reversal count over the default dwell
-// window — the headline anti-flap number the experiments record.
+// window — the headline anti-flap number the experiments record. It
+// reads the decision log in place.
 func (m *Manager) Thrash() int {
-	return ThrashCount(m.history, DefaultDwell)
+	return countThrash(m.history.Len(), m.history.At, DefaultDwell)
 }

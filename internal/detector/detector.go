@@ -16,6 +16,7 @@
 package detector
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -44,17 +45,18 @@ type Report struct {
 // widths are clamped (CPUs) or truncated (job ID) the way a fixed-
 // format protocol forces.
 func (r Report) Encode() string {
+	var buf [5 + maxIDLen]byte
+	return string(r.AppendEncode(buf[:0]))
+}
+
+// AppendEncode appends the Figure-5 wire string of r to dst, with
+// Encode's clamping and truncation, and returns the extended buffer.
+func (r Report) AppendEncode(dst []byte) []byte {
 	state := byte('0')
 	if r.Stuck {
 		state = '1'
 	}
-	cpus := r.NeededCPUs
-	if cpus < 0 {
-		cpus = 0
-	}
-	if cpus > maxCPUs {
-		cpus = maxCPUs
-	}
+	cpus := min(max(r.NeededCPUs, 0), maxCPUs)
 	id := r.StuckJobID
 	if id == "" {
 		id = NoneID
@@ -62,38 +64,45 @@ func (r Report) Encode() string {
 	if len(id) > maxIDLen {
 		id = id[:maxIDLen]
 	}
-	return fmt.Sprintf("%c%04d%s", state, cpus, id)
+	return append(append(dst, state,
+		byte('0'+cpus/1000), byte('0'+cpus/100%10), byte('0'+cpus/10%10), byte('0'+cpus%10)),
+		id...)
 }
 
 // Parse decodes a wire string produced by Encode (or by the original
 // Perl detectors, whose outputs in Figure 6 parse verbatim).
-func Parse(s string) (Report, error) {
-	s = strings.TrimSpace(s)
-	if len(s) < 6 {
-		return Report{}, fmt.Errorf("detector: report %q too short", s)
+func Parse(s string) (Report, error) { return ParseBytes([]byte(s)) }
+
+// ParseBytes decodes a wire string like Parse. The report shares no
+// memory with b: the "none" placeholder becomes NoneID and a stuck
+// job's ID is copied out, so the caller may reuse b at once.
+func ParseBytes(b []byte) (Report, error) {
+	b = bytes.TrimSpace(b)
+	if len(b) < 6 {
+		return Report{}, fmt.Errorf("detector: report %q too short", string(b))
 	}
 	var r Report
-	switch s[0] {
+	switch b[0] {
 	case '1':
 		r.Stuck = true
 	case '0':
 		r.Stuck = false
 	default:
-		return Report{}, fmt.Errorf("detector: bad state byte %q", s[0])
+		return Report{}, fmt.Errorf("detector: bad state byte %q", b[0])
 	}
-	cpus, err := strconv.Atoi(s[1:5])
+	cpus, err := strconv.Atoi(string(b[1:5])) // converted on the stack: Atoi keeps no reference
 	if err != nil || cpus < 0 {
-		return Report{}, fmt.Errorf("detector: bad CPU field %q", s[1:5])
+		return Report{}, fmt.Errorf("detector: bad CPU field %q", string(b[1:5]))
 	}
 	r.NeededCPUs = cpus
-	id := s[5:]
+	id := b[5:]
 	if len(id) > maxIDLen {
 		id = id[:maxIDLen]
 	}
-	r.StuckJobID = id
-	if !r.Stuck && r.StuckJobID != NoneID {
-		// tolerated: the format only promises "default none"
-		_ = id
+	if string(id) == NoneID {
+		r.StuckJobID = NoneID
+	} else {
+		r.StuckJobID = string(id)
 	}
 	return r, nil
 }
@@ -157,18 +166,25 @@ func (d *PBSDetector) Detect() (Report, error) {
 		// running/queued counts and queue head the text scrape yields
 		// (the simulated server never renders transient E states).
 		stats := d.Server.QueueStats()
-		return buildReport(stats.Running, stats.Queued, func() (int, string) {
-			j := d.Server.FirstQueued()
-			return j.Nodes() * j.PPN(), j.ID()
-		}), nil
+		if !isStuck(stats.Running, stats.Queued) {
+			return notStuck, nil
+		}
+		j := d.Server.FirstQueued()
+		return Report{Stuck: true, NeededCPUs: j.Nodes() * j.PPN(), StuckJobID: j.ID()}, nil
 	}
 	running, queued, err := d.scan()
 	if err != nil {
 		return Report{}, err
 	}
-	return buildReport(len(running), len(queued), func() (int, string) {
-		return queued[0].CPUs(), queued[0].ID
-	}), nil
+	return scanReport(running, queued), nil
+}
+
+// scanReport applies the stuck rule to scraped job lists.
+func scanReport(running, queued []pbs.JobStatus) Report {
+	if !isStuck(len(running), len(queued)) {
+		return notStuck
+	}
+	return Report{Stuck: true, NeededCPUs: queued[0].CPUs(), StuckJobID: queued[0].ID}
 }
 
 // Describe implements Detector, reproducing the three output shapes of
@@ -178,9 +194,7 @@ func (d *PBSDetector) Describe() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	rep := buildReport(len(running), len(queued), func() (int, string) {
-		return queued[0].CPUs(), queued[0].ID
-	})
+	rep := scanReport(running, queued)
 	var b strings.Builder
 	b.WriteString(rep.Encode())
 	b.WriteByte('\n')
@@ -210,9 +224,11 @@ func NewWinHPCDetector(s *winhpc.Scheduler) *WinHPCDetector {
 // Detect implements Detector.
 func (d *WinHPCDetector) Detect() (Report, error) {
 	snap := d.Sched.Snapshot()
-	return buildReport(snap.Running, snap.Queued, func() (int, string) {
-		return snap.NeededCores, fmt.Sprintf("%d.%s", snap.FirstQueued, d.Sched.ClusterName())
-	}), nil
+	if !isStuck(snap.Running, snap.Queued) {
+		return notStuck, nil
+	}
+	return Report{Stuck: true, NeededCPUs: snap.NeededCores,
+		StuckJobID: strconv.Itoa(snap.FirstQueued) + "." + d.Sched.ClusterName()}, nil
 }
 
 // Describe implements Detector.
@@ -234,15 +250,12 @@ func (d *WinHPCDetector) Describe() (string, error) {
 	return b.String(), nil
 }
 
-// buildReport applies the stuck rule: no job running, at least one
-// queued. firstQueued is only consulted when queued > 0.
-func buildReport(running, queued int, firstQueued func() (int, string)) Report {
-	if running == 0 && queued > 0 {
-		cpus, id := firstQueued()
-		return Report{Stuck: true, NeededCPUs: cpus, StuckJobID: id}
-	}
-	return Report{Stuck: false, NeededCPUs: 0, StuckJobID: NoneID}
-}
+// isStuck is the stuck rule: no job running, at least one queued.
+func isStuck(running, queued int) bool { return running == 0 && queued > 0 }
+
+// notStuck is the report of a scheduler the stuck rule does not hold
+// for.
+var notStuck = Report{StuckJobID: NoneID}
 
 // stateDescription matches Figure 6's middle lines.
 func stateDescription(running, queued int) string {

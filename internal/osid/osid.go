@@ -61,7 +61,9 @@ func Parse(s string) (OS, error) {
 	case "none", "":
 		return None, nil
 	default:
-		return None, fmt.Errorf("osid: unknown OS %q", s)
+		// The clone keeps s itself from escaping, so a caller can pass a
+		// name converted from bytes without a heap copy.
+		return None, fmt.Errorf("osid: unknown OS %q", strings.Clone(s))
 	}
 }
 
