@@ -22,6 +22,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/controller"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/osid"
 	"repro/internal/workload"
@@ -42,18 +43,21 @@ func main() {
 }
 
 func run(linAddr, winAddr string, cycles int) error {
-	// The cluster under control: all nodes Linux, a Windows burst
-	// arriving to wedge the Windows queue.
-	c, err := cluster.New(cluster.Config{Mode: cluster.HybridV2, InitialLinux: 16, Cycle: time.Hour})
+	// The cluster under control, a one-member grid: all nodes Linux, a
+	// Windows burst arriving to wedge the Windows queue.
+	g, err := grid.New(grid.RouteLeastLoaded, []grid.MemberSpec{
+		{Config: cluster.Config{Mode: cluster.HybridV2, InitialLinux: 16, Cycle: time.Hour}},
+	})
 	if err != nil {
 		return err
 	}
+	c := g.Members()[0].Cluster
 	c.Mgr.Stop() // the in-process controller yields to the TCP daemons
 	trace := workload.Burst(workload.BurstConfig{
 		Start: 0, Jobs: 2, Gap: time.Minute, App: "ANSYS FLUENT",
 		OS: osid.Windows, Nodes: 3, PPN: 4, Runtime: time.Hour, Owner: "cfd",
 	})
-	if err := c.ScheduleTrace(trace); err != nil {
+	if err := g.ScheduleTrace(trace); err != nil {
 		return err
 	}
 
@@ -70,6 +74,7 @@ func run(linAddr, winAddr string, cycles int) error {
 		windows := c.SideInfo(osid.Windows)
 		windows.Report = m.Report
 		linux := c.SideInfo(osid.Linux)
+		linux.Report = c.Detect(osid.Linux)
 		mu.Unlock()
 		fmt.Printf("LINHEAD <- STATE %s %s (from %s)\n", m.From, m.Report.Encode(), from)
 
@@ -122,8 +127,8 @@ func run(linAddr, winAddr string, cycles int) error {
 	// simulated cluster advance.
 	for i := 0; i < cycles; i++ {
 		mu.Lock()
-		c.Eng.RunFor(10 * time.Minute)
-		rep := c.SideInfo(osid.Windows).Report
+		g.Eng.RunFor(10 * time.Minute)
+		rep := c.Detect(osid.Windows)
 		mu.Unlock()
 		msg := comm.Message{Kind: comm.KindState, From: osid.Windows, Report: rep}
 		fmt.Printf("WINHEAD -> %s\n", msg.Encode())
@@ -136,7 +141,7 @@ func run(linAddr, winAddr string, cycles int) error {
 
 	// Drain the simulation and report.
 	mu.Lock()
-	c.RunUntilDrained(48 * time.Hour)
+	g.RunUntilDrained(48 * time.Hour)
 	sum := c.Summary()
 	mu.Unlock()
 	fmt.Printf("\nfinal: windows jobs %d/%d completed, %d switches (mean %s), util %s\n",

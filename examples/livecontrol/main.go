@@ -15,19 +15,24 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/controller"
+	"repro/internal/grid"
 	"repro/internal/osid"
 	"repro/internal/workload"
 )
 
 func main() {
-	c, err := cluster.New(cluster.Config{Mode: cluster.HybridV2, InitialLinux: 16, Cycle: time.Hour})
+	// A single cluster is a one-member grid: the grid routes its trace.
+	g, err := grid.New(grid.RouteLeastLoaded, []grid.MemberSpec{
+		{Config: cluster.Config{Mode: cluster.HybridV2, InitialLinux: 16, Cycle: time.Hour}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	c := g.Members()[0].Cluster
 	c.Mgr.Stop() // replace the in-process loop with the TCP one
 
 	// Wedge the Windows queue: one wide CFD job, zero Windows nodes.
-	err = c.ScheduleTrace(workload.Burst(workload.BurstConfig{
+	err = g.ScheduleTrace(workload.Burst(workload.BurstConfig{
 		Start: 0, Jobs: 1, Gap: time.Minute, App: "ANSYS FLUENT",
 		OS: osid.Windows, Nodes: 4, PPN: 4, Runtime: 90 * time.Minute, Owner: "cfd",
 	}))
@@ -46,6 +51,7 @@ func main() {
 		win := c.SideInfo(osid.Windows)
 		win.Report = m.Report
 		linSide := c.SideInfo(osid.Linux)
+		linSide.Report = c.Detect(osid.Linux)
 		d := policy.Decide(c.Eng.Now(), linSide, win)
 		submitted := 0
 		if d.Act {
@@ -62,8 +68,8 @@ func main() {
 
 	for cycle := 1; cycle <= 3; cycle++ {
 		mu.Lock()
-		c.Eng.RunFor(10 * time.Minute)
-		rep := c.SideInfo(osid.Windows).Report
+		g.Eng.RunFor(10 * time.Minute)
+		rep := c.Detect(osid.Windows)
 		mu.Unlock()
 		msg := comm.Message{Kind: comm.KindState, From: osid.Windows, Report: rep}
 		fmt.Printf("cycle %d: WINHEAD sends %q\n", cycle, msg.Encode())
@@ -75,7 +81,7 @@ func main() {
 	}
 
 	mu.Lock()
-	c.RunUntilDrained(24 * time.Hour)
+	g.RunUntilDrained(24 * time.Hour)
 	sum := c.Summary()
 	mu.Unlock()
 	fmt.Printf("\ndone: windows job completed=%d, switches=%d, max switch %v\n",

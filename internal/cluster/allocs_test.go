@@ -8,42 +8,34 @@ import (
 	"repro/internal/workload"
 )
 
-// TestTraceAllocationsPerJob bounds what a submitted job costs on the
-// heap over its whole life: submission, queueing, start, end and its
-// metrics record, on both head nodes. A mixed Linux/Windows trace runs
-// through ScheduleTrace on a prebuilt hybrid cluster until it drains;
-// the job tables grow in chunks and no per-job text is rendered, so
-// what remains per job is the amortised growth of those tables and of
-// the engine's calendar, and the stuck reports' job IDs (a control
-// cycle allocates nothing else). The city tier runs this path a million
-// times per cell.
-func TestTraceAllocationsPerJob(t *testing.T) {
-	trace := workload.Poisson(workload.PoissonConfig{Seed: 7, Duration: 8 * time.Hour,
-		JobsPerHour: 400, WindowsFrac: 0.4, RuntimeScale: 0.1, MaxNodes: 4})
-	const runs = 3
-	clusters := make([]*Cluster, runs+1) // AllocsPerRun adds a warm-up run
-	for i := range clusters {
-		clusters[i] = newCluster(t, Config{Mode: HybridV2, Nodes: 64})
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		c := clusters[next]
-		next++
-		if err := c.ScheduleTrace(trace); err != nil {
+// TestStuckCycleAllocations: a control cycle in which Windows is stuck
+// but Linux has no node to donate allocates the stuck job's ID twice
+// and nothing else — once when the Windows detector renders it, once
+// when the Linux head parses it off the wire. The Linux head decides
+// from the wire report, so it runs no Windows detector of its own.
+func TestStuckCycleAllocations(t *testing.T) {
+	const cycle = 10 * time.Minute
+	c := newCluster(t, Config{Mode: HybridV2, Nodes: 8, InitialLinux: 4, Cycle: cycle})
+	long := 10000 * time.Hour
+	for i := 0; i < 4; i++ { // every Linux node busy: nothing to donate
+		if _, err := c.Submit(linJob(0, 1, long)); err != nil {
 			t.Fatal(err)
 		}
-		c.RunUntilDrained(1000 * time.Hour)
-	})
-	for _, c := range clusters {
-		s := c.Summary()
-		if c.Unfinished() != 0 || s.SubmitFailures != 0 ||
-			s.JobsCompleted[osid.Linux] == 0 || s.JobsCompleted[osid.Windows] == 0 {
-			t.Fatalf("run did not drain both sides: %d unfinished, summary %+v", c.Unfinished(), s)
-		}
 	}
-	perJob := allocs / float64(len(trace))
-	t.Logf("%d jobs: %.0f allocations per run, %.2f per job", len(trace), allocs, perJob)
-	if perJob > 1 {
-		t.Fatalf("%.2f allocations per submitted job, want at most 1", perJob)
+	if _, err := c.Submit(workload.Job{App: "ANSYS FLUENT", OS: osid.Windows, Owner: "cfd", Nodes: 6, PPN: 4, Runtime: long}); err != nil {
+		t.Fatal(err) // wider than the 4-node Windows side: stuck
+	}
+	c.Eng.RunUntil(10*cycle + time.Second) // warm-up
+	if rep := c.Detect(osid.Windows); !rep.Stuck {
+		t.Fatalf("Windows report %+v, want stuck", rep)
+	}
+	before := c.Mgr.Stats().Cycles
+	allocs := testing.AllocsPerRun(1000, func() { c.Eng.RunUntil(c.Eng.Now() + cycle) })
+	st := c.Mgr.Stats()
+	if ran := st.Cycles - before; ran != 1001 || st.Switches != 0 {
+		t.Fatalf("%d cycles ran, stats %+v: want 1001 cycles and no switch", ran, st)
+	}
+	if allocs != 2 {
+		t.Fatalf("%v allocations per stuck cycle, want 2", allocs)
 	}
 }

@@ -147,16 +147,14 @@ func TestSideInfoMatchesScan(t *testing.T) {
 			if tc.setup != nil {
 				tc.setup(c, &done)
 			}
-			if err := c.ScheduleTrace(censusTrace()); err != nil {
-				t.Fatal(err)
-			}
+			f := scheduleTrace(c, censusTrace())
 			events := 0
 			c.Eng.RunWhile(3*24*time.Hour, func() bool {
 				if err := checkCensus(c); err != nil {
 					t.Fatalf("after %d events, at %v: %v", events, c.Eng.Now(), err)
 				}
 				events++
-				return c.Busy()
+				return f.Busy()
 			})
 			c.Quiesce()
 			if cfg.Mode != Static && c.Summary().Switches == 0 {

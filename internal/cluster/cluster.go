@@ -204,10 +204,9 @@ type Cluster struct {
 	awaiting         []bool
 	// owners interns each trace user's scheduler-side owner names, so
 	// a submission builds no owner string.
-	owners     map[string]owner
-	unfinished int
-	toSubmit   int     // trace jobs scheduled but not yet submitted
-	hooks      []Hooks // lifecycle observers (see run.go)
+	owners                map[string]owner
+	unfinished, completed int     // workload jobs still to finish / finished ok
+	hooks                 []Hooks // lifecycle observers (see run.go)
 }
 
 // osSlots sizes the per-side arrays: osid values are dense small
@@ -494,6 +493,9 @@ func (c *Cluster) markDone(h int, completed bool) {
 	if h >= 0 && c.awaiting[h] {
 		c.awaiting[h] = false
 		c.unfinished--
+		if completed {
+			c.completed++
+		}
 		if len(c.hooks) > 0 {
 			c.notifyJobCompleted(h, completed)
 		}

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/driver"
+	"repro/internal/metrics"
 	"repro/internal/osid"
 	"repro/internal/pbs"
 	"repro/internal/workload"
@@ -17,6 +19,36 @@ func newCluster(t *testing.T, cfg Config) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// feed is a one-member grid in miniature for this package's tests (the
+// grid imports cluster, so they cannot use it): it chains a trace's
+// arrivals into the cluster, books a refused job as the grid does, and
+// counts arrivals still to come, so a drain waits for them.
+type feed struct {
+	*Cluster
+	pending int
+}
+
+// Busy implements driver.Workload.
+func (f *feed) Busy() bool { return f.pending > 0 || f.Cluster.Busy() }
+
+// scheduleTrace feeds trace to c at its submission times.
+func scheduleTrace(c *Cluster, trace workload.Trace) *feed {
+	f := &feed{Cluster: c, pending: len(trace)}
+	c.Eng.Chain(len(trace), func(i int) time.Duration { return trace[i].At }, func(i int) {
+		f.pending--
+		if _, err := c.Submit(trace[i]); err != nil {
+			c.RecordSubmitFailure(trace[i], err)
+		}
+	})
+	return f
+}
+
+// runTrace feeds trace to c, drains it and returns its summary.
+func runTrace(c *Cluster, trace workload.Trace, horizon time.Duration) metrics.Summary {
+	driver.Drain(c.Eng, horizon, scheduleTrace(c, trace))
+	return c.Summary()
 }
 
 func linJob(at time.Duration, nodes int, runtime time.Duration) workload.Job {
@@ -76,10 +108,7 @@ func TestStaticHasNoController(t *testing.T) {
 
 func TestLinuxJobRunsOnLinuxSide(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2})
-	sum, err := c.RunTrace(workload.Trace{linJob(0, 2, time.Hour)}, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, workload.Trace{linJob(0, 2, time.Hour)}, 24*time.Hour)
 	if sum.JobsCompleted[osid.Linux] != 1 {
 		t.Fatalf("completed = %v", sum.JobsCompleted)
 	}
@@ -95,10 +124,7 @@ func TestStuckWindowsQueuePullsLinuxNodes(t *testing.T) {
 	// All nodes start in Linux; a Windows job arrives and is stuck
 	// until the controller moves nodes across.
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
-	sum, err := c.RunTrace(workload.Trace{winJob(0, 2, time.Hour)}, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, workload.Trace{winJob(0, 2, time.Hour)}, 24*time.Hour)
 	if sum.JobsCompleted[osid.Windows] != 1 {
 		t.Fatalf("windows job did not complete: %+v", sum.JobsCompleted)
 	}
@@ -117,10 +143,7 @@ func TestStuckWindowsQueuePullsLinuxNodes(t *testing.T) {
 func TestStuckLinuxQueuePullsWindowsNodes(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 1, Cycle: 5 * time.Minute})
 	// Linux job needs 4 nodes; only 1 Linux node exists.
-	sum, err := c.RunTrace(workload.Trace{linJob(0, 4, time.Hour)}, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, workload.Trace{linJob(0, 4, time.Hour)}, 24*time.Hour)
 	if sum.JobsCompleted[osid.Linux] != 1 {
 		t.Fatalf("linux job did not complete: %+v", sum.JobsCompleted)
 	}
@@ -131,10 +154,7 @@ func TestStuckLinuxQueuePullsWindowsNodes(t *testing.T) {
 
 func TestV1SwitchGoesThroughFATControlFile(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV1, InitialLinux: 16, Cycle: 5 * time.Minute})
-	sum, err := c.RunTrace(workload.Trace{winJob(0, 1, 30*time.Minute)}, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, workload.Trace{winJob(0, 1, 30*time.Minute)}, 24*time.Hour)
 	if sum.JobsCompleted[osid.Windows] != 1 {
 		t.Fatalf("completed = %+v", sum.JobsCompleted)
 	}
@@ -167,9 +187,7 @@ func TestV2FlagSharedAcrossBatch(t *testing.T) {
 	// One stuck Windows job needing several nodes: v2 sets the flag
 	// once, not once per node.
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
-	if _, err := c.RunTrace(workload.Trace{winJob(0, 3, 30*time.Minute)}, 24*time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	runTrace(c, workload.Trace{winJob(0, 3, 30*time.Minute)}, 24*time.Hour)
 	if c.PXE.Flag() != osid.Windows {
 		t.Fatalf("flag = %v", c.PXE.Flag())
 	}
@@ -185,10 +203,7 @@ func TestV2FlagSharedAcrossBatch(t *testing.T) {
 func TestStaticClusterNeverSwitches(t *testing.T) {
 	c := newCluster(t, Config{Mode: Static, InitialLinux: 8})
 	trace := workload.Trace{winJob(0, 2, time.Hour), linJob(time.Minute, 2, time.Hour)}
-	sum, err := c.RunTrace(trace, 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, trace, 12*time.Hour)
 	if sum.Switches != 0 || c.ControlActions() != 0 {
 		t.Fatalf("static switched: %d/%d", sum.Switches, c.ControlActions())
 	}
@@ -201,19 +216,13 @@ func TestStaticClusterStrandsOversizedJobs(t *testing.T) {
 	// A Windows job needing more nodes than the static Windows side
 	// owns can never run — the poor-utilisation story of §I.
 	c := newCluster(t, Config{Mode: Static, InitialLinux: 8})
-	sum, err := c.RunTrace(workload.Trace{winJob(0, 12, time.Hour)}, 8*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, workload.Trace{winJob(0, 12, time.Hour)}, 8*time.Hour)
 	if sum.JobsCompleted[osid.Windows] != 0 {
 		t.Fatal("oversized job completed on a static split?")
 	}
 	// The same job on a hybrid completes.
 	h := newCluster(t, Config{Mode: HybridV2, InitialLinux: 8, Cycle: 5 * time.Minute})
-	sum, err = h.RunTrace(workload.Trace{winJob(0, 12, time.Hour)}, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum = runTrace(h, workload.Trace{winJob(0, 12, time.Hour)}, 24*time.Hour)
 	if sum.JobsCompleted[osid.Windows] != 1 {
 		t.Fatalf("hybrid failed the oversized job: %+v", sum.JobsCompleted)
 	}
@@ -221,10 +230,7 @@ func TestStaticClusterStrandsOversizedJobs(t *testing.T) {
 
 func TestMonoStableReturnsNodesHome(t *testing.T) {
 	c := newCluster(t, Config{Mode: MonoStable, InitialLinux: 16, Cycle: 5 * time.Minute})
-	sum, err := c.RunTrace(workload.Trace{winJob(0, 1, 30*time.Minute)}, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, workload.Trace{winJob(0, 1, 30*time.Minute)}, 24*time.Hour)
 	if sum.JobsCompleted[osid.Windows] != 1 {
 		t.Fatalf("completed = %v", sum.JobsCompleted)
 	}
@@ -240,9 +246,7 @@ func TestMonoStableReturnsNodesHome(t *testing.T) {
 
 func TestBiStableLeavesNodesWarm(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
-	if _, err := c.RunTrace(workload.Trace{winJob(0, 1, 30*time.Minute)}, 24*time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	runTrace(c, workload.Trace{winJob(0, 1, 30*time.Minute)}, 24*time.Hour)
 	if c.NodesOn(osid.Windows) == 0 {
 		t.Fatal("bi-stable node was pulled back without demand")
 	}
@@ -257,10 +261,7 @@ func TestRunningJobsProtectedFromSwitch(t *testing.T) {
 		{At: 0, App: "LAMMPS", OS: osid.Linux, Owner: "u3", Nodes: 8, PPN: 4, Runtime: 2 * time.Hour},
 		winJob(time.Minute, 1, 30*time.Minute),
 	}
-	sum, err := c.RunTrace(trace, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, trace, 24*time.Hour)
 	if sum.JobsCompleted[osid.Linux] != 2 {
 		t.Fatalf("linux jobs harmed: %+v", sum.JobsCompleted)
 	}
@@ -276,9 +277,7 @@ func TestRunningJobsProtectedFromSwitch(t *testing.T) {
 
 func TestSwitchLatencyUnderFiveMinutes(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
-	if _, err := c.RunTrace(workload.Trace{winJob(0, 2, 30*time.Minute)}, 24*time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	runTrace(c, workload.Trace{winJob(0, 2, 30*time.Minute)}, 24*time.Hour)
 	for _, sw := range c.Rec.Switches() {
 		if sw.Duration() > 5*time.Minute {
 			t.Fatalf("switch %s took %v > 5m", sw.Node, sw.Duration())
@@ -338,13 +337,14 @@ func TestBrokenBootMarksNode(t *testing.T) {
 	}
 }
 
+// TestSampleSeries takes a snapshot at every tick of a run, the way a
+// sampled scenario does, and checks what a node-shift curve needs.
 func TestSampleSeries(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
 	trace := workload.Trace{winJob(0, 2, time.Hour)}
-	series, sum, err := c.SampleSeries(trace, 10*time.Minute, 12*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var series []Snapshot
+	c.Eng.EveryBackground(10*time.Minute, func() { series = append(series, c.TakeSnapshot()) })
+	sum := runTrace(c, trace, 12*time.Hour)
 	if len(series) == 0 {
 		t.Fatal("no snapshots")
 	}
@@ -421,9 +421,7 @@ func TestSwitchJobScriptParsesAsFigure4(t *testing.T) {
 
 func TestEventsLogged(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
-	if _, err := c.RunTrace(workload.Trace{winJob(0, 1, 30*time.Minute)}, 24*time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	runTrace(c, workload.Trace{winJob(0, 1, 30*time.Minute)}, 24*time.Hour)
 	var sawFlag, sawSwitch bool
 	for _, e := range c.Events() {
 		if strings.Contains(e.What, "flag -> windows") {
@@ -466,10 +464,7 @@ func TestSubmitFailuresSurfaceInSummary(t *testing.T) {
 		linJob(0, 2, time.Hour),
 		{At: time.Minute, App: "LAMMPS", OS: osid.Linux, Owner: "u", Nodes: 40, PPN: 4, Runtime: time.Hour},
 	}
-	sum, err := c.RunTrace(trace, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, trace, 24*time.Hour)
 	if sum.SubmitFailures != 1 {
 		t.Fatalf("SubmitFailures = %d, want 1", sum.SubmitFailures)
 	}
@@ -479,8 +474,8 @@ func TestSubmitFailuresSurfaceInSummary(t *testing.T) {
 	if sum.JobsCompleted[osid.Linux] != 1 {
 		t.Fatalf("completed = %v", sum.JobsCompleted)
 	}
-	if c.Unfinished() != 0 || c.PendingSubmissions() != 0 {
-		t.Fatalf("accounting dirty: unfinished=%d pending=%d", c.Unfinished(), c.PendingSubmissions())
+	if c.Unfinished() != 0 {
+		t.Fatalf("accounting dirty: unfinished=%d", c.Unfinished())
 	}
 }
 
@@ -506,10 +501,7 @@ func TestHooksObserveCompletionsAndSwitches(t *testing.T) {
 			landedOS = os
 		},
 	})
-	sum, err := c.RunTrace(workload.Trace{winJob(0, 2, 30*time.Minute)}, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, workload.Trace{winJob(0, 2, 30*time.Minute)}, 24*time.Hour)
 	if completions != 1 {
 		t.Fatalf("completion hooks = %d, want 1", completions)
 	}

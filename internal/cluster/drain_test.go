@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/driver"
 	"repro/internal/osid"
 	"repro/internal/pbs"
 	"repro/internal/workload"
 )
 
-// A switch that never completes must not hang RunUntilDrained: the
-// drain is bounded by the horizon, not by an iteration count.
+// A switch that never completes must not hang the drain: it is bounded
+// by the horizon, not by an iteration count.
 func TestRunUntilDrainedStuckSwitchStopsAtHorizon(t *testing.T) {
 	c, err := New(Config{Mode: HybridV2, Nodes: 4, InitialLinux: 4})
 	if err != nil {
@@ -29,13 +30,13 @@ func TestRunUntilDrainedStuckSwitchStopsAtHorizon(t *testing.T) {
 	const horizon = 2 * time.Hour
 	done := make(chan struct{})
 	go func() {
-		c.RunUntilDrained(horizon)
+		driver.Drain(c.Eng, horizon, c)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunUntilDrained did not terminate with a stuck switch")
+		t.Fatal("the drain did not terminate with a stuck switch")
 	}
 	if got := c.Eng.Now(); got != horizon {
 		t.Fatalf("clock stopped at %v, want horizon %v", got, horizon)
@@ -70,7 +71,7 @@ func TestRunUntilDrainedQdelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 48 * time.Hour
-	c.RunUntilDrained(horizon)
+	driver.Drain(c.Eng, horizon, c)
 	if c.Unfinished() != 0 {
 		t.Fatalf("%d jobs unfinished after the drain", c.Unfinished())
 	}
@@ -103,10 +104,7 @@ func TestBootFailureInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err := c.RunTrace(trace, 24*time.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sum := runTrace(c, trace, 24*time.Hour)
 		return c.BrokenCount(), sum.Switches
 	}
 
@@ -126,13 +124,14 @@ func TestBootFailureInjection(t *testing.T) {
 // steppedDrain replicates the fixed-step polling loop this package
 // used before the event-driven quiescence driver, kept here as the
 // wakeup baseline the acceptance benchmark compares against.
-func steppedDrain(c *Cluster, maxHorizon time.Duration) {
+func steppedDrain(f *feed, maxHorizon time.Duration) {
+	c := f.Cluster
 	step := c.cfg.Cycle
 	if step <= 0 {
 		step = 10 * time.Minute
 	}
 	for c.Eng.Now() < maxHorizon {
-		if c.toSubmit == 0 && c.unfinished == 0 && c.SwitchingCount() == 0 {
+		if !f.Busy() {
 			break
 		}
 		next := c.Eng.Now() + step
@@ -183,21 +182,14 @@ func TestDriverFewerWakeupsThanSteppedBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := base.ScheduleTrace(trace); err != nil {
-		t.Fatal(err)
-	}
-	steppedDrain(base, horizon)
+	steppedDrain(scheduleTrace(base, trace), horizon)
 	baseSum := base.Summary()
 
 	drv, err := New(idleTailConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := drv.ScheduleTrace(trace); err != nil {
-		t.Fatal(err)
-	}
-	drv.RunUntilDrained(horizon)
-	drvSum := drv.Summary()
+	drvSum := runTrace(drv, trace, horizon)
 
 	if got, want := drvSum.JobsCompleted[osid.Windows], baseSum.JobsCompleted[osid.Windows]; got != want {
 		t.Fatalf("driver completed %d windows jobs, baseline %d", got, want)
@@ -220,17 +212,14 @@ func TestDriverFewerWakeupsThanSteppedBaseline(t *testing.T) {
 // strategies on the idle-tailed trace; BENCH_sim.json tracks the
 // driver numbers per experiment.
 func BenchmarkDrainWakeups(b *testing.B) {
-	run := func(b *testing.B, drain func(*Cluster, time.Duration)) {
+	run := func(b *testing.B, drain func(*feed, time.Duration)) {
 		var events uint64
 		for i := 0; i < b.N; i++ {
 			c, err := New(idleTailConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := c.ScheduleTrace(idleTailTrace()); err != nil {
-				b.Fatal(err)
-			}
-			drain(c, 72*time.Hour)
+			drain(scheduleTrace(c, idleTailTrace()), 72*time.Hour)
 			events = c.Eng.EventsRun()
 		}
 		b.ReportMetric(float64(events), "events-run")
@@ -239,6 +228,6 @@ func BenchmarkDrainWakeups(b *testing.B) {
 		run(b, steppedDrain)
 	})
 	b.Run("event-driven", func(b *testing.B) {
-		run(b, func(c *Cluster, h time.Duration) { c.RunUntilDrained(h) })
+		run(b, func(f *feed, h time.Duration) { driver.Drain(f.Eng, h, f) })
 	})
 }

@@ -106,10 +106,7 @@ func TestClusterSurvivesBrokenNodeUnderLoad(t *testing.T) {
 	}
 	// Force the victim toward Windows so its boot fails.
 	c.Eng.After(time.Minute, func() { _ = c.ForceSwitch("enode05", osid.Windows) })
-	sum, err := c.RunTrace(trace, 48*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, trace, 48*time.Hour)
 	if sum.JobsCompleted[osid.Windows] != 1 || sum.JobsCompleted[osid.Linux] != 1 {
 		t.Fatalf("completed = %v with one broken node", sum.JobsCompleted)
 	}

@@ -20,24 +20,21 @@ import (
 // SideInfo implements controller.Gateway. Every figure comes from a
 // maintained counter: the node total from the cluster's census, the
 // idle nodes (up on the side with no CPU in use) from the side's
-// scheduler.
+// scheduler. The detector report is left empty: Detect runs it.
 func (c *Cluster) SideInfo(os osid.OS) controller.SideState {
 	s := controller.SideState{
 		OS:            os,
 		CoresPerNode:  c.cfg.CoresPerNode,
 		SwitchLatency: c.SwitchLatencyEstimate(os),
 	}
-	var det detector.Detector
 	switch os {
 	case osid.Linux:
-		det = c.pbsDet
 		stats := c.PBS.QueueStats()
 		s.RunningJobs = stats.Running
 		s.QueuedJobs = stats.Queued
 		s.QueuedCPUs = stats.QueuedCPUs
 		s.IdleNodes = stats.IdleNodes
 	case osid.Windows:
-		det = c.winDet
 		snap := c.Win.Snapshot()
 		s.RunningJobs = snap.Running
 		s.QueuedJobs = snap.Queued
@@ -49,10 +46,20 @@ func (c *Cluster) SideInfo(os osid.OS) controller.SideState {
 	s.PendingAway = c.pending[os]
 	s.ArrivedCPUs = c.arrived[os]
 	s.TotalNodes = c.nodesOn[os]
-	if rep, err := det.Detect(); err == nil {
-		s.Report = rep
-	}
 	return s
+}
+
+// Detect implements controller.Gateway: it runs the side's queue-state
+// detector, which gives the zero report on error, as it does for an
+// invalid side.
+func (c *Cluster) Detect(os osid.OS) (rep detector.Report) {
+	switch os {
+	case osid.Linux:
+		rep, _ = c.pbsDet.Detect()
+	case osid.Windows:
+		rep, _ = c.winDet.Detect()
+	}
+	return rep
 }
 
 // SwitchJobScript renders the Figure-4 PBS batch script for a switch

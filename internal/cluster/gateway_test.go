@@ -56,8 +56,8 @@ func TestSideInfoQueuedDemand(t *testing.T) {
 	if win.QueuedCPUs != 12 {
 		t.Fatalf("queued cpus = %d, want 12", win.QueuedCPUs)
 	}
-	if !win.Report.Stuck || win.Report.NeededCPUs != 8 {
-		t.Fatalf("report = %+v", win.Report)
+	if rep := c.Detect(osid.Windows); !rep.Stuck || rep.NeededCPUs != 8 {
+		t.Fatalf("report = %+v", rep)
 	}
 }
 
@@ -117,8 +117,11 @@ func TestOrderSwitchValidation(t *testing.T) {
 func TestSideInfoInvalidOS(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2})
 	s := c.SideInfo(osid.None)
-	if s.TotalNodes != 0 || s.Report.Stuck {
+	if s.TotalNodes != 0 {
 		t.Fatalf("SideInfo(None) = %+v", s)
+	}
+	if rep := c.Detect(osid.None); rep.Stuck {
+		t.Fatalf("Detect(None) = %+v", rep)
 	}
 }
 

@@ -25,10 +25,7 @@ func TestPerMACProvisioning(t *testing.T) {
 
 func TestPerMACSwitchLandsOnTarget(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2, PerMACBoot: true, InitialLinux: 16, Cycle: 5 * time.Minute})
-	sum, err := c.RunTrace(workload.Trace{winJob(0, 2, time.Hour)}, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := runTrace(c, workload.Trace{winJob(0, 2, time.Hour)}, 24*time.Hour)
 	if sum.JobsCompleted[osid.Windows] != 1 {
 		t.Fatalf("completed = %v", sum.JobsCompleted)
 	}
@@ -45,13 +42,9 @@ func TestPerMACPaysOneActionPerNode(t *testing.T) {
 	trace := workload.Trace{winJob(0, 3, time.Hour)}
 
 	perMAC := newCluster(t, Config{Mode: HybridV2, PerMACBoot: true, InitialLinux: 16, Cycle: 5 * time.Minute})
-	if _, err := perMAC.RunTrace(trace, 24*time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	runTrace(perMAC, trace, 24*time.Hour)
 	flag := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
-	if _, err := flag.RunTrace(trace, 24*time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	runTrace(flag, trace, 24*time.Hour)
 
 	pm, fl := perMAC.Summary(), flag.Summary()
 	if pm.Switches != fl.Switches {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/driver"
 	"repro/internal/metrics"
 	"repro/internal/osid"
 	"repro/internal/pbs"
@@ -13,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-// This file runs workload traces through the cluster and exposes the
+// This file submits the jobs internal/grid routes here and exposes the
 // snapshot/summary views the experiments and examples consume. The
 // drain loop lives in internal/driver: the cluster only answers Busy
 // and shuts its controller down on Quiesce.
@@ -33,8 +32,8 @@ type Hooks struct {
 	// ends: os is the side the node came up on (None for a boot-chain
 	// casualty) and ok whether it matched the intent.
 	SwitchLanded func(node string, os osid.OS, ok bool)
-	// SubmitFailed fires when a trace submission is rejected by the
-	// target scheduler (e.g. a job too wide for the machine).
+	// SubmitFailed fires when a routed job is rejected by the target
+	// scheduler (e.g. a job too wide for the machine).
 	SubmitFailed func(j workload.Job, err error)
 }
 
@@ -143,58 +142,37 @@ func (c *Cluster) track(tab *[]int32, n int, j workload.Job) int {
 	return h
 }
 
-// ScheduleTrace arranges every job in the trace for submission at its
-// timestamp. A submission the scheduler rejects is counted — it
-// surfaces in Summary.SubmitFailures and fires the SubmitFailed hook —
-// so a run that "drains cleanly" cannot silently lose jobs. The
-// arrivals are an engine Chain: one is queued at a time, in the order
-// scheduling them all now would give. The cluster keeps a reference to
-// trace, so the caller must not modify it during the run.
-func (c *Cluster) ScheduleTrace(trace workload.Trace) error {
-	if err := trace.Validate(); err != nil {
-		return err
-	}
-	c.reserve(trace)
-	c.toSubmit += len(trace)
-	c.Eng.Chain(len(trace), func(i int) time.Duration { return trace[i].At }, func(i int) {
-		c.toSubmit--
-		j := trace[i]
-		if _, err := c.Submit(j); err != nil {
-			c.Rec.SubmitFailed()
-			c.notifySubmitFailed(j, err)
-			c.logf("submit %s failed: %v", j.App, err)
-		}
-	})
-	return nil
+// Reserve sizes the job bookkeeping for the workload jobs about to be
+// submitted here, linux and windows per side: the recorder's rows, the
+// tracked-job flags and each scheduler's handle table (switch jobs the
+// controller submits still grow the latter by append).
+func (c *Cluster) Reserve(linux, windows int) {
+	c.Rec.Reserve(linux + windows)
+	c.awaiting = slices.Grow(c.awaiting, linux+windows)
+	c.pbsJobs = slices.Grow(c.pbsJobs, linux)
+	c.winJobs = slices.Grow(c.winJobs, windows)
 }
 
-// reserve sizes the job bookkeeping for a trace once: the recorder's
-// rows, the tracked-job flags and each scheduler's handle table (switch
-// jobs the controller submits still grow the latter by append).
-func (c *Cluster) reserve(trace workload.Trace) {
-	c.Rec.Reserve(len(trace))
-	c.awaiting = slices.Grow(c.awaiting, len(trace))
-	linux := 0
-	for i := range trace {
-		if trace[i].OS == osid.Linux {
-			linux++
-		}
-	}
-	c.pbsJobs = slices.Grow(c.pbsJobs, linux)
-	c.winJobs = slices.Grow(c.winJobs, len(trace)-linux)
+// RecordSubmitFailure books a workload job that was routed here and
+// that the scheduler refused (err, from Submit): it surfaces in
+// Summary.SubmitFailures, fires the SubmitFailed hook and is logged,
+// so a run that "drains cleanly" cannot silently lose jobs.
+func (c *Cluster) RecordSubmitFailure(j workload.Job, err error) {
+	c.Rec.SubmitFailed()
+	c.notifySubmitFailed(j, err)
+	c.logf("submit %s failed: %v", j.App, err)
 }
 
 // Unfinished reports workload jobs not yet completed.
 func (c *Cluster) Unfinished() int { return c.unfinished }
 
-// PendingSubmissions reports trace jobs scheduled but not yet
-// submitted.
-func (c *Cluster) PendingSubmissions() int { return c.toSubmit }
+// Completed reports workload jobs that finished successfully.
+func (c *Cluster) Completed() int { return c.completed }
 
-// Busy implements driver.Workload: outstanding trace submissions,
-// unfinished jobs, or switches in flight.
+// Busy implements driver.Workload: unfinished jobs or switches in
+// flight.
 func (c *Cluster) Busy() bool {
-	return c.toSubmit > 0 || c.unfinished > 0 || c.SwitchingCount() > 0
+	return c.unfinished > 0 || c.SwitchingCount() > 0
 }
 
 // Quiesce implements driver.Workload: stop the controller daemons.
@@ -202,27 +180,6 @@ func (c *Cluster) Quiesce() {
 	if c.Mgr != nil {
 		c.Mgr.Stop()
 	}
-}
-
-// RunTrace schedules a trace and advances virtual time until every
-// workload job completes, no switches are in flight, or maxHorizon is
-// reached. It returns the metrics summary.
-func (c *Cluster) RunTrace(trace workload.Trace, maxHorizon time.Duration) (metrics.Summary, error) {
-	if err := c.ScheduleTrace(trace); err != nil {
-		return metrics.Summary{}, err
-	}
-	c.RunUntilDrained(maxHorizon)
-	return c.Summary(), nil
-}
-
-// RunUntilDrained advances time on the shared quiescence driver: the
-// engine hops event-to-event and stops at the exact instant the
-// cluster goes quiet (the controller's background ticker never keeps
-// the run alive). A wedged cluster — a switch that never lands — rides
-// the clock to the horizon, exactly as before, just without the
-// fixed-step polling.
-func (c *Cluster) RunUntilDrained(maxHorizon time.Duration) {
-	driver.Drain(c.Eng, maxHorizon, c)
 }
 
 // Summary digests the run so far.
@@ -260,27 +217,4 @@ func (c *Cluster) TakeSnapshot() Snapshot {
 		WindowsQueued: winSnap.Queued,
 		WindowsRun:    winSnap.Running,
 	}
-}
-
-// SampleSeries runs a trace while recording snapshots every interval,
-// returning the series and the final summary. Sampling rides a
-// background ticker, so an exhausted workload stops the run even with
-// samples still scheduled; a final snapshot at the stop instant closes
-// the series.
-func (c *Cluster) SampleSeries(trace workload.Trace, interval, horizon time.Duration) ([]Snapshot, metrics.Summary, error) {
-	if err := c.ScheduleTrace(trace); err != nil {
-		return nil, metrics.Summary{}, err
-	}
-	// Preallocate for the full horizon: series storage must not be the
-	// allocation hot spot of a sampled run.
-	series := make([]Snapshot, 0, horizon/interval+2)
-	tk := c.Eng.EveryBackground(interval, func() {
-		series = append(series, c.TakeSnapshot())
-	})
-	driver.Drain(c.Eng, horizon, c)
-	tk.Stop()
-	if len(series) == 0 || series[len(series)-1].At != c.Eng.Now() {
-		series = append(series, c.TakeSnapshot())
-	}
-	return series, c.Summary(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/controller"
+	"repro/internal/driver"
 	"repro/internal/osid"
 	"repro/internal/workload"
 )
@@ -22,9 +23,7 @@ func TestFCFSNeverSwitchesWhileSaturated(t *testing.T) {
 	const window = 6 * time.Hour
 	trace := workload.Poisson(workload.PoissonConfig{Seed: 20, Duration: window,
 		JobsPerHour: 40, WindowsFrac: 0.5, RuntimeScale: 0.2, MaxNodes: 4})
-	if err := c.ScheduleTrace(trace); err != nil {
-		t.Fatal(err)
-	}
+	f := scheduleTrace(c, trace)
 	samples, saturated := 0, 0
 	c.Eng.EveryBackground(cycle, func() {
 		if c.Eng.Now() <= window {
@@ -37,7 +36,7 @@ func TestFCFSNeverSwitchesWhileSaturated(t *testing.T) {
 				t.Fatalf("at %v %s has %d queued and nothing running: the trace does not saturate it",
 					c.Eng.Now(), os, s.QueuedJobs)
 			}
-			if s.Report.Stuck {
+			if c.Detect(os).Stuck {
 				t.Fatalf("at %v %s reports stuck with %d running", c.Eng.Now(), os, s.RunningJobs)
 			}
 			if s.QueuedJobs > 0 {
@@ -48,7 +47,7 @@ func TestFCFSNeverSwitchesWhileSaturated(t *testing.T) {
 			saturated++
 		}
 	})
-	c.RunUntilDrained(1000 * time.Hour)
+	driver.Drain(c.Eng, 1000*time.Hour, f)
 	if c.Unfinished() != 0 {
 		t.Fatalf("%d jobs unfinished", c.Unfinished())
 	}

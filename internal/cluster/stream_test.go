@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/driver"
 	"repro/internal/metrics"
 	"repro/internal/pbs"
 	"repro/internal/winhpc"
@@ -33,21 +34,20 @@ func collidingTrace() workload.Trace {
 	return trace
 }
 
-// scheduleEagerly is the reference ScheduleTrace: every arrival queued
-// at time zero, one engine event per job.
-func scheduleEagerly(c *Cluster, trace workload.Trace) {
-	c.Rec.Reserve(len(trace))
+// scheduleEagerly is the reference for chained arrivals: every arrival
+// queued at time zero, one engine event per job, a refused job booked
+// as a grid books it.
+func scheduleEagerly(c *Cluster, trace workload.Trace) *feed {
+	f := &feed{Cluster: c, pending: len(trace)}
 	for _, j := range trace {
-		c.toSubmit++
 		c.Eng.At(j.At, func() {
-			c.toSubmit--
+			f.pending--
 			if _, err := c.Submit(j); err != nil {
-				c.Rec.SubmitFailed()
-				c.notifySubmitFailed(j, err)
-				c.logf("submit %s failed: %v", j.App, err)
+				c.RecordSubmitFailure(j, err)
 			}
 		})
 	}
+	return f
 }
 
 // streamRun is what one run of a trace leaves to compare.
@@ -59,7 +59,7 @@ type streamRun struct {
 	events []Event
 }
 
-func runColliding(t *testing.T, trace workload.Trace, schedule func(*Cluster)) streamRun {
+func runColliding(t *testing.T, schedule func(*Cluster) *feed) streamRun {
 	t.Helper()
 	c := newCluster(t, Config{Mode: HybridV2, Nodes: 8, InitialLinux: 6, Seed: 3})
 	var r streamRun
@@ -73,24 +73,19 @@ func runColliding(t *testing.T, trace workload.Trace, schedule func(*Cluster)) s
 		winStart(j)
 	}
 	c.AddHooks(Hooks{JobCompleted: func(int, bool) { r.ends = append(r.ends, c.Eng.Now()) }})
-	schedule(c)
-	c.RunUntilDrained(48 * time.Hour)
+	driver.Drain(c.Eng, 48*time.Hour, schedule(c))
 	r.sum, r.ran, r.events = c.Summary(), c.Eng.EventsRun(), c.Events()
 	return r
 }
 
-// TestStreamedTraceMatchesEager holds the chained arrivals of
-// ScheduleTrace to the eager schedule they replace: the same summary,
-// the same number of engine events, the same job starts in the same
-// order, and the same event log.
+// TestStreamedTraceMatchesEager holds arrivals chained through
+// Engine.Chain, as a trace reaches a cluster, to the eager schedule
+// they replace: the same summary, the same number of engine events,
+// the same job starts in the same order, and the same event log.
 func TestStreamedTraceMatchesEager(t *testing.T) {
 	trace := collidingTrace()
-	streamed := runColliding(t, trace, func(c *Cluster) {
-		if err := c.ScheduleTrace(trace); err != nil {
-			t.Fatal(err)
-		}
-	})
-	eager := runColliding(t, trace, func(c *Cluster) { scheduleEagerly(c, trace) })
+	streamed := runColliding(t, func(c *Cluster) *feed { return scheduleTrace(c, trace) })
+	eager := runColliding(t, func(c *Cluster) *feed { return scheduleEagerly(c, trace) })
 
 	collisions := 0
 	for _, j := range trace {

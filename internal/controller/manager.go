@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/detector"
 	"repro/internal/osid"
 	"repro/internal/simtime"
 	"repro/internal/slab"
@@ -21,8 +22,13 @@ const (
 // with the v1 (FAT control file) or v2 (PXE flag) mechanism behind
 // OrderSwitch.
 type Gateway interface {
-	// SideInfo reports the current state of one side.
+	// SideInfo reports the current state of one side, less its
+	// detector report.
 	SideInfo(os osid.OS) SideState
+	// Detect runs one side's queue-state detector (Figure 5). It is
+	// kept apart from SideInfo because a stuck report renders the
+	// stuck job's ID: only a daemon that reads the report runs it.
+	Detect(os osid.OS) detector.Report
 	// OrderSwitch asks the donor side's scheduler to run switch jobs
 	// rebooting count nodes into target. It returns how many orders
 	// were actually submitted.
@@ -130,12 +136,11 @@ func (m *Manager) History() []DecisionRecord {
 // state and ships it to the Linux head.
 func (m *Manager) windowsCycle() {
 	m.stats.Cycles++
-	side := m.gw.SideInfo(osid.Windows)
 	m.stats.StatesSent++
 	m.bus.Send(WindowsEndpoint, LinuxEndpoint, comm.Message{
 		Kind:   comm.KindState,
 		From:   osid.Windows,
-		Report: side.Report,
+		Report: m.gw.Detect(osid.Windows),
 	})
 }
 
@@ -148,6 +153,7 @@ func (m *Manager) onLinuxMessage(from string, msg comm.Message) {
 	windows := m.gw.SideInfo(osid.Windows)
 	windows.Report = msg.Report // trust the wire, not local introspection
 	linux := m.gw.SideInfo(osid.Linux)
+	linux.Report = m.gw.Detect(osid.Linux)
 
 	d := m.policy.Decide(m.eng.Now(), linux, windows)
 	rec := m.history.Add()
@@ -193,7 +199,9 @@ func (m *Manager) onWindowsMessage(from string, msg comm.Message) {
 // ticker, for tests and the qsim CLI's --step mode.
 func (m *Manager) RunOnce() Decision {
 	windows := m.gw.SideInfo(osid.Windows)
+	windows.Report = m.gw.Detect(osid.Windows)
 	linux := m.gw.SideInfo(osid.Linux)
+	linux.Report = m.gw.Detect(osid.Linux)
 	d := m.policy.Decide(m.eng.Now(), linux, windows)
 	if d.Act {
 		n := m.gw.OrderSwitch(d.Donor, d.Target, d.Nodes)

@@ -11,7 +11,8 @@ import (
 	"repro/internal/simtime"
 )
 
-// fakeGateway scripts SideInfo responses and records switch orders.
+// fakeGateway scripts SideInfo responses, reports included, and
+// records switch orders.
 type fakeGateway struct {
 	linux, windows SideState
 	orders         []orderRec
@@ -29,6 +30,8 @@ func (g *fakeGateway) SideInfo(os osid.OS) SideState {
 	}
 	return g.windows
 }
+
+func (g *fakeGateway) Detect(os osid.OS) detector.Report { return g.SideInfo(os).Report }
 
 func (g *fakeGateway) OrderSwitch(donor, target osid.OS, count int) int {
 	g.orders = append(g.orders, orderRec{donor, target, count})
@@ -242,6 +245,8 @@ func (g *oscGateway) SideInfo(os osid.OS) SideState {
 	return side(os, 8, 8)
 }
 
+func (g *oscGateway) Detect(os osid.OS) detector.Report { return g.SideInfo(os).Report }
+
 func (g *oscGateway) OrderSwitch(donor, target osid.OS, count int) int {
 	g.orders = append(g.orders, orderRec{donor, target, count})
 	return count
@@ -355,6 +360,8 @@ func (g *wireGateway) SideInfo(os osid.OS) SideState {
 	}
 	return side(osid.Windows, 8, 0) // locally looks NOT stuck
 }
+
+func (g *wireGateway) Detect(os osid.OS) detector.Report { return g.SideInfo(os).Report }
 
 func (g *wireGateway) OrderSwitch(donor, target osid.OS, count int) int {
 	g.orders = append(g.orders, orderRec{donor, target, count})

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,9 +21,9 @@ import (
 )
 
 // Topology describes the fabric a scenario runs on. With no members
-// it is a single cluster (Scenario.Cluster, the classic path); with
-// members the run assembles a campus grid on one shared clock and the
-// trace flows through the routing policy.
+// it is a single cluster (Scenario.Cluster, run as a one-member grid);
+// with members the run assembles a campus grid of them on one shared
+// clock. Either way the trace flows through the routing policy.
 type Topology struct {
 	// Routing selects the campus router's placement policy.
 	Routing grid.RoutingPolicy
@@ -41,8 +42,8 @@ type Scenario struct {
 	Trace   workload.Trace
 	// Horizon bounds virtual time (default: trace span + 48h).
 	Horizon time.Duration
-	// SampleInterval, when positive, records a node-count time series
-	// (single-cluster topologies only).
+	// SampleInterval, when positive, records a node-count time series,
+	// summed over the members of a grid topology.
 	SampleInterval time.Duration
 	// Topology, when it has members, runs the trace across a campus
 	// grid instead of Scenario.Cluster.
@@ -88,13 +89,16 @@ type Result struct {
 	AppStats    []metrics.AppStat
 	// Members carries per-member summaries for grid topologies.
 	Members []MemberResult
-	// Dropped counts jobs no grid member could serve.
+	// Dropped counts jobs whose OS no member can serve (see grid.Route).
 	Dropped int
 	// EventsRun is the engine's callback count — the run's wakeups.
 	EventsRun uint64
 }
 
-// Run executes a scenario from time zero.
+// Run executes a scenario from time zero on a campus grid. A single
+// topology is a one-member grid whose member has no name; its Result
+// takes the Summary, AppStats, Controller stats and event log from
+// that member and leaves Members nil.
 func Run(sc Scenario) (Result, error) {
 	if err := sc.Trace.Validate(); err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
@@ -103,80 +107,64 @@ func Run(sc Scenario) (Result, error) {
 	if horizon <= 0 {
 		horizon = sc.Trace.Span() + 48*time.Hour
 	}
+	specs := []grid.MemberSpec{{Config: sc.Cluster}}
 	if sc.Topology.IsGrid() {
-		return runGrid(sc, horizon)
+		// Copied before overriding: the caller's specs are not written through.
+		specs = slices.Clone(sc.Topology.Members)
 	}
-	if sc.SchedPolicy != cluster.SchedFCFS {
-		sc.Cluster.SchedPolicy = sc.SchedPolicy
-	}
-	if sc.Latency != nil {
-		sc.Cluster.Latency = sc.Latency
-	}
-	c, err := cluster.New(sc.Cluster)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Name: sc.Name, Mode: c.Config().Mode}
-	if sc.SampleInterval > 0 {
-		series, sum, err := c.SampleSeries(sc.Trace, sc.SampleInterval, horizon)
-		if err != nil {
-			return Result{}, err
+	for i := range specs {
+		if sc.SchedPolicy != cluster.SchedFCFS {
+			specs[i].Config.SchedPolicy = sc.SchedPolicy
 		}
-		res.Series = series
-		res.Summary = sum
-	} else {
-		sum, err := c.RunTrace(sc.Trace, horizon)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Summary = sum
-	}
-	res.ControlActions = c.ControlActions()
-	res.BrokenNodes = c.BrokenCount()
-	res.Events = c.Events()
-	res.AppStats = c.Rec.AppStats()
-	res.EventsRun = c.Eng.EventsRun()
-	if c.Mgr != nil {
-		res.Controller = c.Mgr.Stats()
-		res.Thrash = c.Mgr.Thrash()
-	}
-	return res, nil
-}
-
-// runGrid executes a scenario across a campus fabric: every member on
-// one clock, the trace flowing through the routing policy, the whole
-// grid drained by the shared quiescence driver.
-func runGrid(sc Scenario, horizon time.Duration) (Result, error) {
-	if sc.SampleInterval > 0 {
-		return Result{}, fmt.Errorf("core: time-series sampling is not supported on grid topologies")
-	}
-	members := sc.Topology.Members
-	if sc.SchedPolicy != cluster.SchedFCFS || sc.Latency != nil {
-		// Copy before overriding: the caller's member specs must not be
-		// written through.
-		members = append([]grid.MemberSpec(nil), members...)
-		for i := range members {
-			if sc.SchedPolicy != cluster.SchedFCFS {
-				members[i].Config.SchedPolicy = sc.SchedPolicy
-			}
-			if sc.Latency != nil {
-				members[i].Config.Latency = sc.Latency
-			}
+		if sc.Latency != nil {
+			specs[i].Config.Latency = sc.Latency
 		}
 	}
-	g, err := grid.New(sc.Topology.Routing, members)
+	g, err := grid.New(sc.Topology.Routing, specs)
 	if err != nil {
 		return Result{}, err
 	}
 	if err := g.ScheduleTrace(sc.Trace); err != nil {
 		return Result{}, err
 	}
+	var series []cluster.Snapshot
+	if sc.SampleInterval > 0 {
+		// A background ticker: an exhausted workload stops the run even
+		// with samples still scheduled. Preallocated for the horizon, the
+		// series is not the allocation hot spot of a sampled run.
+		series = make([]cluster.Snapshot, 0, horizon/sc.SampleInterval+2)
+		tk := g.Eng.EveryBackground(sc.SampleInterval, func() {
+			series = append(series, g.Snapshot())
+		})
+		defer tk.Stop()
+	}
 	g.RunUntilDrained(horizon)
+	if sc.SampleInterval > 0 && (len(series) == 0 || series[len(series)-1].At != g.Eng.Now()) {
+		series = append(series, g.Snapshot()) // close the series at the stop instant
+	}
 
-	res := Result{Name: sc.Name, Mode: sc.Cluster.Mode, Dropped: g.Dropped()}
+	res := Result{Name: sc.Name, Mode: sc.Cluster.Mode, Series: series, Dropped: g.Dropped(), EventsRun: g.Eng.EventsRun()}
+	members := g.Members()
+	for _, m := range members {
+		res.ControlActions += m.Cluster.ControlActions()
+		res.BrokenNodes += m.Cluster.BrokenCount()
+		if m.Cluster.Mgr != nil {
+			res.Thrash += m.Cluster.Mgr.Thrash()
+		}
+	}
+	if !sc.Topology.IsGrid() {
+		c := members[0].Cluster
+		res.Summary = c.Summary()
+		res.Events = c.Events()
+		res.AppStats = c.Rec.AppStats()
+		if c.Mgr != nil {
+			res.Controller = c.Mgr.Stats()
+		}
+		return res, nil
+	}
 	routed := g.RoutedCounts()
 	var sums []metrics.Summary
-	for _, m := range g.Members() {
+	for _, m := range members {
 		s := m.Cluster.Summary()
 		sums = append(sums, s)
 		res.Members = append(res.Members, MemberResult{
@@ -186,18 +174,12 @@ func runGrid(sc Scenario, horizon time.Duration) (Result, error) {
 			BrokenNodes: m.Cluster.BrokenCount(),
 			Summary:     s,
 		})
-		res.ControlActions += m.Cluster.ControlActions()
-		res.BrokenNodes += m.Cluster.BrokenCount()
-		if m.Cluster.Mgr != nil {
-			res.Thrash += m.Cluster.Mgr.Thrash()
-		}
 		for _, e := range m.Cluster.Events() {
 			res.Events = append(res.Events, cluster.Event{At: e.At, What: m.Name + ": " + e.What})
 		}
 	}
 	sort.SliceStable(res.Events, func(i, j int) bool { return res.Events[i].At < res.Events[j].At })
 	res.Summary = metrics.Aggregate(sums)
-	res.EventsRun = g.Eng.EventsRun()
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -162,18 +163,67 @@ func TestRunGridTopology(t *testing.T) {
 	}
 }
 
-// Sampling is a single-cluster feature; a grid topology rejects it
-// explicitly rather than silently dropping the series.
-func TestRunGridTopologyRejectsSampling(t *testing.T) {
-	_, err := Run(Scenario{
+// Sampling is an observer that works on any topology: a campus run
+// records the sum of its members' snapshots at every tick, and closes
+// the series at the stop instant. The reference series comes from a
+// grid assembled and sampled by hand.
+func TestRunGridTopologySamplesSeries(t *testing.T) {
+	members := []grid.MemberSpec{
+		{Name: "eridani", Config: cluster.Config{Mode: cluster.HybridV2, Nodes: 4, InitialLinux: 4, Cycle: 5 * time.Minute}},
+		{Name: "tauceti", Config: cluster.Config{Mode: cluster.Static, Nodes: 4, InitialLinux: 4}},
+	}
+	const interval = 7 * time.Minute // the run stops between ticks
+	res, err := Run(Scenario{
 		Trace:          smallTrace(),
-		SampleInterval: time.Hour,
-		Topology: Topology{Members: []grid.MemberSpec{
-			{Name: "a", Config: cluster.Config{Mode: cluster.Static, Nodes: 4, InitialLinux: 2}},
-		}},
+		Horizon:        24 * time.Hour,
+		SampleInterval: interval,
+		Topology:       Topology{Members: members},
 	})
-	if err == nil {
-		t.Fatal("sampling on a grid topology accepted")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := grid.New(grid.RouteLeastLoaded, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ScheduleTrace(smallTrace()); err != nil {
+		t.Fatal(err)
+	}
+	var want []cluster.Snapshot // grid.TestSnapshotSumsMembers pins Snapshot to the members' sum
+	g.Eng.EveryBackground(interval, func() { want = append(want, g.Snapshot()) })
+	g.RunUntilDrained(24 * time.Hour)
+	want = append(want, g.Snapshot())
+
+	if len(res.Series) < 3 || !reflect.DeepEqual(res.Series, want) {
+		t.Fatalf("series %+v\nwant %+v", res.Series, want)
+	}
+	last := res.Series[len(res.Series)-1]
+	if last.At != res.Summary.Elapsed || last.At%interval == 0 {
+		t.Fatalf("last point at %v, want the stop instant %v off the sampling grid", last.At, res.Summary.Elapsed)
+	}
+	if last.WindowsNodes == 0 {
+		t.Fatalf("the hybrid member never switched a node to Windows: %+v", last)
+	}
+}
+
+// A single Static cluster with no nodes on a job's side cannot serve
+// the job: it is Dropped, the rule every grid applies, rather than a
+// submit failure.
+func TestRunSingleStaticEmptySideDrops(t *testing.T) {
+	res, err := Run(Scenario{
+		Cluster: cluster.Config{Mode: cluster.Static, Nodes: 4, InitialLinux: 4},
+		Trace:   smallTrace(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Summary
+	if res.Dropped != 1 || s.SubmitFailures != 0 || s.JobsCompleted[osid.Linux] != 1 || s.JobsSubmitted[osid.Windows] != 0 {
+		t.Fatalf("dropped %d, summary %+v: want the Windows job dropped", res.Dropped, s)
+	}
+	if res.Members != nil {
+		t.Fatalf("single run reports members %+v", res.Members)
 	}
 }
 

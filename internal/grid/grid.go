@@ -7,6 +7,7 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -59,6 +60,7 @@ func ParsePolicy(name string) (RoutingPolicy, error) {
 type Member struct {
 	Name    string
 	Cluster *cluster.Cluster
+	routed  int // jobs the router placed here
 }
 
 // CanServe reports whether the member can ever run a job on the given
@@ -97,16 +99,19 @@ func (m *Member) pendingPerCore(os osid.OS) float64 {
 // construction: members keep their spec order in g.members, every
 // candidate set preserves that order, and all tie-breaks resolve to
 // the earliest member — so grid cells honour the sweep's
-// bit-identical-output contract.
+// bit-identical-output contract. A single cluster runs as a one-member
+// grid, so every trace reaches a cluster through Route.
 type Grid struct {
-	Eng       *simtime.Engine
-	members   []*Member
-	policy    RoutingPolicy
-	rrNext    int
-	routed    map[string]int // jobs per member
-	completed map[string]int // jobs finished per member (via cluster hooks)
-	dropped   int
-	scheduled int // grid-level submissions not yet routed
+	Eng     *simtime.Engine
+	members []*Member
+	policy  RoutingPolicy
+	rrNext  int
+	// capable lists the members that can serve each OS and statics the
+	// static splits among them (hybrid-last's preference), in member
+	// order, so Route builds no slice per job.
+	capable, statics [int(osid.Windows) + 1][]*Member
+	dropped          int
+	scheduled        int // grid-level submissions not yet routed
 }
 
 // MemberSpec configures one grid member.
@@ -117,42 +122,39 @@ type MemberSpec struct {
 
 // New assembles a grid; all members share the grid's engine. Member
 // order follows the spec order and is the routing tie-break order.
+// Members need distinct names, except that a sole member may go
+// unnamed: that is how a single cluster runs.
 func New(policy RoutingPolicy, specs []MemberSpec) (*Grid, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("grid: no members")
 	}
-	g := &Grid{
-		Eng:       simtime.NewEngine(),
-		policy:    policy,
-		routed:    map[string]int{},
-		completed: map[string]int{},
-	}
-	seen := map[string]bool{}
-	for _, spec := range specs {
-		if spec.Name == "" {
+	g := &Grid{Eng: simtime.NewEngine(), policy: policy}
+	for i, spec := range specs {
+		if spec.Name == "" && len(specs) > 1 {
 			return nil, fmt.Errorf("grid: member needs a name")
 		}
-		if seen[spec.Name] {
-			return nil, fmt.Errorf("grid: duplicate member %q", spec.Name)
+		for _, prev := range specs[:i] {
+			if prev.Name == spec.Name {
+				return nil, fmt.Errorf("grid: duplicate member %q", spec.Name)
+			}
 		}
-		seen[spec.Name] = true
 		cfg := spec.Config
 		cfg.Engine = g.Eng
 		cfg.NamePrefix = spec.Name
 		c, err := cluster.New(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("grid: member %s: %w", spec.Name, err)
+			return nil, fmt.Errorf("grid: member %q: %w", spec.Name, err)
 		}
-		name := spec.Name
-		// Completion observer instead of polling: the member tells the
-		// grid when a routed job leaves the system. Walltime kills and
-		// failures report completed=false and are not counted.
-		c.AddHooks(cluster.Hooks{JobCompleted: func(_ int, completed bool) {
-			if completed {
-				g.completed[name]++
+		m := &Member{Name: spec.Name, Cluster: c}
+		g.members = append(g.members, m)
+		for _, os := range []osid.OS{osid.Linux, osid.Windows} {
+			if m.CanServe(os) {
+				g.capable[os] = append(g.capable[os], m)
+				if c.Config().Mode == cluster.Static {
+					g.statics[os] = append(g.statics[os], m)
+				}
 			}
-		}})
-		g.members = append(g.members, &Member{Name: spec.Name, Cluster: c})
+		}
 	}
 	return g, nil
 }
@@ -172,19 +174,22 @@ func (g *Grid) Member(name string) (*Member, bool) {
 
 // RoutedCounts returns jobs routed per member.
 func (g *Grid) RoutedCounts() map[string]int {
-	out := make(map[string]int, len(g.routed))
-	for k, v := range g.routed {
-		out[k] = v
-	}
-	return out
+	return g.counts(func(m *Member) int { return m.routed })
 }
 
-// CompletedCounts returns jobs finished per member, maintained by the
-// members' completion hooks rather than by polling their summaries.
+// CompletedCounts returns jobs finished per member, from the counters
+// the members keep as jobs end rather than by polling their summaries.
 func (g *Grid) CompletedCounts() map[string]int {
-	out := make(map[string]int, len(g.completed))
-	for k, v := range g.completed {
-		out[k] = v
+	return g.counts(func(m *Member) int { return m.Cluster.Completed() })
+}
+
+// counts maps each member with a nonzero count to it.
+func (g *Grid) counts(count func(*Member) int) map[string]int {
+	out := map[string]int{}
+	for _, m := range g.members {
+		if n := count(m); n > 0 {
+			out[m.Name] = n
+		}
 	}
 	return out
 }
@@ -192,76 +197,75 @@ func (g *Grid) CompletedCounts() map[string]int {
 // Dropped returns jobs no member could serve.
 func (g *Grid) Dropped() int { return g.dropped }
 
-// Route picks a member for a job and submits it there.
+// ErrUnservable is Route's error for a job whose OS no member can serve.
+var ErrUnservable = errors.New("grid: no member can serve the job's OS")
+
+// Route picks a member for a job and submits it there. The first
+// choice comes from the routing policy; if its scheduler refuses the
+// job (e.g. too wide for the member), the other capable members are
+// tried in member order. A job that gets nowhere is booked by one rule:
+//   - if no member's configuration can serve its OS (a static split
+//     with no node on that side cannot), it is Dropped and Route
+//     returns ErrUnservable;
+//   - if every capable member's scheduler refuses it, it is a submit
+//     failure of the router's first choice (cluster.RecordSubmitFailure)
+//     and Route returns that scheduler's error.
 func (g *Grid) Route(j workload.Job) (*Member, error) {
-	candidates := g.candidatesFor(j)
+	var candidates []*Member
+	if j.OS.Valid() {
+		candidates = g.capable[j.OS]
+	}
 	if len(candidates) == 0 {
 		g.dropped++
-		return nil, fmt.Errorf("grid: no member can serve %s job %q", j.OS, j.App)
+		return nil, ErrUnservable
 	}
-	m := g.pick(candidates, j)
-	if _, err := m.Cluster.Submit(j); err != nil {
-		// Capability said yes but the scheduler refused (e.g. job too
-		// wide for the member): try the remaining candidates.
-		for _, alt := range candidates {
-			if alt == m {
-				continue
-			}
-			if _, err2 := alt.Cluster.Submit(j); err2 == nil {
-				g.routed[alt.Name]++
-				return alt, nil
-			}
+	m := g.pick(candidates, j.OS)
+	_, err := m.Cluster.Submit(j)
+	if err == nil {
+		m.routed++
+		return m, nil
+	}
+	for _, alt := range candidates {
+		if alt == m {
+			continue
 		}
-		g.dropped++
-		return nil, fmt.Errorf("grid: no member accepted %q: %w", j.App, err)
-	}
-	g.routed[m.Name]++
-	return m, nil
-}
-
-func (g *Grid) candidatesFor(j workload.Job) []*Member {
-	var out []*Member
-	for _, m := range g.members {
-		if m.CanServe(j.OS) {
-			out = append(out, m)
+		if _, err2 := alt.Cluster.Submit(j); err2 == nil {
+			alt.routed++
+			return alt, nil
 		}
 	}
-	return out
+	m.Cluster.RecordSubmitFailure(j, err)
+	return nil, err
 }
 
-// pick selects among candidates, which arrive in member (spec) order.
-// Every branch is order-stable: round-robin advances a counter over
-// that order, and the load-based policies break ties toward the
-// earliest member, so repeated runs of the same grid route every job
-// identically.
-func (g *Grid) pick(candidates []*Member, j workload.Job) *Member {
+// pick selects among the candidates for an OS, which arrive in member
+// (spec) order. Every branch is order-stable: round-robin advances a
+// counter over that order, and the load-based policies break ties
+// toward the earliest member, so repeated runs of the same grid route
+// every job identically.
+func (g *Grid) pick(candidates []*Member, os osid.OS) *Member {
 	switch g.policy {
 	case RouteRoundRobin:
 		m := candidates[g.rrNext%len(candidates)]
 		g.rrNext++
 		return m
 	case RouteHybridLast:
-		var statics []*Member
-		for _, m := range candidates {
-			if m.Cluster.Config().Mode == cluster.Static {
-				statics = append(statics, m)
-			}
+		if statics := g.statics[os]; len(statics) > 0 {
+			return leastLoaded(statics, os)
 		}
-		if len(statics) > 0 {
-			return leastLoaded(statics, j.OS)
-		}
-		return leastLoaded(candidates, j.OS)
-	default:
-		return leastLoaded(candidates, j.OS)
 	}
+	return leastLoaded(candidates, os)
 }
 
 // leastLoaded returns the member with the lowest pending demand per
-// core. The strict `<` keeps the earliest member on equal load — the
-// explicit deterministic tie-break the sweep's bit-identical contract
-// relies on.
+// core; a sole member is taken without reading its load. The strict
+// `<` keeps the earliest member on equal load — the explicit
+// deterministic tie-break the sweep's bit-identical contract relies on.
 func leastLoaded(members []*Member, os osid.OS) *Member {
 	best := members[0]
+	if len(members) == 1 {
+		return best
+	}
 	bestLoad := best.pendingPerCore(os)
 	for _, m := range members[1:] {
 		if load := m.pendingPerCore(os); load < bestLoad {
@@ -279,12 +283,51 @@ func (g *Grid) ScheduleTrace(trace workload.Trace) error {
 	if err := trace.Validate(); err != nil {
 		return err
 	}
+	g.reserve(trace)
 	g.scheduled += len(trace)
 	g.Eng.Chain(len(trace), func(i int) time.Duration { return trace[i].At }, func(i int) {
 		g.scheduled--
-		_, _ = g.Route(trace[i]) // drops are counted
+		_, _ = g.Route(trace[i]) // Route books drops and refusals
 	})
 	return nil
+}
+
+// reserve has a member that alone can serve an OS size its job
+// bookkeeping for the trace's jobs of that OS: they can go nowhere
+// else, so a grid never reserves more than the trace holds, and a
+// one-member grid reserves for the whole trace.
+func (g *Grid) reserve(trace workload.Trace) {
+	var jobs [int(osid.Windows) + 1]int
+	for i := range trace {
+		jobs[trace[i].OS]++ // validated: Linux or Windows
+	}
+	for _, m := range g.members {
+		var n [len(jobs)]int
+		for os, c := range g.capable {
+			if len(c) == 1 && c[0] == m {
+				n[os] = jobs[os]
+			}
+		}
+		m.Cluster.Reserve(n[osid.Linux], n[osid.Windows])
+	}
+}
+
+// Snapshot sums the members' snapshots at the current instant: the
+// fabric's node-count view for time series.
+func (g *Grid) Snapshot() cluster.Snapshot {
+	out := cluster.Snapshot{At: g.Eng.Now()}
+	for _, m := range g.members {
+		s := m.Cluster.TakeSnapshot()
+		out.LinuxNodes += s.LinuxNodes
+		out.WindowsNodes += s.WindowsNodes
+		out.Switching += s.Switching
+		out.Broken += s.Broken
+		out.LinuxRunning += s.LinuxRunning
+		out.LinuxQueued += s.LinuxQueued
+		out.WindowsQueued += s.WindowsQueued
+		out.WindowsRun += s.WindowsRun
+	}
+	return out
 }
 
 // Busy implements driver.Workload: grid-level submissions not yet
@@ -308,10 +351,10 @@ func (g *Grid) Quiesce() {
 	}
 }
 
-// RunUntilDrained advances the shared clock on the same quiescence
-// driver the single cluster uses: event-to-event hops across every
-// member, stopping the instant the whole fabric goes quiet or riding
-// to the horizon when a member wedges.
+// RunUntilDrained advances the shared clock on the quiescence driver:
+// event-to-event hops across every member, stopping the instant the
+// whole fabric goes quiet or riding to the horizon when a member
+// wedges.
 func (g *Grid) RunUntilDrained(horizon time.Duration) {
 	driver.Drain(g.Eng, horizon, g)
 }
@@ -325,7 +368,7 @@ func (g *Grid) Report() string {
 		rows = append(rows, []string{
 			m.Name,
 			m.Cluster.Config().Mode.String(),
-			fmt.Sprintf("%d", g.routed[m.Name]),
+			fmt.Sprintf("%d", m.routed),
 			metrics.Pct(s.Utilisation),
 			fmt.Sprintf("%d", s.JobsCompleted[osid.Linux]),
 			fmt.Sprintf("%d", s.JobsCompleted[osid.Windows]),

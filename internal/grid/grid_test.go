@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -23,8 +24,21 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(RouteLeastLoaded, nil); err == nil {
 		t.Fatal("empty grid accepted")
 	}
-	if _, err := New(RouteLeastLoaded, []MemberSpec{{Name: ""}}); err == nil {
-		t.Fatal("unnamed member accepted")
+	// A sole member may go unnamed — that is how a single cluster runs —
+	// and keeps the cluster's own node and head names.
+	g, err := New(RouteLeastLoaded, []MemberSpec{{Config: cluster.Config{Mode: cluster.Static, Nodes: 2}}})
+	if err != nil {
+		t.Fatalf("unnamed sole member rejected: %v", err)
+	}
+	if c := g.Members()[0].Cluster; c.Nodes()[0].HW.Name != "enode01" || c.PBS.Name() != "eridani.qgg.hud.ac.uk" {
+		t.Fatalf("unnamed member named %s on %s", c.Nodes()[0].HW.Name, c.PBS.Name())
+	}
+	unnamed := []MemberSpec{
+		{Name: "a", Config: cluster.Config{Mode: cluster.Static, Nodes: 2}},
+		{Config: cluster.Config{Mode: cluster.Static, Nodes: 2}},
+	}
+	if _, err := New(RouteLeastLoaded, unnamed); err == nil {
+		t.Fatal("unnamed member among several accepted")
 	}
 	specs := []MemberSpec{
 		{Name: "a", Config: cluster.Config{Mode: cluster.Static, Nodes: 2}},
@@ -118,8 +132,8 @@ func TestRouteDropsUnservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	winJob := workload.Job{App: "Opera", OS: osid.Windows, Owner: "u", Nodes: 1, PPN: 4, Runtime: time.Hour}
-	if _, err := g.Route(winJob); err == nil {
-		t.Fatal("unservable job routed")
+	if _, err := g.Route(winJob); !errors.Is(err, ErrUnservable) {
+		t.Fatalf("unservable job: err %v, want ErrUnservable", err)
 	}
 	if g.Dropped() != 1 {
 		t.Fatalf("dropped = %d", g.Dropped())
@@ -389,5 +403,105 @@ func TestCompletedCountsTrackRoutedJobs(t *testing.T) {
 	routed, completed := g.RoutedCounts(), g.CompletedCounts()
 	if !reflect.DeepEqual(routed, completed) {
 		t.Fatalf("completed %v != routed %v", completed, routed)
+	}
+}
+
+// TestRefusalRule pins Route's one rule for a job that gets nowhere, on
+// a one-member grid and on the campus. A one-node Linux job arrives
+// first, then job. A job whose OS no member's configuration can serve
+// is Dropped and fires no hook. A job every capable member's scheduler
+// refuses is one submit failure, not a drop, booked with its hook on
+// the router's first choice: on the campus that is tauceti, neither
+// the first nor the last capable member, but the least loaded once the
+// first job went to eridani.
+func TestRefusalRule(t *testing.T) {
+	linux := func(at time.Duration, nodes int) workload.Job {
+		return workload.Job{At: at, App: "LAMMPS", OS: osid.Linux, Owner: "u", Nodes: nodes, PPN: 4, Runtime: time.Hour}
+	}
+	windowsOnly := cluster.Config{Mode: cluster.Static, Nodes: 4, InitialLinux: -1}
+	cases := []struct {
+		name    string
+		specs   []MemberSpec
+		nodes   int    // the second job's width
+		dropped int    // jobs dropped
+		failed  string // the member booking a submit failure, if any
+	}{
+		{"one-member/no-capable", []MemberSpec{{Config: windowsOnly}}, 1, 2, ""},
+		{"one-member/all-refuse", []MemberSpec{{Config: cluster.Config{Mode: cluster.HybridV2, Nodes: 8}}}, 64, 0, ""},
+		{"campus/no-capable", []MemberSpec{{Name: "vega", Config: windowsOnly}, {Name: "rigel", Config: windowsOnly}}, 1, 2, ""},
+		{"campus/all-refuse", []MemberSpec{threeMemberSpecs()[0], threeMemberSpecs()[1],
+			{Name: "altair", Config: cluster.Config{Mode: cluster.Static, Nodes: 8, InitialLinux: 8}}}, 64, 0, "tauceti"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := New(RouteLeastLoaded, tc.specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hooked := map[string]int{}
+			for _, m := range g.Members() {
+				name := m.Name
+				m.Cluster.AddHooks(cluster.Hooks{SubmitFailed: func(j workload.Job, err error) {
+					if err == nil || j.Nodes != tc.nodes {
+						t.Errorf("hook on %q saw a %d-node job, err %v", name, j.Nodes, err)
+					}
+					hooked[name]++
+				}})
+			}
+			if err := g.ScheduleTrace(workload.Trace{linux(0, 1), linux(time.Minute, tc.nodes)}); err != nil {
+				t.Fatal(err)
+			}
+			g.RunUntilDrained(24 * time.Hour)
+
+			wantHooked := map[string]int{}
+			if tc.dropped == 0 {
+				wantHooked[tc.failed] = 1
+			}
+			if g.Dropped() != tc.dropped {
+				t.Errorf("dropped = %d, want %d", g.Dropped(), tc.dropped)
+			}
+			if !reflect.DeepEqual(hooked, wantHooked) {
+				t.Errorf("SubmitFailed hooks %v, want %v", hooked, wantHooked)
+			}
+			for _, m := range g.Members() {
+				if got := m.Cluster.Summary().SubmitFailures; got != wantHooked[m.Name] {
+					t.Errorf("member %q: SubmitFailures = %d, want %d", m.Name, got, wantHooked[m.Name])
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotSumsMembers: the grid's snapshot is the sum of its
+// members' at the current instant.
+func TestSnapshotSumsMembers(t *testing.T) {
+	g, err := New(RouteLeastLoaded, threeMemberSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ScheduleTrace(collidingTrace(16, osid.Windows, 30)); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []time.Duration{0, 7 * time.Minute, 42 * time.Minute, 3 * time.Hour} {
+		g.Eng.RunUntil(at)
+		var want cluster.Snapshot
+		for _, m := range g.Members() {
+			s := m.Cluster.TakeSnapshot()
+			want.LinuxNodes += s.LinuxNodes
+			want.WindowsNodes += s.WindowsNodes
+			want.Switching += s.Switching
+			want.Broken += s.Broken
+			want.LinuxRunning += s.LinuxRunning
+			want.LinuxQueued += s.LinuxQueued
+			want.WindowsQueued += s.WindowsQueued
+			want.WindowsRun += s.WindowsRun
+		}
+		want.At = at
+		if got := g.Snapshot(); got != want {
+			t.Fatalf("at %v: snapshot %+v, want %+v", at, got, want)
+		}
+		if want.LinuxNodes+want.WindowsNodes+want.Switching+want.Broken != 24 {
+			t.Fatalf("at %v: node conservation violated: %+v", at, want)
+		}
 	}
 }

@@ -15,20 +15,23 @@ import (
 	"repro/internal/workload"
 )
 
-// collidingTrace submits three jobs at every 5-minute mark: several
-// jobs share each instant, every mark is a controller cycle of the
-// hybrid member (5 minutes), and runtimes are whole multiples of 5
-// minutes, so arrivals land on the instants where earlier jobs end.
-func collidingTrace() workload.Trace {
+// collidingTrace submits three jobs at each of the given number of
+// 5-minute marks: several jobs share each instant, the marks fall on
+// the members' controller cycles, and runtimes are whole multiples of 5
+// minutes, so arrivals land on the instants where earlier jobs end. The
+// third job of each mark runs on third. Job wide is 64 nodes wide, too
+// wide for any member, so every member refuses it.
+func collidingTrace(marks int, third osid.OS, wide int) workload.Trace {
 	var trace workload.Trace
-	for k := 0; k < 16; k++ {
+	for k := 0; k < marks; k++ {
 		at := time.Duration(k) * 5 * time.Minute
 		runtime := time.Duration(1+k%4) * 5 * time.Minute
 		trace = append(trace,
 			workload.Job{At: at, App: "DL_POLY", OS: osid.Linux, Owner: "u1", Nodes: 1 + k%3, PPN: 4, Runtime: runtime},
 			workload.Job{At: at, App: "Backburner", OS: osid.Windows, Owner: "u2", Nodes: 1 + k%2, PPN: 4, Runtime: 2 * runtime},
-			workload.Job{At: at, App: "MATLAB", OS: osid.Windows, Owner: "u3", Nodes: 1, PPN: 4, Runtime: runtime})
+			workload.Job{At: at, App: "MATLAB", OS: third, Owner: "u3", Nodes: 1, PPN: 4, Runtime: runtime})
 	}
+	trace[wide].Nodes = 64
 	return trace
 }
 
@@ -46,16 +49,18 @@ func scheduleEagerly(g *Grid, trace workload.Trace) {
 
 // streamRun is what one run of a trace leaves to compare.
 type streamRun struct {
-	sums   []metrics.Summary
-	routed map[string]int
-	ran    uint64
-	starts []string // "<member>:L<seq>@t" / "<member>:W<id>@t" in start order
-	ends   []time.Duration
+	sums    []metrics.Summary
+	events  [][]cluster.Event
+	routed  map[string]int
+	dropped int
+	ran     uint64
+	starts  []string // "<member>:L<seq>@t" / "<member>:W<id>@t" in start order
+	ends    []time.Duration
 }
 
-func runColliding(t *testing.T, trace workload.Trace, schedule func(*Grid)) streamRun {
+func runColliding(t *testing.T, specs []MemberSpec, schedule func(*Grid)) streamRun {
 	t.Helper()
-	g, err := New(RouteLeastLoaded, threeMemberSpecs())
+	g, err := New(RouteLeastLoaded, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,44 +82,64 @@ func runColliding(t *testing.T, trace workload.Trace, schedule func(*Grid)) stre
 	g.RunUntilDrained(48 * time.Hour)
 	for _, m := range g.Members() {
 		r.sums = append(r.sums, m.Cluster.Summary())
+		r.events = append(r.events, m.Cluster.Events())
 	}
-	r.routed, r.ran = g.RoutedCounts(), g.Eng.EventsRun()
+	r.routed, r.dropped, r.ran = g.RoutedCounts(), g.Dropped(), g.Eng.EventsRun()
 	return r
 }
 
 // TestStreamedTraceMatchesEager holds the chained arrivals of
-// ScheduleTrace to the eager schedule they replace: the same member
-// summaries and routing, the same number of engine events, and the
-// same job starts in the same order.
+// ScheduleTrace to the eager schedule they replace, on a one-member
+// grid (how every single cluster runs) and on the campus: the same
+// member summaries, routing and event logs, the same number of engine
+// events, and the same job starts in the same order.
 func TestStreamedTraceMatchesEager(t *testing.T) {
-	trace := collidingTrace()
-	streamed := runColliding(t, trace, func(g *Grid) {
-		if err := g.ScheduleTrace(trace); err != nil {
-			t.Fatal(err)
-		}
-	})
-	eager := runColliding(t, trace, func(g *Grid) { scheduleEagerly(g, trace) })
+	cases := []struct {
+		name  string
+		specs []MemberSpec
+		trace workload.Trace
+	}{
+		{"one-member", []MemberSpec{{Config: cluster.Config{Mode: cluster.HybridV2, Nodes: 8, InitialLinux: 6, Seed: 3}}},
+			collidingTrace(12, osid.Linux, 7)},
+		{"campus", threeMemberSpecs(), collidingTrace(16, osid.Windows, 30)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			streamed := runColliding(t, tc.specs, func(g *Grid) {
+				if err := g.ScheduleTrace(tc.trace); err != nil {
+					t.Fatal(err)
+				}
+			})
+			eager := runColliding(t, tc.specs, func(g *Grid) { scheduleEagerly(g, tc.trace) })
 
-	collisions := 0
-	for _, j := range trace {
-		if slices.Contains(eager.ends, j.At) {
-			collisions++
-		}
-	}
-	if collisions == 0 || eager.sums[0].Switches == 0 {
-		t.Fatalf("trace exercises too little: %d arrivals on a job end, %d switches on the hybrid member",
-			collisions, eager.sums[0].Switches)
-	}
-	if !reflect.DeepEqual(streamed.sums, eager.sums) {
-		t.Errorf("summaries %+v\nwant %+v", streamed.sums, eager.sums)
-	}
-	if !reflect.DeepEqual(streamed.routed, eager.routed) {
-		t.Errorf("routed %v, eager %v", streamed.routed, eager.routed)
-	}
-	if streamed.ran != eager.ran {
-		t.Errorf("EventsRun = %d, eager %d", streamed.ran, eager.ran)
-	}
-	if !slices.Equal(streamed.starts, eager.starts) {
-		t.Errorf("start order %v\nwant %v", streamed.starts, eager.starts)
+			collisions, failures := 0, 0
+			for _, j := range tc.trace {
+				if slices.Contains(eager.ends, j.At) {
+					collisions++
+				}
+			}
+			for _, s := range eager.sums {
+				failures += s.SubmitFailures
+			}
+			if collisions == 0 || eager.sums[0].Switches == 0 || failures != 1 || eager.dropped != 0 {
+				t.Fatalf("trace exercises too little: %d arrivals on a job end, %d switches on the first member, %d submit failures, %d dropped",
+					collisions, eager.sums[0].Switches, failures, eager.dropped)
+			}
+			if !reflect.DeepEqual(streamed.sums, eager.sums) {
+				t.Errorf("summaries %+v\nwant %+v", streamed.sums, eager.sums)
+			}
+			if !reflect.DeepEqual(streamed.routed, eager.routed) || streamed.dropped != eager.dropped {
+				t.Errorf("routed %v, dropped %d; eager %v, %d", streamed.routed, streamed.dropped, eager.routed, eager.dropped)
+			}
+			if streamed.ran != eager.ran {
+				t.Errorf("EventsRun = %d, eager %d", streamed.ran, eager.ran)
+			}
+			if !slices.Equal(streamed.starts, eager.starts) {
+				t.Errorf("start order %v\nwant %v", streamed.starts, eager.starts)
+			}
+			if !reflect.DeepEqual(streamed.events, eager.events) {
+				t.Errorf("event logs differ:\n%v\nwant\n%v", streamed.events, eager.events)
+			}
+		})
 	}
 }

@@ -416,8 +416,13 @@ func (r *Recorder) Summarise(totalNodes int) Summary {
 // a common engine, so core-weighting equals busy-time weighting),
 // switch overhead node-weighted (it is a per-node fraction), mean
 // waits are weighted by completed jobs, mean switch time by switch
-// count; maxima take the max, counters sum.
+// count; maxima take the max, counters sum. One summary is returned
+// as it is, sharing its maps: reweighting it would only lose bits
+// (u×cores/cores need not give u back).
 func Aggregate(parts []Summary) Summary {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	out := Summary{
 		UtilisationOS: map[osid.OS]float64{},
 		MeanWait:      map[osid.OS]time.Duration{},

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -475,5 +476,38 @@ func TestJobIDsRenderedOnDemand(t *testing.T) {
 	jobs := r.Jobs()
 	if jobs[0].ID != "1185.eridani" || jobs[0].Num != 1185 || jobs[1].ID != "W3" || !jobs[0].Completed {
 		t.Fatalf("jobs = %+v", jobs)
+	}
+}
+
+// The aggregate of one summary is that summary, bit for bit and map
+// for map, whatever shape it has: reweighting 0.1 over 3 cores, say,
+// gives 0.10000000000000002 back.
+func TestAggregateOfOneIsIdentity(t *testing.T) {
+	c := &fakeClock{}
+	r := NewRecorder(c.now, 12)
+	h := r.JobSubmitted(1, osid.Windows, "Opera", 4)
+	c.t = 7 * time.Minute
+	r.JobStarted(h)
+	c.t = time.Hour
+	r.JobEnded(h, true)
+	r.SubmitFailed()
+	parts := []Summary{
+		{},
+		r.Summarise(3),
+		{
+			Elapsed: 10 * time.Hour, TotalCores: 3, TotalNodes: 3, Utilisation: 0.1, SwitchOverhead: 0.1,
+			UtilisationOS: map[osid.OS]float64{osid.Linux: 0.1},
+			MeanWait:      map[osid.OS]time.Duration{osid.Windows: 7 * time.Minute},
+			MaxWait:       map[osid.OS]time.Duration{},
+			JobsSubmitted: map[osid.OS]int{osid.Linux: 3},
+			JobsCompleted: map[osid.OS]int{osid.Linux: 3},
+			Switches:      3, SwitchesOK: 2, MeanSwitch: 7 * time.Second, MaxSwitch: 9 * time.Second,
+			Makespan: 9 * time.Hour, SubmitFailures: 2,
+		},
+	}
+	for i, s := range parts {
+		if got := Aggregate([]Summary{s}); !reflect.DeepEqual(got, s) {
+			t.Errorf("summary %d: Aggregate = %+v\nwant %+v", i, got, s)
+		}
 	}
 }
