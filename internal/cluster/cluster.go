@@ -146,13 +146,18 @@ func (c *Config) applyDefaults() {
 
 // Node is one compute node plus its dual-boot state. The cluster
 // writes OS, Switching and Broken only through setState, which keeps
-// the counted node census in step with them.
+// the counted node census in step with them and opens and closes the
+// node's switch.
 type Node struct {
 	HW        *hardware.Node
 	OS        osid.OS // current side; None while switching
-	Target    osid.OS // boot target while switching
+	Target    osid.OS // boot target while switching (None: no intent)
 	Switching bool
 	Broken    bool // boot chain failed; node out of service
+
+	// from and since are the open switch's donor side and start.
+	from  osid.OS
+	since time.Duration
 
 	// pbsNode / winNode cache the node's scheduler registrations (nil
 	// on a side a static split never registered), so per-cycle idle
@@ -198,15 +203,12 @@ type Cluster struct {
 	events         []Event
 	// pbsJobs and winJobs map a PBS SeqNo or HPC job ID n to the
 	// recorder handle of the workload job behind it at index n-1, or
-	// -1 for the switch jobs the cluster submits itself. awaiting[h]
-	// marks handle h as a workload job not yet completed.
+	// -1 for the switch jobs the cluster submits itself.
 	pbsJobs, winJobs []int32
-	awaiting         []bool
 	// owners interns each trace user's scheduler-side owner names, so
 	// a submission builds no owner string.
-	owners                map[string]owner
-	unfinished, completed int     // workload jobs still to finish / finished ok
-	hooks                 []Hooks // lifecycle observers (see run.go)
+	owners map[string]owner
+	hooks  []Hooks // lifecycle observers (see run.go)
 }
 
 // osSlots sizes the per-side arrays: osid values are dense small
@@ -367,7 +369,6 @@ func (c *Cluster) provisionNodes() error {
 			}
 			node.winNode = wn
 		}
-		c.Rec.NodeUp(startOS)
 	}
 	return nil
 }
@@ -443,18 +444,12 @@ func (c *Cluster) wireSchedulers() {
 	c.PBS.OnJobStart = func(j *pbs.Job) { c.Rec.JobStarted(handle(c.pbsJobs, j.SeqNo())) }
 	c.PBS.OnJobRequeue = func(j *pbs.Job) { c.Rec.JobInterrupted(handle(c.pbsJobs, j.SeqNo())) }
 	c.PBS.OnJobEnd = func(j *pbs.Job) {
-		ok := !j.KilledAtWalltime() && !j.Failed()
-		h := handle(c.pbsJobs, j.SeqNo())
-		c.Rec.JobEnded(h, ok)
-		c.markDone(h, ok)
+		c.jobEnded(handle(c.pbsJobs, j.SeqNo()), !j.KilledAtWalltime() && !j.Failed())
 	}
 	c.Win.OnJobStart = func(j *winhpc.Job) { c.Rec.JobStarted(handle(c.winJobs, j.ID())) }
 	c.Win.OnJobRequeue = func(j *winhpc.Job) { c.Rec.JobInterrupted(handle(c.winJobs, j.ID())) }
 	c.Win.OnJobEnd = func(j *winhpc.Job) {
-		ok := j.State == winhpc.JobFinished
-		h := handle(c.winJobs, j.ID())
-		c.Rec.JobEnded(h, ok)
-		c.markDone(h, ok)
+		c.jobEnded(handle(c.winJobs, j.ID()), j.State == winhpc.JobFinished)
 		if c.cfg.Mode == MonoStable {
 			c.returnNodesHome()
 		}
@@ -489,16 +484,11 @@ func bind(tab []int32, n, h int) []int32 {
 	return tab
 }
 
-func (c *Cluster) markDone(h int, completed bool) {
-	if h >= 0 && c.awaiting[h] {
-		c.awaiting[h] = false
-		c.unfinished--
-		if completed {
-			c.completed++
-		}
-		if len(c.hooks) > 0 {
-			c.notifyJobCompleted(h, completed)
-		}
+// jobEnded books the end of the job behind handle h (-1 for a switch
+// job) and tells the hooks about a workload job's first end.
+func (c *Cluster) jobEnded(h int, completed bool) {
+	if c.Rec.JobEnded(h, completed) && len(c.hooks) > 0 {
+		c.notifyJobCompleted(h, completed)
 	}
 }
 
@@ -561,11 +551,30 @@ func (c *Cluster) pointBootConfig(nodes []*Node, target osid.OS) error {
 
 // setState moves a node to a side, switching flag and broken flag,
 // keeping the counted census in step: it is the only writer of those
-// three fields once provisioning has counted the node in.
+// three fields once provisioning has counted the node in, and the only
+// source of switch facts. A node that starts switching opens its
+// switch (the side it leaves and the instant; the caller sets Target).
+// One that stops switching closes it in the recorder, as landed where
+// it was meant to unless the node broke or came up on a side other
+// than its Target. The recorder's switch-time integral follows the
+// census count.
 func (c *Cluster) setState(n *Node, os osid.OS, switching, broken bool) {
+	was := n.Switching
+	if switching && !was {
+		n.from, n.since = n.OS, c.Eng.Now()
+	}
 	c.count(n, -1)
 	n.OS, n.Switching, n.Broken = os, switching, broken
 	c.count(n, 1)
+	if switching == was {
+		return
+	}
+	c.Rec.SetSwitching(c.switching)
+	if !switching {
+		ok := !broken && (n.Target == osid.None || os == n.Target)
+		c.Rec.SwitchEnded(metrics.SwitchRecord{Node: n.HW.Name, From: n.from, To: n.Target, Started: n.since, OK: ok})
+		n.Target = osid.None
+	}
 }
 
 // count adds (sign 1) or removes (sign -1) a node's contribution to

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/driver"
 	"repro/internal/metrics"
 	"repro/internal/osid"
 	"repro/internal/pbs"
@@ -30,7 +29,7 @@ type feed struct {
 	pending int
 }
 
-// Busy implements driver.Workload.
+// Busy reports arrivals still to come or work left in the cluster.
 func (f *feed) Busy() bool { return f.pending > 0 || f.Cluster.Busy() }
 
 // scheduleTrace feeds trace to c at its submission times.
@@ -45,9 +44,16 @@ func scheduleTrace(c *Cluster, trace workload.Trace) *feed {
 	return f
 }
 
+// drain runs c's engine while busy reports work, up to the horizon,
+// then quiesces c: what grid.RunUntilDrained does for a grid.
+func drain(c *Cluster, horizon time.Duration, busy func() bool) {
+	c.Eng.RunWhile(horizon, busy)
+	c.Quiesce()
+}
+
 // runTrace feeds trace to c, drains it and returns its summary.
 func runTrace(c *Cluster, trace workload.Trace, horizon time.Duration) metrics.Summary {
-	driver.Drain(c.Eng, horizon, scheduleTrace(c, trace))
+	drain(c, horizon, scheduleTrace(c, trace).Busy)
 	return c.Summary()
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/driver"
 	"repro/internal/osid"
 	"repro/internal/pbs"
 	"repro/internal/workload"
@@ -30,7 +29,7 @@ func TestRunUntilDrainedStuckSwitchStopsAtHorizon(t *testing.T) {
 	const horizon = 2 * time.Hour
 	done := make(chan struct{})
 	go func() {
-		driver.Drain(c.Eng, horizon, c)
+		drain(c, horizon, c.Busy)
 		close(done)
 	}()
 	select {
@@ -71,7 +70,7 @@ func TestRunUntilDrainedQdelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	const horizon = 48 * time.Hour
-	driver.Drain(c.Eng, horizon, c)
+	drain(c, horizon, c.Busy)
 	if c.Unfinished() != 0 {
 		t.Fatalf("%d jobs unfinished after the drain", c.Unfinished())
 	}
@@ -228,6 +227,6 @@ func BenchmarkDrainWakeups(b *testing.B) {
 		run(b, steppedDrain)
 	})
 	b.Run("event-driven", func(b *testing.B) {
-		run(b, func(f *feed, h time.Duration) { driver.Drain(f.Eng, h, f) })
+		run(b, func(f *feed, h time.Duration) { drain(f.Cluster, h, f.Busy) })
 	})
 }

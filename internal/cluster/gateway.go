@@ -191,11 +191,9 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 		return
 	}
 	from := n.OS
-	c.setState(n, osid.None, true, n.Broken)
 	n.Target = target
+	c.setState(n, osid.None, true, n.Broken)
 	n.HW.Power = hardware.PowerShuttingDown
-	c.Rec.SwitchStarted(name, from, target)
-	c.Rec.NodeDown(from)
 	c.logf("switch: %s %s -> %s (shutdown)", name, from, target)
 
 	// Deregister from the donor scheduler.
@@ -223,7 +221,6 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 		}
 		c.Eng.After(res.Latency, func() {
 			c.setState(n, res.OS, false, n.Broken)
-			n.Target = osid.None
 			n.HW.Power = hardware.PowerOn
 			n.HW.BootedOS = res.OS
 			switch res.OS {
@@ -232,8 +229,6 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 			case osid.Windows:
 				_ = c.Win.SetNodeOnline(name, true)
 			}
-			c.Rec.NodeUp(res.OS)
-			c.Rec.SwitchFinished(name, res.OS == target)
 			c.logf("switch: %s up in %s after %v", name, res.OS, c.cfg.Latency.Shutdown+res.Latency)
 			c.notifySwitchLanded(name, res.OS, res.OS == target)
 		})
@@ -247,7 +242,6 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 func (c *Cluster) markBootFailed(n *Node, context string, err error) {
 	c.setState(n, n.OS, false, true)
 	n.HW.Power = hardware.PowerOff
-	c.Rec.SwitchFinished(n.HW.Name, false)
 	c.logf("%s: %s boot FAILED: %v", context, n.HW.Name, err)
 	c.notifySwitchLanded(n.HW.Name, osid.None, false)
 }

@@ -65,9 +65,6 @@ func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, 
 	case osid.Windows:
 		_ = c.Win.SetNodeOnline(name, false)
 	}
-	if from.Valid() {
-		c.Rec.NodeDown(from)
-	}
 	c.setState(n, osid.None, false, n.Broken)
 	n.HW.Power = hardware.PowerOff
 
@@ -104,11 +101,11 @@ func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, 
 
 // beginReimageBoot boots a node after maintenance; unlike beginSwitch
 // it has no donor side to deregister (already done) and no target
-// expectation — wherever the boot chain lands is recorded.
+// expectation — wherever the boot chain lands is recorded. A landed
+// reimage boot repairs a broken node: the reimage replaced what broke.
 func (c *Cluster) beginReimageBoot(n *Node) {
 	c.setState(n, n.OS, true, n.Broken)
 	n.HW.Power = hardware.PowerBooting
-	c.Rec.SwitchStarted(n.HW.Name, osid.None, osid.None)
 	c.Eng.After(c.cfg.Latency.POST, func() {
 		res, err := bootmgr.Boot(n.HW, bootmgr.Env{
 			PXE:     c.PXE,
@@ -120,7 +117,7 @@ func (c *Cluster) beginReimageBoot(n *Node) {
 			return
 		}
 		c.Eng.After(res.Latency, func() {
-			c.setState(n, res.OS, false, n.Broken)
+			c.setState(n, res.OS, false, false)
 			n.HW.BootedOS = res.OS
 			n.HW.Power = hardware.PowerOn
 			switch res.OS {
@@ -129,8 +126,6 @@ func (c *Cluster) beginReimageBoot(n *Node) {
 			case osid.Windows:
 				_ = c.Win.SetNodeOnline(n.HW.Name, true)
 			}
-			c.Rec.NodeUp(res.OS)
-			c.Rec.SwitchFinished(n.HW.Name, true)
 			c.logf("reimage: %s back up in %s", n.HW.Name, res.OS)
 			c.notifySwitchLanded(n.HW.Name, res.OS, true)
 		})

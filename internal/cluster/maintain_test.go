@@ -158,3 +158,39 @@ func TestQholdQrls(t *testing.T) {
 		t.Fatal("release of unknown job accepted")
 	}
 }
+
+// Reimaging a node whose boot chain failed is how an administrator
+// repairs it: once the reimage boot lands, the node serves work again
+// and is no longer counted broken, and the controller can switch it.
+func TestReimageRepairsBrokenNode(t *testing.T) {
+	c := newCluster(t, Config{Mode: HybridV2, BootFailureProb: 1})
+	if err := c.ForceSwitch("enode01", osid.Windows); err != nil {
+		t.Fatal(err)
+	}
+	c.Eng.RunFor(time.Hour)
+	if c.BrokenCount() != 1 {
+		t.Fatalf("broken = %d after an injected boot failure, want 1", c.BrokenCount())
+	}
+	if _, err := c.ReimageWindows("enode01", false); err != nil {
+		t.Fatal(err)
+	}
+	c.Eng.RunFor(time.Hour)
+	n := c.byName["enode01"]
+	if n.OS != osid.Windows || n.Broken {
+		t.Fatalf("reimaged node on %v, broken %v; want windows, repaired", n.OS, n.Broken)
+	}
+	if c.BrokenCount() != 0 {
+		t.Fatalf("broken = %d after the repair, want 0", c.BrokenCount())
+	}
+	s := c.TakeSnapshot()
+	if total := s.LinuxNodes + s.WindowsNodes + s.Switching + s.Broken; total != 16 {
+		t.Fatalf("snapshot %+v adds up to %d nodes, want 16", s, total)
+	}
+	c.cfg.BootFailureProb = 0
+	if err := c.ForceSwitch("enode01", osid.Linux); err != nil {
+		t.Fatal(err)
+	}
+	if !n.Switching {
+		t.Fatal("a repaired node was refused a switch")
+	}
+}

@@ -14,8 +14,8 @@ import (
 
 // This file submits the jobs internal/grid routes here and exposes the
 // snapshot/summary views the experiments and examples consume. The
-// drain loop lives in internal/driver: the cluster only answers Busy
-// and shuts its controller down on Quiesce.
+// drain loop lives in internal/grid: the cluster only answers Busy and
+// shuts its controller down on Quiesce.
 
 // Hooks observe cluster lifecycle transitions. They fire inside engine
 // callbacks, so handlers run on the deterministic virtual clock and
@@ -133,22 +133,16 @@ func (c *Cluster) owner(u string) owner {
 func (c *Cluster) track(tab *[]int32, n int, j workload.Job) int {
 	h := c.Rec.JobSubmitted(n, j.OS, j.App, j.CPUs())
 	*tab = bind(*tab, n, h)
-	for len(c.awaiting) <= h {
-		c.awaiting = append(c.awaiting, false)
-	}
-	c.awaiting[h] = true
 	c.arrived[j.OS] += j.CPUs()
-	c.unfinished++
 	return h
 }
 
 // Reserve sizes the job bookkeeping for the workload jobs about to be
-// submitted here, linux and windows per side: the recorder's rows, the
-// tracked-job flags and each scheduler's handle table (switch jobs the
-// controller submits still grow the latter by append).
+// submitted here, linux and windows per side: the recorder's rows and
+// each scheduler's handle table (switch jobs the controller submits
+// still grow the latter by append).
 func (c *Cluster) Reserve(linux, windows int) {
 	c.Rec.Reserve(linux + windows)
-	c.awaiting = slices.Grow(c.awaiting, linux+windows)
 	c.pbsJobs = slices.Grow(c.pbsJobs, linux)
 	c.winJobs = slices.Grow(c.winJobs, windows)
 }
@@ -163,19 +157,19 @@ func (c *Cluster) RecordSubmitFailure(j workload.Job, err error) {
 	c.logf("submit %s failed: %v", j.App, err)
 }
 
-// Unfinished reports workload jobs not yet completed.
-func (c *Cluster) Unfinished() int { return c.unfinished }
+// Unfinished reports workload jobs not yet ended.
+func (c *Cluster) Unfinished() int { return c.Rec.Unfinished() }
 
 // Completed reports workload jobs that finished successfully.
-func (c *Cluster) Completed() int { return c.completed }
+func (c *Cluster) Completed() int { return c.Rec.Completed() }
 
-// Busy implements driver.Workload: unfinished jobs or switches in
+// Busy reports outstanding work: unfinished jobs or switches in
 // flight.
 func (c *Cluster) Busy() bool {
-	return c.unfinished > 0 || c.SwitchingCount() > 0
+	return c.Rec.Unfinished() > 0 || c.SwitchingCount() > 0
 }
 
-// Quiesce implements driver.Workload: stop the controller daemons.
+// Quiesce stops the controller daemons once a run is over.
 func (c *Cluster) Quiesce() {
 	if c.Mgr != nil {
 		c.Mgr.Stop()

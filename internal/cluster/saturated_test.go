@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/controller"
-	"repro/internal/driver"
 	"repro/internal/osid"
 	"repro/internal/workload"
 )
@@ -47,7 +46,7 @@ func TestFCFSNeverSwitchesWhileSaturated(t *testing.T) {
 			saturated++
 		}
 	})
-	driver.Drain(c.Eng, 1000*time.Hour, f)
+	drain(c, 1000*time.Hour, f.Busy)
 	if c.Unfinished() != 0 {
 		t.Fatalf("%d jobs unfinished", c.Unfinished())
 	}

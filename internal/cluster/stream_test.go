@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/driver"
 	"repro/internal/metrics"
 	"repro/internal/pbs"
 	"repro/internal/winhpc"
@@ -73,7 +72,7 @@ func runColliding(t *testing.T, schedule func(*Cluster) *feed) streamRun {
 		winStart(j)
 	}
 	c.AddHooks(Hooks{JobCompleted: func(int, bool) { r.ends = append(r.ends, c.Eng.Now()) }})
-	driver.Drain(c.Eng, 48*time.Hour, schedule(c))
+	drain(c, 48*time.Hour, schedule(c).Busy)
 	r.sum, r.ran, r.events = c.Summary(), c.Eng.EventsRun(), c.Events()
 	return r
 }

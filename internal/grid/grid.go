@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/driver"
 	"repro/internal/metrics"
 	"repro/internal/osid"
 	"repro/internal/simtime"
@@ -60,7 +59,6 @@ func ParsePolicy(name string) (RoutingPolicy, error) {
 type Member struct {
 	Name    string
 	Cluster *cluster.Cluster
-	routed  int // jobs the router placed here
 }
 
 // CanServe reports whether the member can ever run a job on the given
@@ -172,9 +170,10 @@ func (g *Grid) Member(name string) (*Member, bool) {
 	return nil, false
 }
 
-// RoutedCounts returns jobs routed per member.
+// RoutedCounts returns jobs routed per member: every job a member's
+// scheduler accepted is one row in its recorder.
 func (g *Grid) RoutedCounts() map[string]int {
-	return g.counts(func(m *Member) int { return m.routed })
+	return g.counts(func(m *Member) int { return m.Cluster.Rec.Submitted() })
 }
 
 // CompletedCounts returns jobs finished per member, from the counters
@@ -222,7 +221,6 @@ func (g *Grid) Route(j workload.Job) (*Member, error) {
 	m := g.pick(candidates, j.OS)
 	_, err := m.Cluster.Submit(j)
 	if err == nil {
-		m.routed++
 		return m, nil
 	}
 	for _, alt := range candidates {
@@ -230,7 +228,6 @@ func (g *Grid) Route(j workload.Job) (*Member, error) {
 			continue
 		}
 		if _, err2 := alt.Cluster.Submit(j); err2 == nil {
-			alt.routed++
 			return alt, nil
 		}
 	}
@@ -330,8 +327,8 @@ func (g *Grid) Snapshot() cluster.Snapshot {
 	return out
 }
 
-// Busy implements driver.Workload: grid-level submissions not yet
-// routed, or any member with outstanding work.
+// Busy reports outstanding work: grid-level submissions not yet
+// routed, or any member with unfinished jobs or switches in flight.
 func (g *Grid) Busy() bool {
 	if g.scheduled > 0 {
 		return true
@@ -344,19 +341,26 @@ func (g *Grid) Busy() bool {
 	return false
 }
 
-// Quiesce implements driver.Workload: stop every member's controller.
+// Quiesce stops every member's controller.
 func (g *Grid) Quiesce() {
 	for _, m := range g.members {
 		m.Cluster.Quiesce()
 	}
 }
 
-// RunUntilDrained advances the shared clock on the quiescence driver:
-// event-to-event hops across every member, stopping the instant the
-// whole fabric goes quiet or riding to the horizon when a member
-// wedges.
+// RunUntilDrained advances the shared clock event to event across
+// every member until the whole fabric goes quiet, then quiesces it. It
+// stops at the exact quiescence instant, waking only when an event is
+// due. A non-positive horizon means effectively unbounded; a fabric
+// that wedges (Busy forever, with nothing scheduled that can unwedge
+// it) rides the clock to the horizon and returns, so it can never hang
+// the caller.
 func (g *Grid) RunUntilDrained(horizon time.Duration) {
-	driver.Drain(g.Eng, horizon, g)
+	if horizon <= 0 {
+		horizon = simtime.MaxDuration / 2
+	}
+	g.Eng.RunWhile(horizon, g.Busy)
+	g.Quiesce()
 }
 
 // Report summarises every member.
@@ -368,7 +372,7 @@ func (g *Grid) Report() string {
 		rows = append(rows, []string{
 			m.Name,
 			m.Cluster.Config().Mode.String(),
-			fmt.Sprintf("%d", m.routed),
+			fmt.Sprintf("%d", m.Cluster.Rec.Submitted()),
 			metrics.Pct(s.Utilisation),
 			fmt.Sprintf("%d", s.JobsCompleted[osid.Linux]),
 			fmt.Sprintf("%d", s.JobsCompleted[osid.Windows]),

@@ -44,11 +44,21 @@ type Lifecycle struct {
 	OS        osid.OS
 	Completed bool
 
-	running     bool          // busy-core integration in progress
-	everStarted bool          // first start seen (Started == 0 is ambiguous at t=0)
-	lastStart   time.Duration // start of the current attempt
-	busy        time.Duration // accumulated actual service time across attempts
+	phase     phase         // where the job is in its lifecycle
+	lastStart time.Duration // start of the current attempt
+	busy      time.Duration // accumulated actual service time across attempts
 }
+
+// phase is a job row's place in its lifecycle. One byte keeps the row
+// at 80 bytes: a city run holds a million of them.
+type phase uint8
+
+const (
+	queued   phase = iota // submitted, never started (Started == 0 is ambiguous at t=0)
+	running               // busy-core integration in progress
+	requeued              // started before, back in the queue
+	ended                 // JobEnded seen; later lifecycle calls are ignored
+)
 
 // BusyTime returns the job's accumulated actual service time: the sum
 // of its running windows across every attempt. For a never-interrupted
@@ -91,30 +101,24 @@ type Recorder struct {
 	// (millions of events) per-event map iteration is pure overhead.
 	last       time.Duration
 	busyCores  [osSlots]int
-	upNodes    [osSlots]int
-	switching  int
+	switching  int              // nodes mid-switch, as SetSwitching last set it
 	busyCoreNS [osSlots]float64 // ∫ busy cores dt
-	upNodeNS   [osSlots]float64 // ∫ nodes-up dt
 	switchNS   float64          // ∫ nodes-switching dt
 
 	// jobs holds one row per submission, indexed by the handle
 	// JobSubmitted returned, so the lifecycle calls index rather than
-	// hash.
-	jobs        []Lifecycle
-	switches    []SwitchRecord
-	inFlight    map[string]*SwitchRecord
-	seenSwitch  int
-	submitFails int
+	// hash. ended and completed count the rows JobEnded closed, and
+	// those of them that completed.
+	jobs             []Lifecycle
+	ended, completed int
+	switches         []SwitchRecord
+	submitFails      int
 }
 
 // NewRecorder creates a recorder over a virtual clock. totalCores is
 // the whole machine's core count (utilisation denominator).
 func NewRecorder(now func() time.Duration, totalCores int) *Recorder {
-	return &Recorder{
-		now:        now,
-		totalCores: totalCores,
-		inFlight:   map[string]*SwitchRecord{},
-	}
+	return &Recorder{now: now, totalCores: totalCores}
 }
 
 // advance integrates state up to the current instant. Events landing
@@ -131,7 +135,6 @@ func (r *Recorder) advance() {
 	}
 	for os := 0; os < osSlots; os++ {
 		r.busyCoreNS[os] += float64(r.busyCores[os]) * dt
-		r.upNodeNS[os] += float64(r.upNodes[os]) * dt
 	}
 	r.switchNS += float64(r.switching) * dt
 	r.last = now
@@ -181,16 +184,15 @@ func (r *Recorder) id(j *Lifecycle) string {
 func (r *Recorder) JobStarted(h int) {
 	r.advance()
 	j, ok := r.job(h)
-	if !ok || j.running {
+	if !ok || j.phase == running || j.phase == ended {
 		return
 	}
-	if !j.everStarted {
-		j.everStarted = true
+	if j.phase == queued {
 		j.Started = r.now()
 	} else {
 		j.Restarts++
 	}
-	j.running = true
+	j.phase = running
 	j.lastStart = r.now()
 	r.busyCores[j.OS] += j.CPUs
 }
@@ -203,10 +205,10 @@ func (r *Recorder) JobStarted(h int) {
 func (r *Recorder) JobInterrupted(h int) {
 	r.advance()
 	j, ok := r.job(h)
-	if !ok || !j.running {
+	if !ok || j.phase != running {
 		return
 	}
-	j.running = false
+	j.phase = requeued
 	j.busy += r.now() - j.lastStart
 	r.busyCores[j.OS] -= j.CPUs
 	if r.busyCores[j.OS] < 0 {
@@ -214,71 +216,59 @@ func (r *Recorder) JobInterrupted(h int) {
 	}
 }
 
-// JobEnded records completion and releases busy cores.
-func (r *Recorder) JobEnded(h int, completed bool) {
+// JobEnded records a job's end and releases its busy cores. It
+// reports whether this was the job's first end: a second end of the
+// same handle changes nothing.
+func (r *Recorder) JobEnded(h int, completed bool) bool {
 	r.advance()
 	j, ok := r.job(h)
-	if !ok {
-		return
+	if !ok || j.phase == ended {
+		return false
 	}
 	j.Ended = r.now()
-	if j.running {
-		j.running = false
+	if j.phase == running {
 		j.busy += r.now() - j.lastStart
 		r.busyCores[j.OS] -= j.CPUs
 		if r.busyCores[j.OS] < 0 {
 			r.busyCores[j.OS] = 0
 		}
 	}
-	if !j.everStarted && !completed {
-		// never started (cancelled in queue)
-		return
-	}
+	j.phase = ended
 	j.Completed = completed
+	r.ended++
+	if completed {
+		r.completed++
+	}
+	return true
 }
+
+// Submitted counts the job rows: every submission JobSubmitted booked.
+func (r *Recorder) Submitted() int { return len(r.jobs) }
+
+// Unfinished counts the submitted jobs that have not ended yet.
+func (r *Recorder) Unfinished() int { return len(r.jobs) - r.ended }
+
+// Completed counts the jobs whose end reported them completed.
+func (r *Recorder) Completed() int { return r.completed }
 
 // SubmitFailed counts a submission the target scheduler rejected. The
 // job never enters the lifecycle records, but the failure must not
 // vanish from the run's books: Summary.SubmitFailures surfaces it.
 func (r *Recorder) SubmitFailed() { r.submitFails++ }
 
-// NodeUp marks a node available on a side.
-func (r *Recorder) NodeUp(os osid.OS) {
+// SetSwitching integrates up to now and then takes n as the number of
+// nodes mid-switch: the cluster's census hands its count over on every
+// change, for the switch-time integral.
+func (r *Recorder) SetSwitching(n int) {
 	r.advance()
-	r.upNodes[os]++
+	r.switching = n
 }
 
-// NodeDown marks a node unavailable on a side.
-func (r *Recorder) NodeDown(os osid.OS) {
-	r.advance()
-	if r.upNodes[os] > 0 {
-		r.upNodes[os]--
-	}
-}
-
-// SwitchStarted begins tracking an OS switch.
-func (r *Recorder) SwitchStarted(node string, from, to osid.OS) {
-	r.advance()
-	r.switching++
-	r.seenSwitch++
-	rec := &SwitchRecord{Node: node, From: from, To: to, Started: r.now()}
-	r.inFlight[node] = rec
-}
-
-// SwitchFinished completes a switch record.
-func (r *Recorder) SwitchFinished(node string, ok bool) {
-	r.advance()
-	if r.switching > 0 {
-		r.switching--
-	}
-	rec, found := r.inFlight[node]
-	if !found {
-		return
-	}
-	delete(r.inFlight, node)
-	rec.Finished = r.now()
-	rec.OK = ok
-	r.switches = append(r.switches, *rec)
+// SwitchEnded books a switch that ends now; s carries what the
+// cluster kept while it was open.
+func (r *Recorder) SwitchEnded(s SwitchRecord) {
+	s.Finished = r.now()
+	r.switches = append(r.switches, s)
 }
 
 // durSum accumulates a sum of non-negative durations without the

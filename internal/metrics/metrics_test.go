@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/osid"
 )
@@ -138,12 +139,16 @@ func TestInterruptWithoutRestartReleasesOnce(t *testing.T) {
 func TestSwitchRecords(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	r.SwitchStarted("n1", osid.Linux, osid.Windows)
+	// The cluster hands over its switching count on every change and
+	// closes each switch with the side, target and start it kept.
+	r.SetSwitching(1)
 	c.t = 4 * time.Minute
-	r.SwitchFinished("n1", true)
-	r.SwitchStarted("n2", osid.Windows, osid.Linux)
+	r.SetSwitching(0)
+	r.SwitchEnded(SwitchRecord{Node: "n1", From: osid.Linux, To: osid.Windows, OK: true})
+	r.SetSwitching(1)
 	c.t = 6 * time.Minute
-	r.SwitchFinished("n2", false)
+	r.SetSwitching(0)
+	r.SwitchEnded(SwitchRecord{Node: "n2", From: osid.Windows, To: osid.Linux, Started: 4 * time.Minute})
 	c.t = 10 * time.Minute
 
 	s := r.Summarise(2)
@@ -162,17 +167,48 @@ func TestSwitchRecords(t *testing.T) {
 		t.Fatalf("overhead = %v", s.SwitchOverhead)
 	}
 	recs := r.Switches()
-	if len(recs) != 2 || recs[0].Node != "n1" || recs[0].Duration() != 4*time.Minute {
+	if len(recs) != 2 || recs[0].Node != "n1" || recs[0].Duration() != 4*time.Minute ||
+		recs[1].Finished != 6*time.Minute || recs[1].OK {
 		t.Fatalf("records = %+v", recs)
 	}
 }
 
-func TestSwitchFinishedUnknownNodeIgnored(t *testing.T) {
+// TestSecondJobEndIgnored: a job ends once. A second JobEnded on the
+// same handle, or a start after the end, changes neither the job's row
+// nor the unfinished and completed counts.
+func TestSecondJobEndIgnored(t *testing.T) {
 	c := &fakeClock{}
 	r := NewRecorder(c.now, 4)
-	r.SwitchFinished("ghost", true)
-	if len(r.Switches()) != 0 {
-		t.Fatal("phantom switch recorded")
+	h := r.JobSubmitted(1, osid.Linux, "a", 2)
+	r.JobSubmitted(2, osid.Linux, "b", 2)
+	r.JobStarted(h)
+	c.t = time.Hour
+	if !r.JobEnded(h, true) {
+		t.Fatal("first end not reported")
+	}
+	row := r.Jobs()[0]
+	c.t = 2 * time.Hour
+	if r.JobEnded(h, false) {
+		t.Fatal("second end reported")
+	}
+	r.JobStarted(h)
+	if got := r.Jobs()[0]; got != row {
+		t.Fatalf("row %+v after a second end, want %+v", got, row)
+	}
+	if r.Submitted() != 2 || r.Unfinished() != 1 || r.Completed() != 1 {
+		t.Fatalf("submitted %d, unfinished %d, completed %d; want 2, 1, 1",
+			r.Submitted(), r.Unfinished(), r.Completed())
+	}
+}
+
+// A city run holds a million job rows: the lifecycle state must stay
+// folded into one byte so a row stays at 80 bytes.
+func TestLifecycleRowSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("row size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Lifecycle{}); got != 80 {
+		t.Fatalf("Lifecycle is %d bytes, want 80", got)
 	}
 }
 
@@ -222,24 +258,6 @@ func TestUnknownJobEventsIgnored(t *testing.T) {
 	if jobs := r.Jobs(); len(jobs) != 1 || jobs[0].Started != 0 || jobs[0].Ended != 0 {
 		t.Fatalf("jobs = %+v", jobs)
 	}
-}
-
-func TestNodeUpDownIntegration(t *testing.T) {
-	c := &fakeClock{}
-	r := NewRecorder(c.now, 8)
-	r.NodeUp(osid.Linux)
-	r.NodeUp(osid.Linux)
-	c.t = time.Hour
-	r.NodeDown(osid.Linux)
-	c.t = 2 * time.Hour
-	r.Summarise(2)
-	// integration is internal; the guard here is that NodeDown below
-	// zero clamps rather than corrupting state
-	r.NodeDown(osid.Linux)
-	r.NodeDown(osid.Linux)
-	r.NodeDown(osid.Linux)
-	c.t = 3 * time.Hour
-	r.Summarise(2) // must not panic
 }
 
 func TestWaitPercentile(t *testing.T) {
