@@ -1,7 +1,10 @@
 package cluster_test
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,7 +20,8 @@ import (
 // that lands OS switches, suffers an injected boot failure and reimages
 // a healthy node: the switch records, the switch overhead, the
 // completed and unfinished job counts (mid-run and drained) and the
-// grid's routed counts. The census and the recorder's job rows are the
+// grid's routed counts, and its event log against
+// testdata/books_events.golden. The census and the recorder's job rows are the
 // only copy of these facts, so every figure here is read from one of
 // them; a change to any figure is a change to what a run reports.
 func TestSwitchAndJobBooks(t *testing.T) {
@@ -74,5 +78,37 @@ eridani-enode04 linux>windows 20m10.001s..24m39.701847323s true
 	}
 	if got, want := g.RoutedCounts(), map[string]int{"eridani": 8, "tauceti": 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("routed %v, want %v", got, want)
+	}
+
+	b.Reset()
+	for _, e := range c.Events() {
+		fmt.Fprintf(&b, "%v %s\n", e.At, e.What)
+	}
+	checkGolden(t, "books_events.golden", b.String())
+}
+
+var update = flag.Bool("update", false, "rewrite the testdata golden files")
+
+// checkGolden compares got against testdata/name, rewriting the file
+// under -update (go test ./internal/cluster -run SwitchAndJobBooks
+// -update).
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from the golden:\n%s\nwant\n%s", name, got, want)
 	}
 }
