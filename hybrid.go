@@ -207,9 +207,6 @@ type (
 	Topology = core.Topology
 	// MemberResult is one grid member's share of a topology run.
 	MemberResult = core.MemberResult
-	// ClusterHooks observe cluster lifecycle transitions (job
-	// completions, switch landings, submit failures).
-	ClusterHooks = cluster.Hooks
 )
 
 // Scenario-sweep layer: expand a parameter grid into scenarios, run

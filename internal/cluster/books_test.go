@@ -53,7 +53,7 @@ func TestSwitchAndJobBooks(t *testing.T) {
 	})
 
 	g.Eng.RunUntil(90 * time.Minute)
-	if got, want := [2]int{c.Completed(), c.Unfinished()}, [2]int{4, 3}; got != want {
+	if got, want := [2]int{c.Rec.Completed(), c.Rec.Unfinished()}, [2]int{4, 3}; got != want {
 		t.Errorf("at 90m completed, unfinished = %v, want %v", got, want)
 	}
 	g.RunUntilDrained(7 * 24 * time.Hour)
@@ -62,7 +62,7 @@ func TestSwitchAndJobBooks(t *testing.T) {
 	for _, s := range c.Rec.Switches() {
 		fmt.Fprintf(&b, "%s %s>%s %v..%v %v\n", s.Node, s.From, s.To, s.Started, s.Finished, s.OK)
 	}
-	const wantSwitches = `eridani-enode02 none>none 15m0s..17m32.814408688s true
+	const wantSwitches = `eridani-enode02 linux>none 15m0s..17m32.814408688s true
 eridani-enode03 linux>windows 20m10.001s..20m40.001s false
 eridani-enode05 linux>windows 20m10.001s..24m18.552203138s true
 eridani-enode04 linux>windows 20m10.001s..24m39.701847323s true
@@ -73,7 +73,7 @@ eridani-enode04 linux>windows 20m10.001s..24m39.701847323s true
 	if got, want := c.Summary().SwitchOverhead, 0.005525933658451156; got != want {
 		t.Errorf("switch overhead %v, want %v", got, want)
 	}
-	if got, want := [2]int{c.Completed(), c.Unfinished()}, [2]int{8, 0}; got != want {
+	if got, want := [2]int{c.Rec.Completed(), c.Rec.Unfinished()}, [2]int{8, 0}; got != want {
 		t.Errorf("drained completed, unfinished = %v, want %v", got, want)
 	}
 	if got, want := g.RoutedCounts(), map[string]int{"eridani": 8, "tauceti": 2}; !reflect.DeepEqual(got, want) {

@@ -208,7 +208,6 @@ type Cluster struct {
 	// owners interns each trace user's scheduler-side owner names, so
 	// a submission builds no owner string.
 	owners map[string]owner
-	hooks  []Hooks // lifecycle observers (see run.go)
 }
 
 // osSlots sizes the per-side arrays: osid values are dense small
@@ -444,12 +443,12 @@ func (c *Cluster) wireSchedulers() {
 	c.PBS.OnJobStart = func(j *pbs.Job) { c.Rec.JobStarted(handle(c.pbsJobs, j.SeqNo())) }
 	c.PBS.OnJobRequeue = func(j *pbs.Job) { c.Rec.JobInterrupted(handle(c.pbsJobs, j.SeqNo())) }
 	c.PBS.OnJobEnd = func(j *pbs.Job) {
-		c.jobEnded(handle(c.pbsJobs, j.SeqNo()), !j.KilledAtWalltime() && !j.Failed())
+		c.Rec.JobEnded(handle(c.pbsJobs, j.SeqNo()), !j.KilledAtWalltime() && !j.Failed())
 	}
 	c.Win.OnJobStart = func(j *winhpc.Job) { c.Rec.JobStarted(handle(c.winJobs, j.ID())) }
 	c.Win.OnJobRequeue = func(j *winhpc.Job) { c.Rec.JobInterrupted(handle(c.winJobs, j.ID())) }
 	c.Win.OnJobEnd = func(j *winhpc.Job) {
-		c.jobEnded(handle(c.winJobs, j.ID()), j.State == winhpc.JobFinished)
+		c.Rec.JobEnded(handle(c.winJobs, j.ID()), j.State == winhpc.JobFinished)
 		if c.cfg.Mode == MonoStable {
 			c.returnNodesHome()
 		}
@@ -482,14 +481,6 @@ func bind(tab []int32, n, h int) []int32 {
 	}
 	tab[n-1] = int32(h)
 	return tab
-}
-
-// jobEnded books the end of the job behind handle h (-1 for a switch
-// job) and tells the hooks about a workload job's first end.
-func (c *Cluster) jobEnded(h int, completed bool) {
-	if c.Rec.JobEnded(h, completed) && len(c.hooks) > 0 {
-		c.notifyJobCompleted(h, completed)
-	}
 }
 
 // returnNodesHome implements mono-stable behaviour: once the Windows

@@ -349,7 +349,7 @@ func TestSampleSeries(t *testing.T) {
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
 	trace := workload.Trace{winJob(0, 2, time.Hour)}
 	var series []Snapshot
-	c.Eng.EveryBackground(10*time.Minute, func() { series = append(series, c.TakeSnapshot()) })
+	c.Eng.Every(10*time.Minute, func() { series = append(series, c.TakeSnapshot()) })
 	sum := runTrace(c, trace, 12*time.Hour)
 	if len(series) == 0 {
 		t.Fatal("no snapshots")
@@ -391,8 +391,8 @@ func TestSmallPPNWindowsJobUsesCoreScheduling(t *testing.T) {
 		t.Fatalf("id = %q, want W1", id)
 	}
 	c.Eng.RunFor(time.Hour)
-	if c.Unfinished() != 0 {
-		t.Fatalf("unfinished = %d", c.Unfinished())
+	if c.Rec.Unfinished() != 0 {
+		t.Fatalf("unfinished = %d", c.Rec.Unfinished())
 	}
 }
 
@@ -455,17 +455,10 @@ func TestSwitchLatencyEstimate(t *testing.T) {
 
 // A trace job the scheduler rejects must not vanish from the books:
 // the run drains (the job never entered the system) but the failure
-// is counted in the summary and fires the SubmitFailed hook.
+// is counted in the summary and logged.
 func TestSubmitFailuresSurfaceInSummary(t *testing.T) {
 	// 40 nodes exceed the 16-node machine: Torque rejects at qsub.
 	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
-	var hooked []string
-	c.AddHooks(Hooks{SubmitFailed: func(j workload.Job, err error) {
-		if err == nil {
-			t.Error("SubmitFailed hook fired without an error")
-		}
-		hooked = append(hooked, j.App)
-	}})
 	trace := workload.Trace{
 		linJob(0, 2, time.Hour),
 		{At: time.Minute, App: "LAMMPS", OS: osid.Linux, Owner: "u", Nodes: 40, PPN: 4, Runtime: time.Hour},
@@ -474,69 +467,37 @@ func TestSubmitFailuresSurfaceInSummary(t *testing.T) {
 	if sum.SubmitFailures != 1 {
 		t.Fatalf("SubmitFailures = %d, want 1", sum.SubmitFailures)
 	}
-	if len(hooked) != 1 || hooked[0] != "LAMMPS" {
-		t.Fatalf("hook saw %v", hooked)
+	var logged []string
+	for _, e := range c.Events() {
+		if strings.HasPrefix(e.What, "submit ") {
+			logged = append(logged, e.What)
+		}
+	}
+	if len(logged) != 1 || !strings.HasPrefix(logged[0], "submit LAMMPS failed: ") {
+		t.Fatalf("submit lines logged: %q", logged)
 	}
 	if sum.JobsCompleted[osid.Linux] != 1 {
 		t.Fatalf("completed = %v", sum.JobsCompleted)
 	}
-	if c.Unfinished() != 0 {
-		t.Fatalf("accounting dirty: unfinished=%d", c.Unfinished())
-	}
-}
-
-// The lifecycle hooks observe completions and switch landings as they
-// happen on the virtual clock — the event-driven alternative to
-// polling the summary.
-func TestHooksObserveCompletionsAndSwitches(t *testing.T) {
-	c := newCluster(t, Config{Mode: HybridV2, InitialLinux: 16, Cycle: 5 * time.Minute})
-	var completions, landings int
-	var landedOS osid.OS
-	c.AddHooks(Hooks{
-		JobCompleted: func(h int, completed bool) {
-			if !completed {
-				t.Errorf("job %s reported incomplete", c.Rec.JobID(h))
-			}
-			completions++
-		},
-		SwitchLanded: func(node string, os osid.OS, ok bool) {
-			if !ok {
-				t.Errorf("switch on %s reported failed", node)
-			}
-			landings++
-			landedOS = os
-		},
-	})
-	sum := runTrace(c, workload.Trace{winJob(0, 2, 30*time.Minute)}, 24*time.Hour)
-	if completions != 1 {
-		t.Fatalf("completion hooks = %d, want 1", completions)
-	}
-	if landings != sum.Switches {
-		t.Fatalf("landing hooks = %d, switches = %d", landings, sum.Switches)
-	}
-	if landedOS != osid.Windows {
-		t.Fatalf("last landing OS = %v", landedOS)
+	if c.Rec.Unfinished() != 0 {
+		t.Fatalf("accounting dirty: unfinished=%d", c.Rec.Unfinished())
 	}
 }
 
 // A non-rerunnable PBS job that dies with its node must not count as
-// completed anywhere: the completion hook reports completed=false and
-// the summary books zero completions. (A previous revision checked
+// completed anywhere: its row ends with Completed false and the
+// summary books zero completions. (A previous revision checked
 // only the walltime kill, so a job that died mid-run from node loss
 // counted as successfully completed in every utilisation/completion
 // metric.)
 func TestInterruptedNonRerunnableJobNotCounted(t *testing.T) {
 	c := newCluster(t, Config{Mode: Static, Nodes: 2, InitialLinux: 2})
-	var sawCompleted *bool
-	c.AddHooks(Hooks{JobCompleted: func(_ int, completed bool) {
-		sawCompleted = &completed
-	}})
 	j, err := c.PBS.Qsub(pbs.SubmitRequest{Name: "fragile", Owner: "u@x",
 		Nodes: 1, PPN: 4, Runtime: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.track(&c.pbsJobs, j.SeqNo(), workload.Job{App: "fragile", OS: osid.Linux, Owner: "u",
+	h := c.track(&c.pbsJobs, j.SeqNo(), workload.Job{App: "fragile", OS: osid.Linux, Owner: "u",
 		Nodes: 1, PPN: 4, Runtime: time.Hour})
 	c.Eng.RunUntil(time.Minute)
 	if j.State != pbs.StateRunning {
@@ -546,11 +507,11 @@ func TestInterruptedNonRerunnableJobNotCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Eng.RunUntil(2 * time.Minute)
-	if sawCompleted == nil {
-		t.Fatal("completion hook never fired for the dead job")
+	if row := c.Rec.Jobs()[h]; row.Ended == 0 || row.Completed {
+		t.Fatalf("row of the job that died with its node: %+v, want ended and not completed", row)
 	}
-	if *sawCompleted {
-		t.Fatal("job that died with its node reported completed=true")
+	if c.Rec.Unfinished() != 0 {
+		t.Fatalf("unfinished = %d after the job died", c.Rec.Unfinished())
 	}
 	sum := c.Summary()
 	if sum.JobsSubmitted[osid.Linux] != 1 || sum.JobsCompleted[osid.Linux] != 0 {

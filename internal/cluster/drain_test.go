@@ -71,8 +71,8 @@ func TestRunUntilDrainedQdelQueuedJob(t *testing.T) {
 	}
 	const horizon = 48 * time.Hour
 	drain(c, horizon, c.Busy)
-	if c.Unfinished() != 0 {
-		t.Fatalf("%d jobs unfinished after the drain", c.Unfinished())
+	if c.Rec.Unfinished() != 0 {
+		t.Fatalf("%d jobs unfinished after the drain", c.Rec.Unfinished())
 	}
 	if now := c.Eng.Now(); now >= horizon {
 		t.Fatalf("drain rode the clock to %v", now)

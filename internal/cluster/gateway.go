@@ -210,28 +210,45 @@ func (c *Cluster) beginSwitch(name string, target osid.OS) {
 			c.markBootFailed(n, "switch", fmt.Errorf("injected hardware fault"))
 			return
 		}
-		res, err := bootmgr.Boot(n.HW, bootmgr.Env{
-			PXE:     c.PXE,
-			Latency: *c.cfg.Latency,
-			Rand:    c.rng,
-		})
-		if err != nil {
-			c.markBootFailed(n, "switch", err)
-			return
+		c.boot(n, "switch", switchUp)
+	})
+}
+
+// switchUp writes the log line of a switch's landing.
+func switchUp(c *Cluster, n *Node, res bootmgr.Result) {
+	c.logf("switch: %s up in %s after %v", n.HW.Name, res.OS, c.cfg.Latency.Shutdown+res.Latency)
+}
+
+// boot runs n's boot chain now and lands n on the side it reaches, for
+// an OS switch and a reimage alike. A chain that errors marks n broken
+// (markBootFailed, logged under context). Otherwise, res.Latency
+// later, n leaves the switching state healthy on res.OS, powered on
+// and registered with that side's scheduler, and up writes the
+// landing's log line (a plain function, so a boot builds no closure
+// for it). Healthy repairs a reimaged broken node; a switching node is
+// never broken, since beginSwitch refuses broken nodes and
+// markBootFailed ends the switch.
+func (c *Cluster) boot(n *Node, context string, up func(*Cluster, *Node, bootmgr.Result)) {
+	res, err := bootmgr.Boot(n.HW, bootmgr.Env{
+		PXE:     c.PXE,
+		Latency: *c.cfg.Latency,
+		Rand:    c.rng,
+	})
+	if err != nil {
+		c.markBootFailed(n, context, err)
+		return
+	}
+	c.Eng.After(res.Latency, func() {
+		c.setState(n, res.OS, false, false)
+		n.HW.Power = hardware.PowerOn
+		n.HW.BootedOS = res.OS
+		switch res.OS {
+		case osid.Linux:
+			_ = c.PBS.SetNodeAvailable(n.HW.Name, true)
+		case osid.Windows:
+			_ = c.Win.SetNodeOnline(n.HW.Name, true)
 		}
-		c.Eng.After(res.Latency, func() {
-			c.setState(n, res.OS, false, n.Broken)
-			n.HW.Power = hardware.PowerOn
-			n.HW.BootedOS = res.OS
-			switch res.OS {
-			case osid.Linux:
-				_ = c.PBS.SetNodeAvailable(name, true)
-			case osid.Windows:
-				_ = c.Win.SetNodeOnline(name, true)
-			}
-			c.logf("switch: %s up in %s after %v", name, res.OS, c.cfg.Latency.Shutdown+res.Latency)
-			c.notifySwitchLanded(name, res.OS, res.OS == target)
-		})
+		up(c, n, res)
 	})
 }
 
@@ -243,7 +260,6 @@ func (c *Cluster) markBootFailed(n *Node, context string, err error) {
 	c.setState(n, n.OS, false, true)
 	n.HW.Power = hardware.PowerOff
 	c.logf("%s: %s boot FAILED: %v", context, n.HW.Name, err)
-	c.notifySwitchLanded(n.HW.Name, osid.None, false)
 }
 
 // ForceSwitch reboots a specific idle node immediately (administrative

@@ -31,7 +31,9 @@ type ReimageReport struct {
 // the Windows side (or down); the reimage reboots it into Windows.
 // With v1, the clean-based script destroys the Linux install and —
 // when repairLinux is set — the OSCAR image is redeployed afterwards,
-// costing the v1 manual patch steps.
+// costing the v1 manual patch steps. The node leaves service only once
+// the deploys have succeeded: it opens a switch from the side it was
+// on, and an error return leaves it where it was.
 func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, error) {
 	rep := ReimageReport{Node: name}
 	n, ok := c.byName[name]
@@ -57,17 +59,6 @@ func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, 
 		return rep, err
 	}
 
-	// Take the node out of service on whichever side it was on.
-	from := n.OS
-	switch from {
-	case osid.Linux:
-		_ = c.PBS.SetNodeAvailable(name, false)
-	case osid.Windows:
-		_ = c.Win.SetNodeOnline(name, false)
-	}
-	c.setState(n, osid.None, false, n.Broken)
-	n.HW.Power = hardware.PowerOff
-
 	winRep, err := deploy.DeployWindows(n.HW, dp)
 	if err != nil {
 		return rep, fmt.Errorf("cluster: reimage %s: %w", name, err)
@@ -92,42 +83,24 @@ func (c *Cluster) ReimageWindows(name string, repairLinux bool) (ReimageReport, 
 		c.logf("reimage: %s linux redeployed (%d manual steps)", name, linRep.ManualSteps)
 	}
 
-	// The node boots back into Windows (the reimage script leaves the
-	// Windows partition active; in v2 the flag may redirect it, which
-	// is faithful — administrators reimaged whole batches per OS).
-	c.beginReimageBoot(n)
+	// Take the node out of service on whichever side it was on and boot
+	// it back up. Wherever the chain lands is recorded: the reimage
+	// script leaves the Windows partition active, and in v2 the flag
+	// may redirect the node, which is faithful (administrators
+	// reimaged whole batches per OS).
+	switch n.OS {
+	case osid.Linux:
+		_ = c.PBS.SetNodeAvailable(name, false)
+	case osid.Windows:
+		_ = c.Win.SetNodeOnline(name, false)
+	}
+	c.setState(n, osid.None, true, n.Broken)
+	n.HW.Power = hardware.PowerBooting
+	c.Eng.After(c.cfg.Latency.POST, func() { c.boot(n, "reimage", reimageUp) })
 	return rep, nil
 }
 
-// beginReimageBoot boots a node after maintenance; unlike beginSwitch
-// it has no donor side to deregister (already done) and no target
-// expectation — wherever the boot chain lands is recorded. A landed
-// reimage boot repairs a broken node: the reimage replaced what broke.
-func (c *Cluster) beginReimageBoot(n *Node) {
-	c.setState(n, n.OS, true, n.Broken)
-	n.HW.Power = hardware.PowerBooting
-	c.Eng.After(c.cfg.Latency.POST, func() {
-		res, err := bootmgr.Boot(n.HW, bootmgr.Env{
-			PXE:     c.PXE,
-			Latency: *c.cfg.Latency,
-			Rand:    c.rng,
-		})
-		if err != nil {
-			c.markBootFailed(n, "reimage", err)
-			return
-		}
-		c.Eng.After(res.Latency, func() {
-			c.setState(n, res.OS, false, false)
-			n.HW.BootedOS = res.OS
-			n.HW.Power = hardware.PowerOn
-			switch res.OS {
-			case osid.Linux:
-				_ = c.PBS.SetNodeAvailable(n.HW.Name, true)
-			case osid.Windows:
-				_ = c.Win.SetNodeOnline(n.HW.Name, true)
-			}
-			c.logf("reimage: %s back up in %s", n.HW.Name, res.OS)
-			c.notifySwitchLanded(n.HW.Name, res.OS, true)
-		})
-	})
+// reimageUp writes the log line of a reimage's landing.
+func reimageUp(c *Cluster, n *Node, res bootmgr.Result) {
+	c.logf("reimage: %s back up in %s", n.HW.Name, res.OS)
 }

@@ -71,6 +71,12 @@ func TestV2ReimagePreservesLinux(t *testing.T) {
 		t.Fatalf("v2 reimage rep = %+v", rep)
 	}
 	c.Eng.RunFor(time.Hour)
+	// The switch record names the side the idle node left; a reimage
+	// has no target intent, so wherever it lands it landed.
+	if sw := c.Rec.Switches(); len(sw) != 1 || sw[0].Node != "enode09" ||
+		sw[0].From != osid.Windows || sw[0].To != osid.None || !sw[0].OK {
+		t.Fatalf("switch records = %+v, want one landed enode09 windows>none", sw)
+	}
 	n := c.byName["enode09"]
 	// The v2 flag points at Linux initially, so after the reimage the
 	// PXE boot lands the node on Linux — the batch-reimage behaviour.

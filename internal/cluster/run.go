@@ -17,54 +17,6 @@ import (
 // drain loop lives in internal/grid: the cluster only answers Busy and
 // shuts its controller down on Quiesce.
 
-// Hooks observe cluster lifecycle transitions. They fire inside engine
-// callbacks, so handlers run on the deterministic virtual clock and
-// must not block. The grid layer uses them to track per-member
-// completions without polling; tests and reactive controllers can
-// subscribe the same way.
-type Hooks struct {
-	// JobCompleted fires when a tracked workload job leaves the
-	// system; completed is false when the job died (walltime kill,
-	// cancellation). h is the job's recorder handle: Rec.JobID(h)
-	// renders its ID, which nothing builds unless asked.
-	JobCompleted func(h int, completed bool)
-	// SwitchLanded fires when an OS switch (or maintenance reboot)
-	// ends: os is the side the node came up on (None for a boot-chain
-	// casualty) and ok whether it matched the intent.
-	SwitchLanded func(node string, os osid.OS, ok bool)
-	// SubmitFailed fires when a routed job is rejected by the target
-	// scheduler (e.g. a job too wide for the machine).
-	SubmitFailed func(j workload.Job, err error)
-}
-
-// AddHooks subscribes an observer. Multiple observers fire in
-// registration order.
-func (c *Cluster) AddHooks(h Hooks) { c.hooks = append(c.hooks, h) }
-
-func (c *Cluster) notifyJobCompleted(job int, completed bool) {
-	for _, h := range c.hooks {
-		if h.JobCompleted != nil {
-			h.JobCompleted(job, completed)
-		}
-	}
-}
-
-func (c *Cluster) notifySwitchLanded(node string, os osid.OS, ok bool) {
-	for _, h := range c.hooks {
-		if h.SwitchLanded != nil {
-			h.SwitchLanded(node, os, ok)
-		}
-	}
-}
-
-func (c *Cluster) notifySubmitFailed(j workload.Job, err error) {
-	for _, h := range c.hooks {
-		if h.SubmitFailed != nil {
-			h.SubmitFailed(j, err)
-		}
-	}
-}
-
 // Submit routes one workload job to the appropriate scheduler now and
 // returns its recorder handle; Rec.JobID renders the job's ID
 // ("<seq>.<fqdn>" for PBS, "W<id>" for Windows HPC).
@@ -149,19 +101,12 @@ func (c *Cluster) Reserve(linux, windows int) {
 
 // RecordSubmitFailure books a workload job that was routed here and
 // that the scheduler refused (err, from Submit): it surfaces in
-// Summary.SubmitFailures, fires the SubmitFailed hook and is logged,
-// so a run that "drains cleanly" cannot silently lose jobs.
+// Summary.SubmitFailures and is logged, so a run that "drains cleanly"
+// cannot silently lose jobs.
 func (c *Cluster) RecordSubmitFailure(j workload.Job, err error) {
 	c.Rec.SubmitFailed()
-	c.notifySubmitFailed(j, err)
 	c.logf("submit %s failed: %v", j.App, err)
 }
-
-// Unfinished reports workload jobs not yet ended.
-func (c *Cluster) Unfinished() int { return c.Rec.Unfinished() }
-
-// Completed reports workload jobs that finished successfully.
-func (c *Cluster) Completed() int { return c.Rec.Completed() }
 
 // Busy reports outstanding work: unfinished jobs or switches in
 // flight.

@@ -24,7 +24,7 @@ func TestFCFSNeverSwitchesWhileSaturated(t *testing.T) {
 		JobsPerHour: 40, WindowsFrac: 0.5, RuntimeScale: 0.2, MaxNodes: 4})
 	f := scheduleTrace(c, trace)
 	samples, saturated := 0, 0
-	c.Eng.EveryBackground(cycle, func() {
+	c.Eng.Every(cycle, func() {
 		if c.Eng.Now() <= window {
 			samples++
 		}
@@ -47,8 +47,8 @@ func TestFCFSNeverSwitchesWhileSaturated(t *testing.T) {
 		}
 	})
 	drain(c, 1000*time.Hour, f.Busy)
-	if c.Unfinished() != 0 {
-		t.Fatalf("%d jobs unfinished", c.Unfinished())
+	if c.Rec.Unfinished() != 0 {
+		t.Fatalf("%d jobs unfinished", c.Rec.Unfinished())
 	}
 	if saturated*4 < samples*3 {
 		t.Fatalf("both queues loaded at %d of %d cycles, want at least three quarters", saturated, samples)

@@ -54,7 +54,7 @@ type streamRun struct {
 	sum    metrics.Summary
 	ran    uint64
 	starts []string // "L<seq>@t" / "W<id>@t" in start order
-	ends   []time.Duration
+	jobs   []metrics.JobRecord
 	events []Event
 }
 
@@ -71,24 +71,30 @@ func runColliding(t *testing.T, schedule func(*Cluster) *feed) streamRun {
 		r.starts = append(r.starts, fmt.Sprintf("W%d@%v", j.ID(), c.Eng.Now()))
 		winStart(j)
 	}
-	c.AddHooks(Hooks{JobCompleted: func(int, bool) { r.ends = append(r.ends, c.Eng.Now()) }})
 	drain(c, 48*time.Hour, schedule(c).Busy)
-	r.sum, r.ran, r.events = c.Summary(), c.Eng.EventsRun(), c.Events()
+	r.sum, r.ran, r.jobs, r.events = c.Summary(), c.Eng.EventsRun(), c.Rec.Jobs(), c.Events()
 	return r
 }
 
 // TestStreamedTraceMatchesEager holds arrivals chained through
 // Engine.Chain, as a trace reaches a cluster, to the eager schedule
 // they replace: the same summary, the same number of engine events,
-// the same job starts in the same order, and the same event log.
+// the same job starts in the same order, the same job rows (end
+// instants and completions included) and the same event log.
 func TestStreamedTraceMatchesEager(t *testing.T) {
 	trace := collidingTrace()
 	streamed := runColliding(t, func(c *Cluster) *feed { return scheduleTrace(c, trace) })
 	eager := runColliding(t, func(c *Cluster) *feed { return scheduleEagerly(c, trace) })
 
+	ends := make(map[time.Duration]bool)
+	for _, j := range eager.jobs {
+		if j.Completed {
+			ends[j.Ended] = true
+		}
+	}
 	collisions := 0
 	for _, j := range trace {
-		if slices.Contains(eager.ends, j.At) {
+		if ends[j.At] {
 			collisions++
 		}
 	}
@@ -104,6 +110,9 @@ func TestStreamedTraceMatchesEager(t *testing.T) {
 	}
 	if !slices.Equal(streamed.starts, eager.starts) {
 		t.Errorf("start order %v\nwant %v", streamed.starts, eager.starts)
+	}
+	if !reflect.DeepEqual(streamed.jobs, eager.jobs) {
+		t.Errorf("job rows %+v\nwant %+v", streamed.jobs, eager.jobs)
 	}
 	if !reflect.DeepEqual(streamed.events, eager.events) {
 		t.Errorf("event log differs:\n%v\nwant\n%v", streamed.events, eager.events)

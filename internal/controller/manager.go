@@ -99,16 +99,13 @@ func (m *Manager) Policy() Policy { return m.policy }
 func (m *Manager) Cycle() time.Duration { return m.cycle }
 
 // Start registers both endpoints and begins the Windows reporting
-// cycle. The cycle ticker is a background event: it is maintenance,
-// not work, so the engine's quiescence accounting (ForegroundPending,
-// RunUntilQuiescent) never mistakes an idle controller polling an
-// empty cluster for outstanding activity. (The cluster and grid
-// drains stop on their own Busy predicate; the classification keeps
-// engine-level quiescence equally honest for any consumer.)
+// cycle. The cycle ticks forever until Stop: a drain ends on its own
+// Busy predicate (grid.RunUntilDrained), never on an empty queue, so
+// an idle controller polling an empty cluster keeps no run alive.
 func (m *Manager) Start() {
 	m.bus.Register(LinuxEndpoint, m.onLinuxMessage)
 	m.bus.Register(WindowsEndpoint, m.onWindowsMessage)
-	m.ticker = m.eng.EveryBackground(m.cycle, m.windowsCycle)
+	m.ticker = m.eng.Every(m.cycle, m.windowsCycle)
 }
 
 // Stop halts the reporting cycle and detaches the endpoints.

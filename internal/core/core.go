@@ -129,11 +129,12 @@ func Run(sc Scenario) (Result, error) {
 	}
 	var series []cluster.Snapshot
 	if sc.SampleInterval > 0 {
-		// A background ticker: an exhausted workload stops the run even
-		// with samples still scheduled. Preallocated for the horizon, the
-		// series is not the allocation hot spot of a sampled run.
+		// The drain stops on the grid's Busy predicate, so an exhausted
+		// workload ends the run with samples still scheduled.
+		// Preallocated for the horizon, the series is not the allocation
+		// hot spot of a sampled run.
 		series = make([]cluster.Snapshot, 0, horizon/sc.SampleInterval+2)
-		tk := g.Eng.EveryBackground(sc.SampleInterval, func() {
+		tk := g.Eng.Every(sc.SampleInterval, func() {
 			series = append(series, g.Snapshot())
 		})
 		defer tk.Stop()

@@ -191,7 +191,7 @@ func TestRunGridTopologySamplesSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []cluster.Snapshot // grid.TestSnapshotSumsMembers pins Snapshot to the members' sum
-	g.Eng.EveryBackground(interval, func() { want = append(want, g.Snapshot()) })
+	g.Eng.Every(interval, func() { want = append(want, g.Snapshot()) })
 	g.RunUntilDrained(24 * time.Hour)
 	want = append(want, g.Snapshot())
 

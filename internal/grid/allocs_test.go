@@ -43,9 +43,9 @@ func TestTraceAllocationsPerJob(t *testing.T) {
 	for _, g := range grids {
 		c := g.members[0].Cluster
 		s := c.Summary()
-		if c.Unfinished() != 0 || s.SubmitFailures != 0 || g.Dropped() != 0 ||
+		if c.Rec.Unfinished() != 0 || s.SubmitFailures != 0 || g.Dropped() != 0 ||
 			s.JobsCompleted[osid.Linux] == 0 || s.JobsCompleted[osid.Windows] == 0 {
-			t.Fatalf("run did not drain both sides: %d unfinished, %d dropped, summary %+v", c.Unfinished(), g.Dropped(), s)
+			t.Fatalf("run did not drain both sides: %d unfinished, %d dropped, summary %+v", c.Rec.Unfinished(), g.Dropped(), s)
 		}
 	}
 	perJob := allocs / float64(len(trace))

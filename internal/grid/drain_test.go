@@ -42,7 +42,7 @@ func TestRunUntilDrainedStopsAtQuiescence(t *testing.T) {
 	if err := g.ScheduleTrace(workload.Trace{linuxJob(0, 10*time.Minute), linuxJob(5*time.Minute, 40*time.Minute)}); err != nil {
 		t.Fatal(err)
 	}
-	tk := g.Eng.EveryBackground(time.Minute, func() {})
+	tk := g.Eng.Every(time.Minute, func() {})
 	defer tk.Stop()
 	g.RunUntilDrained(24 * time.Hour)
 	if g.Eng.Now() != 45*time.Minute {
@@ -71,8 +71,8 @@ func TestRunUntilDrainedRidesWedgedGridToHorizon(t *testing.T) {
 	if g.Eng.Now() != 3*time.Hour {
 		t.Fatalf("wedged drain ended at %v", g.Eng.Now())
 	}
-	if c.Unfinished() != 1 {
-		t.Fatalf("unfinished = %d, want the wedged job", c.Unfinished())
+	if c.Rec.Unfinished() != 1 {
+		t.Fatalf("unfinished = %d, want the wedged job", c.Rec.Unfinished())
 	}
 	assertQuiesced(t, g, c)
 }

@@ -170,23 +170,13 @@ func (g *Grid) Member(name string) (*Member, bool) {
 	return nil, false
 }
 
-// RoutedCounts returns jobs routed per member: every job a member's
-// scheduler accepted is one row in its recorder.
+// RoutedCounts returns jobs routed per member, members that got none
+// left out: every job a member's scheduler accepted is one row in its
+// recorder.
 func (g *Grid) RoutedCounts() map[string]int {
-	return g.counts(func(m *Member) int { return m.Cluster.Rec.Submitted() })
-}
-
-// CompletedCounts returns jobs finished per member, from the counters
-// the members keep as jobs end rather than by polling their summaries.
-func (g *Grid) CompletedCounts() map[string]int {
-	return g.counts(func(m *Member) int { return m.Cluster.Completed() })
-}
-
-// counts maps each member with a nonzero count to it.
-func (g *Grid) counts(count func(*Member) int) map[string]int {
 	out := map[string]int{}
 	for _, m := range g.members {
-		if n := count(m); n > 0 {
+		if n := m.Cluster.Rec.Submitted(); n > 0 {
 			out[m.Name] = n
 		}
 	}

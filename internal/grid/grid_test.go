@@ -288,7 +288,7 @@ func TestGridRunIsDeterministic(t *testing.T) {
 		}
 		return g
 	}
-	run := func() (map[string]int, map[string]int, string) {
+	run := func() (map[string]int, []int, string) {
 		g := build()
 		trace := workload.Merge(
 			workload.Poisson(workload.PoissonConfig{Seed: 5, Duration: 8 * time.Hour, JobsPerHour: 4, WindowsFrac: 0.3, MaxNodes: 3}),
@@ -297,7 +297,11 @@ func TestGridRunIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.RunUntilDrained(48 * time.Hour)
-		return g.RoutedCounts(), g.CompletedCounts(), g.Report()
+		var completed []int
+		for _, m := range g.Members() {
+			completed = append(completed, m.Cluster.Rec.Completed())
+		}
+		return g.RoutedCounts(), completed, g.Report()
 	}
 	r1, c1, rep1 := run()
 	r2, c2, rep2 := run()
@@ -382,8 +386,8 @@ func TestRoundRobinWrapsAround(t *testing.T) {
 	}
 }
 
-// CompletedCounts is maintained by the members' completion hooks, not
-// by polling: after a drained run it matches the routed totals.
+// Each member's recorder completes every job routed to it: after a
+// drained run its completed count matches its routed total.
 func TestCompletedCountsTrackRoutedJobs(t *testing.T) {
 	g, err := New(RouteRoundRobin, []MemberSpec{
 		{Name: "a", Config: cluster.Config{Mode: cluster.Static, Nodes: 4, InitialLinux: 4}},
@@ -400,18 +404,20 @@ func TestCompletedCountsTrackRoutedJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.RunUntilDrained(24 * time.Hour)
-	routed, completed := g.RoutedCounts(), g.CompletedCounts()
-	if !reflect.DeepEqual(routed, completed) {
-		t.Fatalf("completed %v != routed %v", completed, routed)
+	routed := g.RoutedCounts()
+	for _, m := range g.Members() {
+		if got := m.Cluster.Rec.Completed(); got == 0 || got != routed[m.Name] {
+			t.Errorf("member %q completed %d, routed %d", m.Name, got, routed[m.Name])
+		}
 	}
 }
 
 // TestRefusalRule pins Route's one rule for a job that gets nowhere, on
 // a one-member grid and on the campus. A one-node Linux job arrives
 // first, then job. A job whose OS no member's configuration can serve
-// is Dropped and fires no hook. A job every capable member's scheduler
-// refuses is one submit failure, not a drop, booked with its hook on
-// the router's first choice: on the campus that is tauceti, neither
+// is Dropped and booked by no member. A job every capable member's
+// scheduler refuses is one submit failure, not a drop, booked and
+// logged on the router's first choice: on the campus that is tauceti, neither
 // the first nor the last capable member, but the least loaded once the
 // first job went to eridani.
 func TestRefusalRule(t *testing.T) {
@@ -438,34 +444,33 @@ func TestRefusalRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hooked := map[string]int{}
-			for _, m := range g.Members() {
-				name := m.Name
-				m.Cluster.AddHooks(cluster.Hooks{SubmitFailed: func(j workload.Job, err error) {
-					if err == nil || j.Nodes != tc.nodes {
-						t.Errorf("hook on %q saw a %d-node job, err %v", name, j.Nodes, err)
-					}
-					hooked[name]++
-				}})
-			}
 			if err := g.ScheduleTrace(workload.Trace{linux(0, 1), linux(time.Minute, tc.nodes)}); err != nil {
 				t.Fatal(err)
 			}
 			g.RunUntilDrained(24 * time.Hour)
 
-			wantHooked := map[string]int{}
+			wantFailed := map[string]int{}
 			if tc.dropped == 0 {
-				wantHooked[tc.failed] = 1
+				wantFailed[tc.failed] = 1
 			}
 			if g.Dropped() != tc.dropped {
 				t.Errorf("dropped = %d, want %d", g.Dropped(), tc.dropped)
 			}
-			if !reflect.DeepEqual(hooked, wantHooked) {
-				t.Errorf("SubmitFailed hooks %v, want %v", hooked, wantHooked)
-			}
 			for _, m := range g.Members() {
-				if got := m.Cluster.Summary().SubmitFailures; got != wantHooked[m.Name] {
-					t.Errorf("member %q: SubmitFailures = %d, want %d", m.Name, got, wantHooked[m.Name])
+				if got := m.Cluster.Summary().SubmitFailures; got != wantFailed[m.Name] {
+					t.Errorf("member %q: SubmitFailures = %d, want %d", m.Name, got, wantFailed[m.Name])
+				}
+				logged := 0
+				for _, e := range m.Cluster.Events() {
+					if strings.HasPrefix(e.What, "submit ") {
+						if !strings.HasPrefix(e.What, "submit LAMMPS failed: ") {
+							t.Errorf("member %q logged %q", m.Name, e.What)
+						}
+						logged++
+					}
+				}
+				if logged != wantFailed[m.Name] {
+					t.Errorf("member %q: %d submit failure lines logged, want %d", m.Name, logged, wantFailed[m.Name])
 				}
 			}
 		})

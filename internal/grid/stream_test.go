@@ -50,12 +50,12 @@ func scheduleEagerly(g *Grid, trace workload.Trace) {
 // streamRun is what one run of a trace leaves to compare.
 type streamRun struct {
 	sums    []metrics.Summary
+	jobs    [][]metrics.JobRecord
 	events  [][]cluster.Event
 	routed  map[string]int
 	dropped int
 	ran     uint64
 	starts  []string // "<member>:L<seq>@t" / "<member>:W<id>@t" in start order
-	ends    []time.Duration
 }
 
 func runColliding(t *testing.T, specs []MemberSpec, schedule func(*Grid)) streamRun {
@@ -76,12 +76,12 @@ func runColliding(t *testing.T, specs []MemberSpec, schedule func(*Grid)) stream
 			r.starts = append(r.starts, fmt.Sprintf("%s:W%d@%v", name, j.ID(), g.Eng.Now()))
 			winStart(j)
 		}
-		c.AddHooks(cluster.Hooks{JobCompleted: func(int, bool) { r.ends = append(r.ends, g.Eng.Now()) }})
 	}
 	schedule(g)
 	g.RunUntilDrained(48 * time.Hour)
 	for _, m := range g.Members() {
 		r.sums = append(r.sums, m.Cluster.Summary())
+		r.jobs = append(r.jobs, m.Cluster.Rec.Jobs())
 		r.events = append(r.events, m.Cluster.Events())
 	}
 	r.routed, r.dropped, r.ran = g.RoutedCounts(), g.Dropped(), g.Eng.EventsRun()
@@ -91,8 +91,9 @@ func runColliding(t *testing.T, specs []MemberSpec, schedule func(*Grid)) stream
 // TestStreamedTraceMatchesEager holds the chained arrivals of
 // ScheduleTrace to the eager schedule they replace, on a one-member
 // grid (how every single cluster runs) and on the campus: the same
-// member summaries, routing and event logs, the same number of engine
-// events, and the same job starts in the same order.
+// member summaries, job rows (end instants and completions included),
+// routing and event logs, the same number of engine events, and the
+// same job starts in the same order.
 func TestStreamedTraceMatchesEager(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -112,9 +113,17 @@ func TestStreamedTraceMatchesEager(t *testing.T) {
 			})
 			eager := runColliding(t, tc.specs, func(g *Grid) { scheduleEagerly(g, tc.trace) })
 
+			ends := make(map[time.Duration]bool)
+			for _, jobs := range eager.jobs {
+				for _, j := range jobs {
+					if j.Completed {
+						ends[j.Ended] = true
+					}
+				}
+			}
 			collisions, failures := 0, 0
 			for _, j := range tc.trace {
-				if slices.Contains(eager.ends, j.At) {
+				if ends[j.At] {
 					collisions++
 				}
 			}
@@ -127,6 +136,9 @@ func TestStreamedTraceMatchesEager(t *testing.T) {
 			}
 			if !reflect.DeepEqual(streamed.sums, eager.sums) {
 				t.Errorf("summaries %+v\nwant %+v", streamed.sums, eager.sums)
+			}
+			if !reflect.DeepEqual(streamed.jobs, eager.jobs) {
+				t.Errorf("job rows %+v\nwant %+v", streamed.jobs, eager.jobs)
 			}
 			if !reflect.DeepEqual(streamed.routed, eager.routed) || streamed.dropped != eager.dropped {
 				t.Errorf("routed %v, dropped %d; eager %v, %d", streamed.routed, streamed.dropped, eager.routed, eager.dropped)

@@ -216,14 +216,13 @@ func (r *Recorder) JobInterrupted(h int) {
 	}
 }
 
-// JobEnded records a job's end and releases its busy cores. It
-// reports whether this was the job's first end: a second end of the
-// same handle changes nothing.
-func (r *Recorder) JobEnded(h int, completed bool) bool {
+// JobEnded records a job's end and releases its busy cores. A job
+// ends once: a second end of the same handle changes nothing.
+func (r *Recorder) JobEnded(h int, completed bool) {
 	r.advance()
 	j, ok := r.job(h)
 	if !ok || j.phase == ended {
-		return false
+		return
 	}
 	j.Ended = r.now()
 	if j.phase == running {
@@ -239,7 +238,6 @@ func (r *Recorder) JobEnded(h int, completed bool) bool {
 	if completed {
 		r.completed++
 	}
-	return true
 }
 
 // Submitted counts the job rows: every submission JobSubmitted booked.

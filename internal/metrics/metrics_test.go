@@ -183,14 +183,14 @@ func TestSecondJobEndIgnored(t *testing.T) {
 	r.JobSubmitted(2, osid.Linux, "b", 2)
 	r.JobStarted(h)
 	c.t = time.Hour
-	if !r.JobEnded(h, true) {
-		t.Fatal("first end not reported")
-	}
+	r.JobEnded(h, true)
 	row := r.Jobs()[0]
-	c.t = 2 * time.Hour
-	if r.JobEnded(h, false) {
-		t.Fatal("second end reported")
+	if row.Ended != time.Hour || !row.Completed || r.Unfinished() != 1 || r.Completed() != 1 {
+		t.Fatalf("after the first end: row %+v, unfinished %d, completed %d; want ended at 1h, completed, 1, 1",
+			row, r.Unfinished(), r.Completed())
 	}
+	c.t = 2 * time.Hour
+	r.JobEnded(h, false)
 	r.JobStarted(h)
 	if got := r.Jobs()[0]; got != row {
 		t.Fatalf("row %+v after a second end, want %+v", got, row)

@@ -13,8 +13,8 @@ import (
 // few minutes out) with O(1) amortised insert and pop. Events due
 // beyond the window wait in a (due, seq) min-heap and migrate into
 // buckets when the window advances past them. Cancelled timers are
-// discarded lazily at pop time (Timer.Stop settles the live/foreground
-// accounting immediately), so cancellation never pays the O(n) removal
+// discarded lazily at pop time (Timer.Stop settles the live count
+// immediately), so cancellation never pays the O(n) removal
 // a flat heap would need.
 //
 // Correctness contract: events pop in exactly the total order

@@ -114,25 +114,24 @@ func TestCalendarPeekDoesNotConsume(t *testing.T) {
 }
 
 // TestStopLeavesPendingImmediately pins the Timer.Stop fix: a
-// cancelled timer must leave Pending() and ForegroundPending at Stop
-// time, not linger until its fire time is reaped.
+// cancelled timer must leave Pending() at Stop time, not linger until
+// its fire time is reaped.
 func TestStopLeavesPendingImmediately(t *testing.T) {
 	e := NewEngine()
 	tm := e.After(time.Hour, func() { t.Fatal("cancelled timer fired") })
-	bg := e.AfterBackground(2*time.Hour, func() {})
-	if e.Pending() != 2 || e.ForegroundPending() != 1 {
-		t.Fatalf("Pending=%d ForegroundPending=%d before Stop", e.Pending(), e.ForegroundPending())
+	other := e.After(2*time.Hour, func() {})
+	if e.Pending() != 2 {
+		t.Fatalf("Pending=%d before Stop, want 2", e.Pending())
 	}
 	if !tm.Stop() {
 		t.Fatal("Stop() = false on a pending timer")
 	}
-	if e.Pending() != 1 || e.ForegroundPending() != 0 {
-		t.Fatalf("Pending=%d ForegroundPending=%d after foreground Stop (want 1, 0)",
-			e.Pending(), e.ForegroundPending())
+	if e.Pending() != 1 {
+		t.Fatalf("Pending=%d after Stop, want 1", e.Pending())
 	}
-	bg.Stop()
+	other.Stop()
 	if e.Pending() != 0 {
-		t.Fatalf("Pending=%d after background Stop, want 0", e.Pending())
+		t.Fatalf("Pending=%d after the second Stop, want 0", e.Pending())
 	}
 	if tm.Stop() {
 		t.Fatal("second Stop() = true")
@@ -143,16 +142,16 @@ func TestStopLeavesPendingImmediately(t *testing.T) {
 }
 
 // TestStopUnblocksQuiescence pins the behavioural consequence of the
-// fix: RunUntilQuiescent must return at the instant the last live
-// foreground event completes, not ride out a cancelled timer's due
-// time.
+// fix: a run that lasts while events are pending must return at the
+// instant the last live event completes, not ride out a cancelled
+// timer's due time.
 func TestStopUnblocksQuiescence(t *testing.T) {
 	e := NewEngine()
 	e.After(time.Minute, func() {})
 	ghost := e.After(10*time.Hour, func() {})
 	ghost.Stop()
-	e.RunUntilQuiescent(MaxDuration)
+	e.RunWhile(MaxDuration, func() bool { return e.Pending() > 0 })
 	if e.Now() != time.Minute {
-		t.Fatalf("RunUntilQuiescent stopped at %v, want %v", e.Now(), time.Minute)
+		t.Fatalf("run stopped at %v, want %v", e.Now(), time.Minute)
 	}
 }

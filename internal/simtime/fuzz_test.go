@@ -10,15 +10,15 @@ import (
 )
 
 // heapModel is the engine as a plain container/heap of events in
-// (due, seq) order, with the live and foreground counts kept by hand:
+// (due, seq) order, with the live count kept by hand:
 // the reference FuzzCalendarMatchesHeap holds the calendar queue to.
 // It schedules every link of a chain up front, under the seqs the
 // engine reserves for them.
 type heapModel struct {
-	q                refHeap
-	now              time.Duration
-	live, foreground int
-	fired            []uint64 // seq of every event run, in order
+	q     refHeap
+	now   time.Duration
+	live  int
+	fired []uint64 // seq of every event run, in order
 	// queuesNext marks the chain links that queue a successor when
 	// they run; unqueued counts the links the engine has not queued
 	// yet, all but the next of every unfinished chain.
@@ -29,9 +29,6 @@ type heapModel struct {
 func (m *heapModel) schedule(ev *event) {
 	heap.Push(&m.q, ev)
 	m.live++
-	if !ev.background {
-		m.foreground++
-	}
 }
 
 // chain schedules the n links of a chain eagerly.
@@ -46,11 +43,8 @@ func (m *heapModel) chain(base uint64, n int, due func(i int) time.Duration) {
 	m.unqueued += n - 1
 }
 
-// queued returns the live and foreground counts the engine should
-// report.
-func (m *heapModel) queued() (live, foreground int) {
-	return m.live - m.unqueued, m.foreground - m.unqueued
-}
+// queued returns the live count the engine should report.
+func (m *heapModel) queued() int { return m.live - m.unqueued }
 
 // stop mirrors Timer.Stop: only a queued live event can be stopped.
 func (m *heapModel) stop(ev *event) bool {
@@ -59,9 +53,6 @@ func (m *heapModel) stop(ev *event) bool {
 	}
 	ev.dead = true
 	m.live--
-	if !ev.background {
-		m.foreground--
-	}
 	return true
 }
 
@@ -86,9 +77,6 @@ func (m *heapModel) step() bool {
 	ev.dead = true // a run event cannot be stopped
 	m.now = ev.due
 	m.live--
-	if !ev.background {
-		m.foreground--
-	}
 	if m.queuesNext[ev.seq] {
 		m.unqueued--
 	}
@@ -138,17 +126,12 @@ func calendarDiffers(script []byte) error {
 	for i := 0; i+2 < len(script); i += 3 {
 		op, a, b := script[i]%9, script[i+1], script[i+2]
 		switch op {
-		case 0, 1, 2, 3: // schedule; kind 3 is background
-			at, background := e.Now()+fuzzDelay(a, b), op == 3
+		case 0, 1, 2, 3: // schedule
+			at := e.Now() + fuzzDelay(a, b)
 			s := seq
 			seq++
-			fn := func() { fired = append(fired, s) }
-			schedule := e.At
-			if background {
-				schedule = e.AtBackground
-			}
-			timers = append(timers, schedule(at, fn))
-			ev := &event{due: at, seq: s, background: background}
+			timers = append(timers, e.At(at, func() { fired = append(fired, s) }))
+			ev := &event{due: at, seq: s}
 			model = append(model, ev)
 			m.schedule(ev)
 		case 4: // stop, possibly through a handle whose event ran and was reused
@@ -198,9 +181,8 @@ func sameState(e *Engine, m *heapModel, fired []uint64, checked *int) error {
 	if e.Now() != m.now {
 		return fmt.Errorf("clock %v, model %v", e.Now(), m.now)
 	}
-	live, foreground := m.queued()
-	if e.Pending() != live || e.ForegroundPending() != foreground {
-		return fmt.Errorf("pending %d (foreground %d), model %d (%d)", e.Pending(), e.ForegroundPending(), live, foreground)
+	if live := m.queued(); e.Pending() != live {
+		return fmt.Errorf("pending %d, model %d", e.Pending(), live)
 	}
 	at, ok := e.NextEventAt()
 	if ev := m.next(); ok != (ev != nil) || ok && at != ev.due {
@@ -210,15 +192,15 @@ func sameState(e *Engine, m *heapModel, fired []uint64, checked *int) error {
 }
 
 // FuzzCalendarMatchesHeap checks the calendar queue against a plain
-// container/heap with the same (due, seq) order under schedules
-// (foreground and background, due now, within a bucket, across the
-// near window's edge, far past it), chains, Timer.Stop (on recycled
-// events too), single steps and RunUntil jumps: the same callbacks run
-// in the same order at the same instants, every Stop reports the same,
-// and Pending, ForegroundPending and NextEventAt agree after every op.
+// container/heap with the same (due, seq) order under schedules (due
+// now, within a bucket, across the near window's edge, far past it),
+// chains, Timer.Stop (on recycled events too), single steps and
+// RunUntil jumps: the same callbacks run in the same order at the same
+// instants, every Stop reports the same, and Pending and NextEventAt
+// agree after every op.
 func FuzzCalendarMatchesHeap(f *testing.F) {
-	// Two events due exactly at the first window's edge, one of them
-	// background, a far one, then steps.
+	// Two events due exactly at the first window's edge, a far one,
+	// then steps.
 	f.Add([]byte{0, 2, 128, 3, 2, 128, 0, 3, 1, 5, 0, 0, 5, 0, 0, 5, 0, 0})
 	// An event fires and its recycled slot takes a later schedule;
 	// Stop on the first handle must report false and leave the second

@@ -16,7 +16,10 @@
 // event can never cancel the event's next use. Chain streams a long,
 // time-ordered series of events (a job trace's arrivals) one link at
 // a time while keeping the order they would have had if all were
-// scheduled up front.
+// scheduled up front. The engine keeps no ledger of outstanding work:
+// a run that lasts until its components go quiet is RunWhile over the
+// caller's own predicate, and periodic tickers (Every) are ordinary
+// events.
 package simtime
 
 import (
@@ -26,21 +29,17 @@ import (
 )
 
 // Event is a scheduled callback. The callback runs with the engine's
-// clock set to exactly the event's due time. Background events (ticker
-// maintenance such as controller polling or series sampling) fire like
-// any other event but do not count as outstanding work: quiescence
-// detection ignores them. An event is dead from the moment it fires
-// or is stopped; the engine reuses it for a later schedule once it
-// leaves the queue.
+// clock set to exactly the event's due time. An event is dead from the
+// moment it fires or is stopped; the engine reuses it for a later
+// schedule once it leaves the queue.
 type event struct {
 	due time.Duration
 	seq uint64
 	fn  func()
 	// call(arg) runs instead of fn for events scheduled by AfterArg.
-	call       func(any)
-	arg        any
-	dead       bool
-	background bool
+	call func(any)
+	arg  any
+	dead bool
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. It is
@@ -54,12 +53,10 @@ type Timer struct {
 
 // Stop cancels the timer. It reports whether the timer was still
 // pending; a false return means the callback already ran (or the timer
-// was stopped earlier). The cancelled event leaves Pending() and (for
-// foreground timers) ForegroundPending immediately — quiescence
-// detection never waits on a corpse — while the queue slot itself is
-// reaped lazily at fire time. The seq check makes a timer whose event
-// fired, was reaped and was reused for a later schedule a no-op: seqs
-// are never issued twice.
+// was stopped earlier). The cancelled event leaves Pending() at once,
+// while the queue slot itself is reaped lazily at fire time. The seq
+// check makes a timer whose event fired, was reaped and was reused for
+// a later schedule a no-op: seqs are never issued twice.
 func (t Timer) Stop() bool {
 	ev := t.ev
 	if ev == nil || ev.seq != t.seq || ev.dead {
@@ -68,9 +65,6 @@ func (t Timer) Stop() bool {
 	ev.dead = true
 	ev.fn, ev.call, ev.arg = nil, nil, nil
 	t.eng.live--
-	if !ev.background {
-		t.eng.foreground--
-	}
 	return true
 }
 
@@ -80,14 +74,13 @@ func (t Timer) Stop() bool {
 // daemons. The queue is an indexed calendar/bucket queue (see
 // calendar.go) with the exact (due, seq) pop order of a flat min-heap.
 type Engine struct {
-	now        time.Duration
-	seq        uint64
-	queue      *calendar
-	free       []*event // dead events out of the queue, ready for reuse
-	stopped    bool
-	ran        uint64
-	live       int // live events still queued (cancelled ones excluded)
-	foreground int // live non-background events still queued
+	now     time.Duration
+	seq     uint64
+	queue   *calendar
+	free    []*event // dead events out of the queue, ready for reuse
+	stopped bool
+	ran     uint64
+	live    int // live events still queued (cancelled ones excluded)
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -113,24 +106,13 @@ func (e *Engine) Pending() int { return e.live }
 // (t < Now) panics: it indicates a logic error in the caller, and
 // silently reordering time would destroy determinism.
 func (e *Engine) At(t time.Duration, fn func()) Timer {
-	return e.at(t, fn, false)
-}
-
-// AtBackground schedules fn at absolute time t as a background event:
-// it fires like any other event but does not count as outstanding
-// work, so it never keeps a quiescence-aware run alive on its own.
-func (e *Engine) AtBackground(t time.Duration, fn func()) Timer {
-	return e.at(t, fn, true)
-}
-
-func (e *Engine) at(t time.Duration, fn func(), background bool) Timer {
 	seq := e.seq
 	e.seq++
-	return Timer{ev: e.push(event{due: t, seq: seq, fn: fn, background: background}), seq: seq, eng: e}
+	return Timer{ev: e.push(event{due: t, seq: seq, fn: fn}), seq: seq, eng: e}
 }
 
-// push queues x (its due time, seq, callback and background flag set),
-// reusing a recycled event when there is one.
+// push queues x (its due time, seq and callback set), reusing a
+// recycled event when there is one.
 func (e *Engine) push(x event) *event {
 	if x.fn == nil && x.call == nil {
 		panic("simtime: nil callback")
@@ -147,9 +129,6 @@ func (e *Engine) push(x event) *event {
 	}
 	*ev = x
 	e.live++
-	if !x.background {
-		e.foreground++
-	}
 	e.queue.push(ev)
 	return ev
 }
@@ -185,16 +164,8 @@ func (e *Engine) AfterArg(d time.Duration, fn func(arg any), arg any) Timer {
 	return Timer{ev: e.push(event{due: e.now + max(d, 0), seq: seq, call: fn, arg: arg}), seq: seq, eng: e}
 }
 
-// AfterBackground schedules a background event d from now.
-func (e *Engine) AfterBackground(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.AtBackground(e.now+d, fn)
-}
-
-// Chain schedules n foreground events, event i due at due(i) and
-// running fire(i), while queueing only one at a time. It reserves n
+// Chain schedules n events, event i due at due(i) and running
+// fire(i), while queueing only one at a time. It reserves n
 // consecutive seqs now and queues link 0; link i queues link i+1
 // under its reserved seq before it calls fire(i). Pop order is by
 // (due, seq), so every link fires exactly where it would have if all
@@ -226,10 +197,9 @@ func (e *Engine) Chain(n int, due func(i int) time.Duration, fire func(i int)) {
 	e.push(event{due: due(0), seq: base, fn: link})
 }
 
-// Every schedules fn every interval, first firing one interval from
-// now, until the returned Ticker is stopped or the engine runs out of
-// other events; a ticker alone does not keep the engine alive past
-// RunUntil deadlines.
+// Ticker is a periodic event that Every schedules. Its ticks are
+// ordinary events: Run never returns while a ticker is live, so a run
+// with one is bounded by RunUntil's deadline or RunWhile's predicate.
 type Ticker struct {
 	stopped bool
 	timer   Timer
@@ -241,23 +211,11 @@ func (t *Ticker) Stop() {
 	t.timer.Stop()
 }
 
-// Every arranges for fn to run every interval of virtual time. The
-// interval must be positive.
+// Every arranges for fn to run every interval of virtual time, first
+// one interval from now, until the returned Ticker is stopped. The
+// interval must be positive. The tick callback is built once; each
+// tick reschedules the same function value.
 func (e *Engine) Every(interval time.Duration, fn func()) *Ticker {
-	return e.every(interval, fn, false)
-}
-
-// EveryBackground is Every with the ticks classified as background
-// events: a periodic maintenance task (controller polling, series
-// sampling) that must never keep a quiescence-aware run alive by
-// itself. RunUntilQuiescent and ForegroundPending ignore such ticks.
-func (e *Engine) EveryBackground(interval time.Duration, fn func()) *Ticker {
-	return e.every(interval, fn, true)
-}
-
-// every builds the tick callback once; each tick reschedules the same
-// function value.
-func (e *Engine) every(interval time.Duration, fn func(), background bool) *Ticker {
 	if interval <= 0 {
 		panic("simtime: non-positive ticker interval")
 	}
@@ -269,10 +227,10 @@ func (e *Engine) every(interval time.Duration, fn func(), background bool) *Tick
 		}
 		fn()
 		if !tk.stopped {
-			tk.timer = e.at(e.now+interval, tick, background)
+			tk.timer = e.At(e.now+interval, tick)
 		}
 	}
-	tk.timer = e.at(e.now+interval, tick, background)
+	tk.timer = e.At(e.now+interval, tick)
 	return tk
 }
 
@@ -295,12 +253,9 @@ func (e *Engine) step() bool {
 			panic("simtime: event queue went backwards")
 		}
 		e.now = ev.due
-		fn, call, arg, background := ev.fn, ev.call, ev.arg, ev.background
+		fn, call, arg := ev.fn, ev.call, ev.arg
 		e.recycle(ev)
 		e.live--
-		if !background {
-			e.foreground--
-		}
 		e.ran++
 		if call != nil {
 			call(arg)
@@ -342,10 +297,6 @@ func (e *Engine) RunFor(d time.Duration) {
 	e.RunUntil(e.now + d)
 }
 
-// ForegroundPending returns the number of live non-background events
-// still queued — the engine's own notion of outstanding work.
-func (e *Engine) ForegroundPending() int { return e.foreground }
-
 // RunWhile hops event-to-event while active() reports outstanding
 // work, checking the predicate after every callback so the run stops
 // at the exact instant of quiescence instead of overshooting to a
@@ -361,22 +312,6 @@ func (e *Engine) RunWhile(deadline time.Duration, active func() bool) {
 			if e.now < deadline {
 				e.now = deadline
 			}
-			return
-		}
-		e.step()
-	}
-}
-
-// RunUntilQuiescent executes events until no live foreground events
-// remain at or before the deadline: background tickers alone never
-// keep the run alive. Unlike RunWhile it needs no predicate — the
-// event queue itself is the work ledger. The clock is left at the last
-// executed event (it does not jump to the deadline).
-func (e *Engine) RunUntilQuiescent(deadline time.Duration) {
-	e.stopped = false
-	for !e.stopped && e.foreground > 0 {
-		next, ok := e.peek()
-		if !ok || next > deadline {
 			return
 		}
 		e.step()
@@ -405,21 +340,3 @@ func (e *Engine) NextEventAt() (t time.Duration, ok bool) { return e.peek() }
 
 // MaxDuration is a convenient "end of time" for RunUntil.
 const MaxDuration = time.Duration(math.MaxInt64)
-
-// Stamp formats a virtual time as D+HH:MM:SS for logs and tables.
-func Stamp(t time.Duration) string {
-	if t < 0 {
-		return "-" + Stamp(-t)
-	}
-	d := t / (24 * time.Hour)
-	t -= d * 24 * time.Hour
-	h := t / time.Hour
-	t -= h * time.Hour
-	m := t / time.Minute
-	t -= m * time.Minute
-	s := t / time.Second
-	if d > 0 {
-		return fmt.Sprintf("%d+%02d:%02d:%02d", d, h, m, s)
-	}
-	return fmt.Sprintf("%02d:%02d:%02d", h, m, s)
-}

@@ -237,24 +237,6 @@ func TestNextEventAt(t *testing.T) {
 	}
 }
 
-func TestStamp(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{0, "00:00:00"},
-		{90 * time.Second, "00:01:30"},
-		{3*time.Hour + 4*time.Minute + 5*time.Second, "03:04:05"},
-		{26*time.Hour + 30*time.Minute, "1+02:30:00"},
-		{-time.Minute, "-00:01:00"},
-	}
-	for _, c := range cases {
-		if got := Stamp(c.d); got != c.want {
-			t.Errorf("Stamp(%v) = %q, want %q", c.d, got, c.want)
-		}
-	}
-}
-
 // Property: for any set of non-negative delays, events fire in
 // non-decreasing time order and the engine ends at the max delay.
 func TestQuickOrdering(t *testing.T) {
@@ -307,69 +289,9 @@ func TestQuickRunUntilBoundary(t *testing.T) {
 	}
 }
 
-func TestBackgroundEventsDoNotCountAsForeground(t *testing.T) {
-	e := NewEngine()
-	e.AfterBackground(time.Second, func() {})
-	if e.ForegroundPending() != 0 {
-		t.Fatalf("ForegroundPending = %d with only background queued", e.ForegroundPending())
-	}
-	tm := e.After(2*time.Second, func() {})
-	if e.ForegroundPending() != 1 {
-		t.Fatalf("ForegroundPending = %d, want 1", e.ForegroundPending())
-	}
-	tm.Stop()
-	if e.ForegroundPending() != 0 {
-		t.Fatalf("ForegroundPending = %d after cancel", e.ForegroundPending())
-	}
-	// Background events still execute.
-	ran := false
-	e.AfterBackground(3*time.Second, func() { ran = true })
-	e.Run()
-	if !ran {
-		t.Fatal("background event never ran")
-	}
-}
-
-func TestRunUntilQuiescentIgnoresBackgroundTickers(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	tk := e.EveryBackground(time.Minute, func() { ticks++ })
-	defer tk.Stop()
-	done := false
-	e.After(5*time.Minute+30*time.Second, func() { done = true })
-	e.RunUntilQuiescent(time.Hour)
-	if !done {
-		t.Fatal("foreground event never ran")
-	}
-	// Ticks up to the last foreground event fire; the ticker alone
-	// must not keep the run alive afterwards.
-	if ticks != 5 {
-		t.Fatalf("ticks = %d, want 5", ticks)
-	}
-	if e.Now() != 5*time.Minute+30*time.Second {
-		t.Fatalf("Now() = %v, want the last foreground instant", e.Now())
-	}
-}
-
-func TestForegroundTickerKeepsQuiescentRunAlive(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	var tk *Ticker
-	tk = e.Every(time.Minute, func() {
-		ticks++
-		if ticks == 3 {
-			tk.Stop()
-		}
-	})
-	e.RunUntilQuiescent(time.Hour)
-	if ticks != 3 {
-		t.Fatalf("ticks = %d, want 3 (foreground ticker is work)", ticks)
-	}
-}
-
 func TestRunWhileStopsAtExactQuiescence(t *testing.T) {
 	e := NewEngine()
-	tk := e.EveryBackground(10*time.Minute, func() {})
+	tk := e.Every(10*time.Minute, func() {})
 	defer tk.Stop()
 	busy := true
 	e.After(25*time.Minute, func() { busy = false })
@@ -390,7 +312,7 @@ func TestRunWhileRidesToDeadlineWhenStuck(t *testing.T) {
 	// the run returns at the deadline.
 	e2 := NewEngine()
 	ticks := 0
-	tk := e2.EveryBackground(30*time.Minute, func() { ticks++ })
+	tk := e2.Every(30*time.Minute, func() { ticks++ })
 	defer tk.Stop()
 	e2.RunWhile(2*time.Hour, func() bool { return true })
 	if e2.Now() != 2*time.Hour {
@@ -422,8 +344,8 @@ func TestStaleTimerCannotStopRecycledEvent(t *testing.T) {
 	if first.Stop() {
 		t.Fatal("Stop() through a stale handle = true")
 	}
-	if e.Pending() != 1 || e.ForegroundPending() != 1 {
-		t.Fatalf("Pending = %d (foreground %d) after stale Stop, want 1 (1)", e.Pending(), e.ForegroundPending())
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after stale Stop, want 1", e.Pending())
 	}
 	e.Run()
 	if !ran {
@@ -527,7 +449,7 @@ func TestEventPathAllocatesNothing(t *testing.T) {
 
 // TestAfterArgMatchesAfter: an AfterArg event takes its place in the
 // (due, seq) order exactly as an After closure would, runs its callback
-// with its argument, counts as foreground work, stops like any timer,
+// with its argument, counts as pending, stops like any timer,
 // and costs no allocation once the engine is warm.
 func TestAfterArgMatchesAfter(t *testing.T) {
 	e := NewEngine()
@@ -542,8 +464,8 @@ func TestAfterArgMatchesAfter(t *testing.T) {
 	e.AfterArg(-time.Second, record, &args[1]) // clamped to now
 	stopped := e.AfterArg(time.Second, record, &args[2])
 	e.AfterArg(time.Second, record, &args[3])
-	if e.ForegroundPending() != 5 {
-		t.Fatalf("ForegroundPending = %d, want 5", e.ForegroundPending())
+	if e.Pending() != 5 {
+		t.Fatalf("Pending = %d, want 5", e.Pending())
 	}
 	if !stopped.Stop() {
 		t.Fatal("pending AfterArg timer did not stop")
