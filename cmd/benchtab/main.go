@@ -10,8 +10,9 @@
 // reruns the experiments and diffs their deterministic EventsRun
 // against the committed baseline, failing on any drift, and compares
 // heap allocations per run, failing when an experiment allocates more
-// than 5% over its baseline (allocation counts are near-deterministic;
-// the tolerance absorbs runtime-internal noise). Wall-clock ns/op is
+// than 5% over its baseline, in objects or in bytes (allocation counts
+// are near-deterministic; the tolerance absorbs runtime-internal
+// noise). Wall-clock ns/op is
 // printed as an advisory delta only — it depends on the machine; the
 // wakeup and allocation counts do not.
 //
@@ -63,6 +64,11 @@ type benchRecord struct {
 	// path shows up here long before wall clock moves on fast
 	// hardware.
 	AllocsPerOp uint64 `json:"allocs_per_op"`
+	// AllocBytesPerOp counts the bytes those allocations asked for
+	// (runtime TotalAlloc delta). Objects and bytes are gated apart: a
+	// record that shrinks without dropping an object moves only this
+	// number.
+	AllocBytesPerOp uint64 `json:"alloc_bytes_per_op"`
 }
 
 func main() {
@@ -119,7 +125,7 @@ func main() {
 	var ms runtime.MemStats
 	for _, r := range runners {
 		runtime.ReadMemStats(&ms)
-		mallocsBefore := ms.Mallocs
+		mallocsBefore, bytesBefore := ms.Mallocs, ms.TotalAlloc
 		start := time.Now() //simlint:allow walltime -- benchtab measures real ns/op; the advisory timing IS wall-clock
 		tab, err := r.Run()
 		elapsed := time.Since(start) //simlint:allow walltime -- benchtab measures real ns/op; the advisory timing IS wall-clock
@@ -130,10 +136,11 @@ func main() {
 			continue
 		}
 		records = append(records, benchRecord{
-			ID:          r.ID,
-			NsPerOp:     elapsed.Nanoseconds(),
-			EventsRun:   tab.EventsRun,
-			AllocsPerOp: ms.Mallocs - mallocsBefore,
+			ID:              r.ID,
+			NsPerOp:         elapsed.Nanoseconds(),
+			EventsRun:       tab.EventsRun,
+			AllocsPerOp:     ms.Mallocs - mallocsBefore,
+			AllocBytesPerOp: ms.TotalAlloc - bytesBefore,
 		})
 		if *check == "" { // the gate prints its own compact report
 			fmt.Println(tab.Render())
@@ -214,9 +221,9 @@ const allocTolerance = 1.05
 // EventsRun must equal the committed baseline's byte for byte — the
 // simulation is deterministic, so any difference is a behaviour change
 // someone must either fix or deliberately bake into a refreshed
-// baseline — and its allocation count must stay within allocTolerance
-// of the baseline's. Wall-clock ns/op is reported as an advisory delta
-// only.
+// baseline — and its allocation count and allocated bytes must each
+// stay within allocTolerance of the baseline's. Wall-clock ns/op is
+// reported as an advisory delta only.
 func checkBaseline(path string, records []benchRecord) bool {
 	baseline, err := readBenchJSON(path)
 	if err != nil {
@@ -240,20 +247,22 @@ func checkBaseline(path string, records []benchRecord) bool {
 			status = "DRIFT"
 			drift++
 		}
-		allocDelta := "n/a"
-		if b.AllocsPerOp > 0 {
-			allocDelta = fmt.Sprintf("%+.1f%%", 100*(float64(r.AllocsPerOp)-float64(b.AllocsPerOp))/float64(b.AllocsPerOp))
-			if float64(r.AllocsPerOp) > float64(b.AllocsPerOp)*allocTolerance {
-				status = "ALLOC"
-				drift++
-			}
+		allocDelta, over := allocGate(r.AllocsPerOp, b.AllocsPerOp)
+		if over {
+			status = "ALLOC"
+			drift++
+		}
+		bytesDelta, over := allocGate(r.AllocBytesPerOp, b.AllocBytesPerOp)
+		if over {
+			status = "BYTES"
+			drift++
 		}
 		wallDelta := "n/a"
 		if b.NsPerOp > 0 {
 			wallDelta = fmt.Sprintf("%+.0f%%", 100*(float64(r.NsPerOp)-float64(b.NsPerOp))/float64(b.NsPerOp))
 		}
-		fmt.Printf("%-4s  events %12d  baseline %12d  %-5s  allocs %8s  wall %8s vs baseline (advisory)\n",
-			r.ID, r.EventsRun, b.EventsRun, status, allocDelta, wallDelta)
+		fmt.Printf("%-4s  events %12d  baseline %12d  %-5s  allocs %8s  bytes %8s  wall %8s vs baseline (advisory)\n",
+			r.ID, r.EventsRun, b.EventsRun, status, allocDelta, bytesDelta, wallDelta)
 	}
 	if drift > 0 {
 		fmt.Fprintf(os.Stderr, "benchtab: %d experiment(s) drifted from %s\n", drift, path)
@@ -261,6 +270,17 @@ func checkBaseline(path string, records []benchRecord) bool {
 	}
 	fmt.Printf("benchtab: %d experiment(s) match %s\n", len(records), path)
 	return true
+}
+
+// allocGate renders an allocation figure's change from its baseline
+// and reports whether it grew past allocTolerance; a zero baseline (a
+// record from before the figure existed) is not gated.
+func allocGate(cur, base uint64) (delta string, over bool) {
+	if base == 0 {
+		return "n/a", false
+	}
+	delta = fmt.Sprintf("%+.1f%%", 100*(float64(cur)-float64(base))/float64(base))
+	return delta, float64(cur) > float64(base)*allocTolerance
 }
 
 func readBenchJSON(path string) ([]benchRecord, error) {

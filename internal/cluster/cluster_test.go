@@ -503,7 +503,7 @@ func TestInterruptedNonRerunnableJobNotCounted(t *testing.T) {
 	if j.State != pbs.StateRunning {
 		t.Fatalf("job state = %v, want running", j.State)
 	}
-	if err := c.PBS.SetNodeAvailable(j.ExecHost()[0].Node, false); err != nil {
+	if err := c.PBS.SetNodeAvailable(c.PBS.ExecHost(j)[0].Node, false); err != nil {
 		t.Fatal(err)
 	}
 	c.Eng.RunUntil(2 * time.Minute)
@@ -535,7 +535,7 @@ func TestRequeuedJobKeepsFirstStartAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PBS.SetNodeAvailable(j.ExecHost()[0].Node, false); err != nil {
+	if err := c.PBS.SetNodeAvailable(c.PBS.ExecHost(j)[0].Node, false); err != nil {
 		t.Fatal(err)
 	}
 	c.Eng.Run()

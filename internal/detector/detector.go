@@ -170,7 +170,7 @@ func (d *PBSDetector) Detect() (Report, error) {
 			return notStuck, nil
 		}
 		j := d.Server.FirstQueued()
-		return Report{Stuck: true, NeededCPUs: j.Nodes() * j.PPN(), StuckJobID: j.ID()}, nil
+		return Report{Stuck: true, NeededCPUs: j.Nodes() * j.PPN(), StuckJobID: d.Server.ID(j)}, nil
 	}
 	running, queued, err := d.scan()
 	if err != nil {
@@ -243,8 +243,8 @@ func (d *WinHPCDetector) Describe() (string, error) {
 	fmt.Fprintf(&b, "R=%d nR=%d\n", snap.Running, snap.Queued)
 	for _, j := range d.Sched.RunningJobs() {
 		fmt.Fprintf(&b, "%d.%s\n", j.ID(), d.Sched.ClusterName())
-		fmt.Fprintf(&b, "    Job_Name=%s\n", j.Name)
-		fmt.Fprintf(&b, "    Job_Owner=%s\n", j.Owner)
+		fmt.Fprintf(&b, "    Job_Name=%s\n", d.Sched.Str(j.Name))
+		fmt.Fprintf(&b, "    Job_Owner=%s\n", d.Sched.Str(j.Owner))
 		fmt.Fprintf(&b, "    state=%s\n", j.State)
 	}
 	return b.String(), nil

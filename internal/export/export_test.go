@@ -198,9 +198,9 @@ func TestWriteSweepCSVEmpty(t *testing.T) {
 
 func TestWriteJobsCSV(t *testing.T) {
 	jobs := []metrics.JobRecord{
-		{ID: "1.e", Lifecycle: metrics.Lifecycle{OS: osid.Linux, App: "DL_POLY", CPUs: 8,
+		{ID: "1.e", App: "DL_POLY", Lifecycle: metrics.Lifecycle{OS: osid.Linux, CPUs: 8,
 			Submitted: 0, Started: time.Minute, Ended: time.Hour, Completed: true}},
-		{ID: "W2", Lifecycle: metrics.Lifecycle{OS: osid.Windows, App: "Opera", CPUs: 4,
+		{ID: "W2", App: "Opera", Lifecycle: metrics.Lifecycle{OS: osid.Windows, CPUs: 4,
 			Submitted: time.Minute, Completed: false}},
 	}
 	var buf bytes.Buffer

@@ -14,17 +14,21 @@ import (
 	"time"
 
 	"repro/internal/osid"
+	"repro/internal/slab"
 )
 
 // JobRecord is one job's lifecycle summary as Jobs reports it: the
-// recorder's row plus the job's rendered ID.
+// recorder's row plus the job's rendered ID and application.
 type JobRecord struct {
-	ID string // as Recorder.JobIDs renders it
+	ID  string // as Recorder.JobIDs renders it
+	App string
 	Lifecycle
 }
 
 // Lifecycle is the row the recorder keeps per job: fixed-size fields,
-// with the scheduler's job number in place of the rendered ID. Started
+// with the scheduler's job number in place of the rendered ID and the
+// application's index in the recorder's interned strings in place of
+// its name, so a table of rows holds no pointer. Started
 // is the *first* start: a rerunnable job that is requeued after node
 // loss and served again keeps its original start, so Wait measures
 // submission to first service and the job's span covers every attempt.
@@ -32,7 +36,6 @@ type JobRecord struct {
 // deflated the reported queue wait and shrank the job's span to the
 // last attempt.)
 type Lifecycle struct {
-	App       string
 	CPUs      int
 	Submitted time.Duration
 	Started   time.Duration
@@ -41,6 +44,7 @@ type Lifecycle struct {
 	Restarts int
 	// Num is the job's number on its scheduler (PBS SeqNo, HPC job ID).
 	Num       int32
+	app       uint32 // index in the recorder's apps
 	OS        osid.OS
 	Completed bool
 
@@ -50,7 +54,7 @@ type Lifecycle struct {
 }
 
 // phase is a job row's place in its lifecycle. One byte keeps the row
-// at 80 bytes: a city run holds a million of them.
+// at 72 bytes: a city run holds a million of them.
 type phase uint8
 
 const (
@@ -107,9 +111,11 @@ type Recorder struct {
 
 	// jobs holds one row per submission, indexed by the handle
 	// JobSubmitted returned, so the lifecycle calls index rather than
-	// hash. ended and completed count the rows JobEnded closed, and
-	// those of them that completed.
+	// hash; apps holds the application names the rows index. ended and
+	// completed count the rows JobEnded closed, and those of them that
+	// completed.
 	jobs             []Lifecycle
+	apps             slab.Strings
 	ended, completed int
 	switches         []SwitchRecord
 	submitFails      int
@@ -150,7 +156,7 @@ func (r *Recorder) Reserve(n int) { r.jobs = slices.Grow(r.jobs, n) }
 // row; num only names the job in JobID and Jobs.
 func (r *Recorder) JobSubmitted(num int, os osid.OS, app string, cpus int) int {
 	r.advance()
-	r.jobs = append(r.jobs, Lifecycle{Num: int32(num), OS: os, App: app, CPUs: cpus, Submitted: r.now()})
+	r.jobs = append(r.jobs, Lifecycle{Num: int32(num), OS: os, app: r.apps.Intern(app), CPUs: cpus, Submitted: r.now()})
 	return len(r.jobs) - 1
 }
 
@@ -477,11 +483,13 @@ func Aggregate(parts []Summary) Summary {
 	return out
 }
 
-// Jobs returns job records in submission order, IDs rendered.
+// Jobs returns job records in submission order, IDs and applications
+// rendered.
 func (r *Recorder) Jobs() []JobRecord {
 	out := make([]JobRecord, len(r.jobs))
 	for i := range r.jobs {
-		out[i] = JobRecord{ID: r.id(&r.jobs[i]), Lifecycle: r.jobs[i]}
+		j := &r.jobs[i]
+		out[i] = JobRecord{ID: r.id(j), App: r.apps.At(j.app), Lifecycle: *j}
 	}
 	return out
 }
@@ -506,7 +514,7 @@ type AppStat struct {
 // of a run. Results are sorted by application name.
 func (r *Recorder) AppStats() []AppStat {
 	type key struct {
-		app string
+		app uint32
 		os  osid.OS
 	}
 	type tally struct {
@@ -519,10 +527,10 @@ func (r *Recorder) AppStats() []AppStat {
 		if !j.Completed {
 			continue
 		}
-		st := acc[key{j.App, j.OS}]
+		st := acc[key{j.app, j.OS}]
 		if st == nil {
-			st = &tally{AppStat: AppStat{App: j.App, OS: j.OS, ShortestWait: time.Duration(1<<62 - 1)}}
-			acc[key{j.App, j.OS}] = st
+			st = &tally{AppStat: AppStat{App: r.apps.At(j.app), OS: j.OS, ShortestWait: time.Duration(1<<62 - 1)}}
+			acc[key{j.app, j.OS}] = st
 		}
 		st.Completed++
 		w := j.Wait()

@@ -32,8 +32,8 @@ func checkAgainstScratch(s *Server) error {
 			queuedCPUs += j.CPUs()
 		case StateRunning:
 			running = append(running, j)
-			perQueue[j.Queue]++
-			for _, slot := range j.ExecHost() {
+			perQueue[s.Str(j.Queue)]++
+			for _, slot := range s.ExecHost(j) {
 				owner[slot] = j
 			}
 		}
@@ -168,7 +168,7 @@ func runPBSScript(t *testing.T, script []pbsAction, nodes int, backfill bool) *S
 					t.Errorf("qsub %s: %v", a.req.Name, err)
 					return
 				}
-				ids[a.job] = j.ID()
+				ids[a.job] = s.ID(j)
 			case 1:
 				_ = s.Qhold(ids[a.job]) // may legitimately race the start
 			case 2:
@@ -207,7 +207,7 @@ func TestPBSIncrementalMatchesScratchRecompute(t *testing.T) {
 			}
 			for _, j := range s.Jobs() {
 				if j.State != StateComplete {
-					t.Fatalf("job %s ended in state %v", j.ID(), j.State)
+					t.Fatalf("job %s ended in state %v", s.ID(j), j.State)
 				}
 			}
 		})

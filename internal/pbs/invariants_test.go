@@ -134,7 +134,7 @@ func TestQuickExecSlotsDistinct(t *testing.T) {
 		ok := true
 		s.OnJobStart = func(j *Job) {
 			seen := map[ExecSlot]bool{}
-			for _, slot := range j.ExecHost() {
+			for _, slot := range s.ExecHost(j) {
 				if seen[slot] {
 					ok = false
 				}

@@ -46,21 +46,23 @@ type execSlot struct {
 
 // Job is a PBS batch job. The server keeps its jobs by value in one
 // table, and no field is built per job: the ID and the exec_host text
-// are rendered when asked for. What the scheduling core's entry holds
-// (sequence number, request, runtime, walltime, rerun flag) is read
-// from it through methods, not stored twice.
+// are rendered by the server when asked for. What the scheduling
+// core's entry holds (sequence number, request, runtime, walltime,
+// rerun flag) is read from it through methods, not stored twice. A Job
+// holds no pointer: its strings are indices into the server's interned
+// strings (Server.Str renders them), so the collector never scans the
+// job table.
 type Job struct {
-	Name       string
-	Owner      string
-	Queue      string
+	Name       uint32
+	Owner      uint32
+	Queue      uint32
+	OutputPath uint32
 	Priority   int
-	OutputPath string
 
 	QTime     time.Duration // submission (virtual time)
 	StartTime time.Duration
 	EndTime   time.Duration
 
-	srv *Server
 	// exec locates the job's CPU slots in the server's slot arena: set
 	// at each start, kept once the job ends, emptied by a requeue.
 	exec slab.Ref
@@ -74,9 +76,6 @@ type Job struct {
 	// e is the job's entry in the server's scheduling core.
 	e sched.Entry
 }
-
-// ID renders the job ID, "<SeqNo>.<server>" ("1185.eridani.qgg.hud.ac.uk").
-func (j *Job) ID() string { return j.srv.JobID(j.SeqNo()) }
 
 // SeqNo returns the job's sequence number, counted from 1 per server.
 func (j *Job) SeqNo() int { return j.e.Seq }
@@ -109,27 +108,34 @@ func (j *Job) KilledAtWalltime() bool { return j.killedAtLimit }
 // reported separately through KilledAtWalltime.
 func (j *Job) Failed() bool { return j.failed }
 
+// Str renders one of a job's interned strings (Name, Owner, Queue,
+// OutputPath).
+func (s *Server) Str(i uint32) string { return s.strs.At(i) }
+
+// ID renders the job's ID, "<SeqNo>.<server>" ("1185.eridani.qgg.hud.ac.uk").
+func (s *Server) ID(j *Job) string { return s.JobID(j.SeqNo()) }
+
 // ExecHost lists the job's virtual processors, highest CPU first on
 // each node; empty while it waits. A completed job keeps the slots of
 // its last run.
-func (j *Job) ExecHost() []ExecSlot {
-	slots := j.srv.slots.Run(j.exec)
+func (s *Server) ExecHost(j *Job) []ExecSlot {
+	slots := s.slots.Run(j.exec)
 	out := make([]ExecSlot, len(slots))
 	for i, sl := range slots {
-		out[i] = ExecSlot{Node: j.srv.nodeList[sl.node].Name, CPU: sl.cpu}
+		out[i] = ExecSlot{Node: s.nodeList[sl.node].Name, CPU: sl.cpu}
 	}
 	return out
 }
 
 // ExecHostString renders the exec_host attribute the way PBS does:
 // "node16/3+node16/2+node16/1+node16/0".
-func (j *Job) ExecHostString() string {
+func (s *Server) ExecHostString(j *Job) string {
 	var b strings.Builder
-	for i, sl := range j.srv.slots.Run(j.exec) {
+	for i, sl := range s.slots.Run(j.exec) {
 		if i > 0 {
 			b.WriteByte('+')
 		}
-		b.WriteString(fqdn(j.srv.nodeList[sl.node].Name, j.srv.domain))
+		b.WriteString(fqdn(s.nodeList[sl.node].Name, s.domain))
 		b.WriteByte('/')
 		b.WriteString(strconv.Itoa(int(sl.cpu)))
 	}

@@ -24,6 +24,9 @@ type Queue struct {
 	// server's start/stop ledger so the cap check never scans job
 	// history.
 	running int
+	// sym is the queue's name in the server's interned strings: its
+	// jobs' Queue.
+	sym uint32
 }
 
 // Enabled reports whether the queue accepts submissions.
@@ -40,8 +43,12 @@ func (s *Server) CreateQueue(name string) (*Queue, error) {
 	if _, ok := s.queues[name]; ok {
 		return nil, fmt.Errorf("pbs: queue %s already exists", name)
 	}
-	q := &Queue{Name: name, enabled: true, started: true}
+	q := &Queue{Name: name, enabled: true, started: true, sym: s.strs.Intern(name)}
 	s.queues[name] = q
+	if n := int(q.sym) + 1 - len(s.queueAt); n > 0 {
+		s.queueAt = append(s.queueAt, make([]*Queue, n)...)
+	}
+	s.queueAt[q.sym] = q
 	return q, nil
 }
 
@@ -91,24 +98,20 @@ func (s *Server) SetQueueStarted(name string, started bool) error {
 // schedulable reports whether a queued job may be considered in this
 // pass: its queue must be started and under its running cap.
 func (s *Server) schedulable(j *Job) bool {
-	q := s.queue(j.Queue)
+	q := s.queue(j)
 	return q != nil && q.started && (q.MaxRunning <= 0 || q.running < q.MaxRunning)
 }
 
-// queue returns the named queue, nil when there is none. The skip
-// check asks for every queued job on every scheduling pass, and jobs
-// mostly share a queue, so the last name found is kept: queues are
-// never removed, so it stays valid. The key is kept apart from the
-// exported Queue.Name, which callers may rewrite.
-func (s *Server) queue(name string) *Queue {
-	if s.lastQueue == nil || name != s.lastName {
-		q, ok := s.queues[name]
-		if !ok {
-			return nil
-		}
-		s.lastName, s.lastQueue = name, q
+// queue returns j's queue, nil when its Queue names none. The skip
+// check asks for every queued job on every scheduling pass, so this is
+// an index, not a hash of the name; queues are never removed. The
+// index is kept apart from the exported Queue.Name, which callers may
+// rewrite.
+func (s *Server) queue(j *Job) *Queue {
+	if int(j.Queue) < len(s.queueAt) {
+		return s.queueAt[j.Queue]
 	}
-	return s.lastQueue
+	return nil
 }
 
 // QstatSummary renders the classic tabular `qstat` output:
@@ -126,14 +129,14 @@ func (s *Server) QstatSummary() string {
 		if j.State == StateComplete {
 			continue
 		}
-		user, _, _ := strings.Cut(j.Owner, "@")
+		user, _, _ := strings.Cut(s.Str(j.Owner), "@")
 		use := time.Duration(0)
 		if j.State == StateRunning {
 			use = s.eng.Now() - j.StartTime
 		}
 		fmt.Fprintf(&b, "%-28s %-16s %-12s %-8s %s %s\n",
-			truncate(j.ID(), 28), truncate(j.Name, 16), truncate(user, 12),
-			fmtHMS(use), j.State, j.Queue)
+			truncate(s.ID(j), 28), truncate(s.Str(j.Name), 16), truncate(user, 12),
+			fmtHMS(use), j.State, s.Str(j.Queue))
 	}
 	return b.String()
 }

@@ -155,7 +155,7 @@ func TestInterleavedQueuesKeepTheirCaps(t *testing.T) {
 	eng.Run()
 	for _, j := range append(limited, other...) {
 		if j.State != StateComplete {
-			t.Fatalf("job %s = %v after the drain", j.ID(), j.State)
+			t.Fatalf("job %s = %v after the drain", s.ID(j), j.State)
 		}
 	}
 }

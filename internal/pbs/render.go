@@ -38,21 +38,21 @@ func (s *Server) QstatFJob(id string) (string, error) {
 }
 
 func (s *Server) renderJob(b *strings.Builder, j *Job) {
-	fmt.Fprintf(b, "Job Id: %s\n", j.ID())
+	fmt.Fprintf(b, "Job Id: %s\n", s.ID(j))
 	attr := func(k, v string) { fmt.Fprintf(b, "    %s = %s\n", k, v) }
-	attr("Job_Name", j.Name)
-	attr("Job_Owner", j.Owner)
+	attr("Job_Name", s.Str(j.Name))
+	attr("Job_Owner", s.Str(j.Owner))
 	attr("job_state", j.State.String())
-	attr("queue", j.Queue)
+	attr("queue", s.Str(j.Queue))
 	attr("server", s.domain)
 	if j.JoinOE {
 		attr("Join_Path", "oe")
 	}
-	if j.OutputPath != "" {
-		attr("Output_Path", j.OutputPath)
+	if j.OutputPath != 0 {
+		attr("Output_Path", s.Str(j.OutputPath))
 	}
 	if j.exec.Len() > 0 {
-		attr("exec_host", j.ExecHostString())
+		attr("exec_host", s.ExecHostString(j))
 	}
 	attr("Priority", fmt.Sprintf("%d", j.Priority))
 	attr("qtime", s.stamp(j.QTime))

@@ -45,8 +45,8 @@ func TestQstatFOmitsCompleted(t *testing.T) {
 func TestQstatFJobSingle(t *testing.T) {
 	eng, s := newTestServer(t, 1)
 	j, _ := s.Qsub(SubmitRequest{Name: "one", Runtime: time.Second})
-	out, err := s.QstatFJob(j.ID())
-	if err != nil || !strings.Contains(out, "Job Id: "+j.ID()) {
+	out, err := s.QstatFJob(s.ID(j))
+	if err != nil || !strings.Contains(out, "Job Id: "+s.ID(j)) {
 		t.Fatalf("QstatFJob = %q, %v", out, err)
 	}
 	if _, err := s.QstatFJob("nope"); err == nil {

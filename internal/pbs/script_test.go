@@ -169,12 +169,12 @@ func TestQsubScriptEndToEnd(t *testing.T) {
 	if len(execHosts) != 1 || execHosts[0] != "enode16" {
 		t.Fatalf("exec hosts = %v", execHosts)
 	}
-	if j.Name != "release_1_node" {
-		t.Fatalf("name = %q", j.Name)
+	if s.Str(j.Name) != "release_1_node" {
+		t.Fatalf("name = %q", s.Str(j.Name))
 	}
 	// The switch job books the whole 4-core node.
-	if len(j.ExecHost()) != 4 {
-		t.Fatalf("slots = %d, want full node", len(j.ExecHost()))
+	if len(s.ExecHost(j)) != 4 {
+		t.Fatalf("slots = %d, want full node", len(s.ExecHost(j)))
 	}
 }
 
@@ -186,11 +186,11 @@ func TestExecHostString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j.ExecHostString(); got != "" {
+	if got := s.ExecHostString(j); got != "" {
 		t.Fatalf("queued job's exec_host = %q, want empty", got)
 	}
 	eng.RunUntil(time.Second)
-	got := j.ExecHostString()
+	got := s.ExecHostString(j)
 	want := "node16.eridani.qgg.hud.ac.uk/3+node16.eridani.qgg.hud.ac.uk/2+node16.eridani.qgg.hud.ac.uk/1+node16.eridani.qgg.hud.ac.uk/0"
 	if got != want {
 		t.Fatalf("exec_host =\n%s\nwant\n%s", got, want)

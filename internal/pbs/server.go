@@ -90,10 +90,11 @@ type Server struct {
 	core   *sched.Core
 
 	// jobs holds every job by value in submission order: job n is
-	// jobs.At(n-1). slots holds the jobs' exec_host CPU slots, and
-	// hooks the Exec/OnEnd callbacks of the few jobs that have them
-	// (the OS-switch jobs), by SeqNo.
+	// jobs.At(n-1). strs holds the strings the jobs index, slots the
+	// jobs' exec_host CPU slots, and hooks the Exec/OnEnd callbacks of
+	// the few jobs that have them (the OS-switch jobs), by SeqNo.
 	jobs     slab.Slab[Job]
+	strs     slab.Strings
 	slots    slab.Arena[execSlot]
 	hooks    map[int]jobHooks
 	nodes    map[string]*Node
@@ -101,9 +102,9 @@ type Server struct {
 
 	queues       map[string]*Queue
 	defaultQueue string
-	// lastName and lastQueue cache the most recent queue lookup.
-	lastName  string
-	lastQueue *Queue
+	// queueAt finds a job's queue from its Queue index: queueAt[i] is
+	// the queue named strs.At(i), nil for a string that names none.
+	queueAt []*Queue
 
 	// npHist[c] counts configured nodes with NP == c (regardless of
 	// state), giving Qsub's feasibility check without a node scan.
@@ -281,15 +282,14 @@ func (s *Server) Qsub(req SubmitRequest) (*Job, error) {
 	seq := s.jobs.Len() + 1
 	j := s.jobs.Add()
 	*j = Job{
-		Name:       req.Name,
-		Owner:      req.Owner,
+		Name:       s.strs.Intern(req.Name),
+		Owner:      s.strs.Intern(req.Owner),
 		State:      StateQueued,
-		Queue:      req.Queue,
+		Queue:      q.sym,
 		Priority:   req.Priority,
 		JoinOE:     req.JoinOE,
-		OutputPath: req.Output,
+		OutputPath: s.strs.Intern(req.Output),
 		QTime:      s.eng.Now(),
-		srv:        s,
 		// Torque's -p priority is reported, not scheduled on: the
 		// queue is strict submission order.
 		e: sched.Entry{Seq: seq, Shape: sched.PerNode, Count: req.Nodes, PPN: req.PPN,
@@ -486,7 +486,7 @@ func (s *Server) started(e *sched.Entry) {
 	}
 	j.State = StateRunning
 	j.StartTime = s.eng.Now()
-	if q := s.queue(j.Queue); q != nil {
+	if q := s.queue(j); q != nil {
 		q.running++
 	}
 	if s.OnJobStart != nil {
@@ -532,7 +532,7 @@ func (s *Server) vacate(j *Job) {
 	for _, sl := range s.slots.Run(j.exec) {
 		s.nodeList[sl.node].busy[sl.cpu] = 0
 	}
-	if q := s.queue(j.Queue); q != nil {
+	if q := s.queue(j); q != nil {
 		q.running--
 	}
 }

@@ -4,7 +4,11 @@
 // index: the head-node schedulers keep their jobs in one and hand out
 // stable *Job pointers (the scheduling core holds a pointer to every
 // job's entry). Arena keeps append-only runs of records, addressed by
-// a pointer-free Ref: a job's exec_host slots live in one.
+// a pointer-free Ref: a job's exec_host slots live in one. Strings
+// hands out a small index per distinct string, so a record keeps a
+// uint32 where it would keep a string header. Records built from these
+// hold no pointer, and the garbage collector never scans a chunk of
+// them.
 package slab
 
 // chunkBits sets the Slab chunk length: 64 records per chunk, so a
@@ -85,4 +89,59 @@ func (a *Arena[T]) Run(r Ref) []T {
 		return nil
 	}
 	return a.chunks[r.chunk][r.off : r.off+r.n : r.off+r.n]
+}
+
+// Strings interns strings: each distinct string gets an index, handed
+// out in first-seen order so a deterministic run numbers its strings
+// the same way every time. Index 0 is the empty string, so a zero
+// field reads "". The zero Strings is ready to use.
+type Strings struct {
+	strs []string          // by index; strs[0] is ""
+	idx  map[string]uint32 // built once strs outgrows smallStrings
+}
+
+// smallStrings is how many strings a Strings finds by scanning before
+// it builds a map: most tables hold a handful (queue names, owners,
+// applications), and a scan of a few allocates nothing.
+const smallStrings = 8
+
+// Intern returns s's index, giving s the next one on first sight.
+func (t *Strings) Intern(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	if t.idx != nil {
+		if i, ok := t.idx[s]; ok {
+			return i
+		}
+	} else {
+		for i, x := range t.strs {
+			if x == s {
+				return uint32(i)
+			}
+		}
+	}
+	if t.strs == nil {
+		t.strs = make([]string, 1, smallStrings)
+	}
+	i := uint32(len(t.strs))
+	t.strs = append(t.strs, s)
+	switch {
+	case t.idx != nil:
+		t.idx[s] = i
+	case len(t.strs) > smallStrings:
+		t.idx = make(map[string]uint32, 2*len(t.strs))
+		for k, x := range t.strs[1:] {
+			t.idx[x] = uint32(k + 1)
+		}
+	}
+	return i
+}
+
+// At returns the string of index i, which Intern must have returned.
+func (t *Strings) At(i uint32) string {
+	if i == 0 {
+		return ""
+	}
+	return t.strs[i]
 }

@@ -67,3 +67,44 @@ func TestArenaRunsAreDisjointAndStable(t *testing.T) {
 		}
 	}
 }
+
+// TestStringsFirstSeenOrder: distinct strings get 1, 2, ... in the
+// order they are first seen, a repeat gets its first index back, ""
+// is always 0, and At reads each index back.
+func TestStringsFirstSeenOrder(t *testing.T) {
+	var s Strings
+	if got := s.At(0); got != "" {
+		t.Fatalf("At(0) = %q on an empty table", got)
+	}
+	in := []string{"zed", "", "alpha", "zed", "mid", "alpha"}
+	want := []uint32{1, 0, 2, 1, 3, 2}
+	for k, str := range in {
+		if got := s.Intern(str); got != want[k] {
+			t.Fatalf("Intern(%q) = %d, want %d", str, got, want[k])
+		}
+	}
+	for k, str := range in {
+		if got := s.At(want[k]); got != str {
+			t.Fatalf("At(%d) = %q, want %q", want[k], got, str)
+		}
+	}
+}
+
+// TestStringsPastTheScan: past the strings a Strings scans, the map it
+// builds keeps every earlier index and hands out the next ones in
+// order.
+func TestStringsPastTheScan(t *testing.T) {
+	var s Strings
+	const n = 4 * smallStrings
+	for round := range 2 {
+		for k := 1; k <= n; k++ {
+			str := string(rune('A' + k))
+			if got := s.Intern(str); got != uint32(k) {
+				t.Fatalf("round %d: Intern(%q) = %d, want %d", round, str, got, k)
+			}
+			if got := s.At(uint32(k)); got != str {
+				t.Fatalf("At(%d) = %q, want %q", k, got, str)
+			}
+		}
+	}
+}

@@ -31,7 +31,7 @@ func checkAgainstScratch(s *Scheduler) error {
 			pending += j.Cores(s.typicalCores())
 		case JobRunning:
 			running = append(running, j)
-			for _, a := range j.Allocations() {
+			for _, a := range s.Allocations(j) {
 				used[a.Node] += a.Cores
 			}
 		}
@@ -55,7 +55,7 @@ func checkAgainstScratch(s *Scheduler) error {
 	}
 	want := QueueSnapshot{Running: len(running), Queued: len(queued), OnlineCores: onlineCores, PendingCores: pending, IdleNodes: idle}
 	if len(queued) > 0 {
-		want.FirstQueued, want.FirstName = queued[0].ID(), queued[0].Name
+		want.FirstQueued, want.FirstName = queued[0].ID(), s.Str(queued[0].Name)
 		want.NeededCores = queued[0].Cores(s.typicalCores())
 	}
 	if got := s.Snapshot(); got != want {

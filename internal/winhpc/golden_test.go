@@ -75,8 +75,8 @@ func TestHeadNodeTextGolden(t *testing.T) {
 	eng.RunUntil(30 * time.Minute)
 	fragile := submit(JobSpec{Name: "fragile", Owner: "HPC\\render", Unit: UnitCore, Count: 16, Runtime: time.Hour})
 	eng.RunUntil(31 * time.Minute)
-	must(s.SetNodeOnline(render.AllocatedNodes()[0], false))
-	must(s.SetNodeOnline(fragile.AllocatedNodes()[0], false))
+	must(s.SetNodeOnline(s.AllocatedNodes(render)[0], false))
+	must(s.SetNodeOnline(s.AllocatedNodes(fragile)[0], false))
 	eng.RunUntil(32 * time.Minute)
 	snapshot()
 	eng.Run()

@@ -24,7 +24,7 @@ func (s *Scheduler) JobList() string {
 			res += "s"
 		}
 		fmt.Fprintf(&b, "%-6d %-16s %-14s %-10s %-9s %s\n",
-			j.ID(), clip(j.Name, 16), clip(j.Owner, 14), j.State, j.Priority(), res)
+			j.ID(), clip(s.Str(j.Name), 16), clip(s.Str(j.Owner), 14), j.State, j.Priority(), res)
 	}
 	return b.String()
 }
@@ -55,7 +55,7 @@ func (s *Scheduler) FinishedJobReport() string {
 				elapsed = j.EndTime - j.StartTime
 			}
 			fmt.Fprintf(&b, "%-6d %-16s %-10s %-12s %s\n",
-				j.ID(), clip(j.Name, 16), j.State, elapsed.Round(time.Second), strings.Join(j.AllocatedNodes(), ","))
+				j.ID(), clip(s.Str(j.Name), 16), j.State, elapsed.Round(time.Second), strings.Join(s.AllocatedNodes(j), ","))
 		}
 	}
 	return b.String()

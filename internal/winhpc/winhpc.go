@@ -85,20 +85,20 @@ type grant struct {
 // Job is a Windows HPC job. The simulation uses a single required
 // resource count rather than the product's min–max range; grow/shrink
 // is out of scope for the middleware's behaviour. The scheduler keeps
-// its jobs by value in one table; the allocation is rendered when
-// asked for. What the scheduling core's entry holds (ID, count,
-// runtime, rerun flag, priority) is read from it through methods, not
-// stored twice.
+// its jobs by value in one table; the allocation is rendered by the
+// scheduler when asked for. What the scheduling core's entry holds
+// (ID, count, runtime, rerun flag, priority) is read from it through
+// methods, not stored twice. A Job holds no pointer: Name and Owner
+// are indices into the scheduler's interned strings (Scheduler.Str
+// renders them), so the collector never scans the job table.
 type Job struct {
-	Name     string
-	Owner    string
-	Template string
+	Name  uint32
+	Owner uint32
 
 	SubmitTime time.Duration
 	StartTime  time.Duration
 	EndTime    time.Duration
 
-	srv *Scheduler
 	// alloc locates the job's grants in the scheduler's grant arena:
 	// set at each start, kept once the job ends, emptied by a requeue.
 	alloc slab.Ref
@@ -125,18 +125,6 @@ func (j *Job) Rerunnable() bool { return j.e.Rerun }
 // Priority returns the job's priority level.
 func (j *Job) Priority() Priority { return Priority(j.e.Prio) }
 
-// Allocations lists the cores granted per node, in grant order; empty
-// while the job waits. A finished job keeps the grants of its last
-// run.
-func (j *Job) Allocations() []Allocation {
-	gs := j.srv.grants.Run(j.alloc)
-	out := make([]Allocation, len(gs))
-	for i, g := range gs {
-		out[i] = Allocation{Node: j.srv.nodeList[g.node].Name, Cores: int(g.cores)}
-	}
-	return out
-}
-
 // Cores returns the total cores the job occupies once allocated, or
 // would occupy given 0 knowledge of node sizes for UnitNode jobs.
 func (j *Job) Cores(coresPerNode int) int {
@@ -146,12 +134,27 @@ func (j *Job) Cores(coresPerNode int) int {
 	return j.Count() * coresPerNode
 }
 
-// AllocatedNodes lists distinct node names in allocation order.
-func (j *Job) AllocatedNodes() []string {
+// Str renders one of a job's interned strings (Name, Owner).
+func (s *Scheduler) Str(i uint32) string { return s.strs.At(i) }
+
+// Allocations lists the cores granted to j per node, in grant order;
+// empty while the job waits. A finished job keeps the grants of its
+// last run.
+func (s *Scheduler) Allocations(j *Job) []Allocation {
+	gs := s.grants.Run(j.alloc)
+	out := make([]Allocation, len(gs))
+	for i, g := range gs {
+		out[i] = Allocation{Node: s.nodeList[g.node].Name, Cores: int(g.cores)}
+	}
+	return out
+}
+
+// AllocatedNodes lists j's distinct node names in allocation order.
+func (s *Scheduler) AllocatedNodes(j *Job) []string {
 	var out []string
 	seen := map[string]bool{}
-	for _, g := range j.srv.grants.Run(j.alloc) {
-		if name := j.srv.nodeList[g.node].Name; !seen[name] {
+	for _, g := range s.grants.Run(j.alloc) {
+		if name := s.nodeList[g.node].Name; !seen[name] {
 			seen[name] = true
 			out = append(out, name)
 		}
@@ -245,7 +248,6 @@ func (p Priority) String() string {
 type JobSpec struct {
 	Name     string
 	Owner    string
-	Template string
 	Unit     ResourceUnit
 	Count    int
 	Runtime  time.Duration
@@ -267,10 +269,11 @@ type Scheduler struct {
 	core    *sched.Core
 
 	// jobs holds every job by value in submission order: job n is
-	// jobs.At(n-1). grants holds the jobs' allocations, and hooks the
-	// Exec/OnEnd callbacks of the few jobs that have them (the OS-switch
-	// jobs), by ID.
+	// jobs.At(n-1). strs holds the strings the jobs index, grants the
+	// jobs' allocations, and hooks the Exec/OnEnd callbacks of the few
+	// jobs that have them (the OS-switch jobs), by ID.
 	jobs     slab.Slab[Job]
+	strs     slab.Strings
 	grants   slab.Arena[grant]
 	hooks    map[int]jobHooks
 	nodes    map[string]*Node
@@ -428,13 +431,11 @@ func (s *Scheduler) SubmitJob(spec JobSpec) (*Job, error) {
 	id := s.jobs.Len() + 1
 	j := s.jobs.Add()
 	*j = Job{
-		Name:       spec.Name,
-		Owner:      spec.Owner,
-		Template:   spec.Template,
+		Name:       s.strs.Intern(spec.Name),
+		Owner:      s.strs.Intern(spec.Owner),
 		State:      JobQueued,
 		Unit:       spec.Unit,
 		SubmitTime: s.eng.Now(),
-		srv:        s,
 		// The HPC job model has no walltime: the runtime bounds the
 		// run.
 		e: sched.Entry{Prio: int8(spec.Priority), Seq: id, Shape: shape, Count: spec.Count,
@@ -543,7 +544,7 @@ func (s *Scheduler) Snapshot() QueueSnapshot {
 	if e := s.core.First(); e != nil {
 		head := s.job(e.Seq)
 		snap.FirstQueued = head.ID()
-		snap.FirstName = head.Name
+		snap.FirstName = s.Str(head.Name)
 		snap.NeededCores = head.Cores(cpn)
 	}
 	return snap
@@ -588,7 +589,7 @@ func (s *Scheduler) started(e *sched.Entry) {
 		s.OnJobStart(j)
 	}
 	if exec := s.hooks[j.ID()].exec; exec != nil {
-		exec(j.AllocatedNodes())
+		exec(s.AllocatedNodes(j))
 	}
 }
 

@@ -50,8 +50,8 @@ func TestCoreSchedulingSpansNodes(t *testing.T) {
 	if j.State != JobRunning {
 		t.Fatalf("state = %v", j.State)
 	}
-	if len(j.Allocations()) != 2 || j.Allocations()[0].Cores != 4 || j.Allocations()[1].Cores != 2 {
-		t.Fatalf("alloc = %+v", j.Allocations())
+	if len(s.Allocations(j)) != 2 || s.Allocations(j)[0].Cores != 4 || s.Allocations(j)[1].Cores != 2 {
+		t.Fatalf("alloc = %+v", s.Allocations(j))
 	}
 	n2, _ := s.Node(nodeName(2))
 	if n2.FreeCores() != 2 {
@@ -68,7 +68,7 @@ func TestNodeExclusiveScheduling(t *testing.T) {
 		t.Fatalf("small=%v mpi=%v", small.State, mpi.State)
 	}
 	// The node running "small" is not exclusive, so mpi takes nodes 2 and 3.
-	nodes := mpi.AllocatedNodes()
+	nodes := s.AllocatedNodes(mpi)
 	if len(nodes) != 2 || nodes[0] != nodeName(2) || nodes[1] != nodeName(3) {
 		t.Fatalf("mpi nodes = %v", nodes)
 	}
@@ -155,7 +155,7 @@ func TestNodeUnreachableRequeuesRerunnable(t *testing.T) {
 	eng, s := newTestScheduler(t, 2)
 	j, _ := s.SubmitJob(JobSpec{Name: "ga", Unit: UnitNode, Count: 1, Runtime: time.Hour, Rerun: true})
 	eng.RunUntil(time.Minute)
-	victim := j.AllocatedNodes()[0]
+	victim := s.AllocatedNodes(j)[0]
 	if err := s.SetNodeOnline(victim, false); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +163,8 @@ func TestNodeUnreachableRequeuesRerunnable(t *testing.T) {
 		t.Fatalf("state = %v, want requeued", j.State)
 	}
 	eng.RunUntil(2 * time.Minute)
-	if j.State != JobRunning || j.AllocatedNodes()[0] == victim {
-		t.Fatalf("state=%v nodes=%v", j.State, j.AllocatedNodes())
+	if j.State != JobRunning || s.AllocatedNodes(j)[0] == victim {
+		t.Fatalf("state=%v nodes=%v", j.State, s.AllocatedNodes(j))
 	}
 }
 
@@ -174,7 +174,7 @@ func TestNodeUnreachableFailsNonRerunnable(t *testing.T) {
 	j, _ := s.SubmitJob(JobSpec{Name: "frail", Unit: UnitNode, Count: 1, Runtime: time.Hour,
 		OnEnd: func(*Job) { failed = true }})
 	eng.RunUntil(time.Minute)
-	s.SetNodeOnline(j.AllocatedNodes()[0], false)
+	s.SetNodeOnline(s.AllocatedNodes(j)[0], false)
 	if j.State != JobFailed || !failed {
 		t.Fatalf("state=%v notified=%v", j.State, failed)
 	}
@@ -266,7 +266,7 @@ func TestDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Name != "Job" || j.Owner != "HPC\\user" || j.Count() != 1 || j.Unit != UnitCore {
+	if s.Str(j.Name) != "Job" || s.Str(j.Owner) != "HPC\\user" || j.Count() != 1 || j.Unit != UnitCore {
 		t.Fatalf("defaults = %+v", j)
 	}
 	eng.Run()
@@ -346,7 +346,7 @@ func TestPriorityOrdering(t *testing.T) {
 	eng.RunUntil(2 * time.Second)
 	queued := s.QueuedJobs()
 	if queued[0] != high || queued[1] != normal || queued[2] != low {
-		t.Fatalf("order = %v %v %v", queued[0].Name, queued[1].Name, queued[2].Name)
+		t.Fatalf("order = %v %v %v", s.Str(queued[0].Name), s.Str(queued[1].Name), s.Str(queued[2].Name))
 	}
 	eng.Run()
 	if !(high.StartTime < normal.StartTime && normal.StartTime < low.StartTime) {
