@@ -41,6 +41,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -242,19 +243,23 @@ func checkBaseline(path string, records []benchRecord) bool {
 			drift++
 			continue
 		}
-		status := "ok"
+		// Every failed check is named, so an events drift is never
+		// hidden behind an allocation failure on the same line.
+		var fails []string
 		if r.EventsRun != b.EventsRun {
-			status = "DRIFT"
-			drift++
+			fails = append(fails, "DRIFT")
 		}
 		allocDelta, over := allocGate(r.AllocsPerOp, b.AllocsPerOp)
 		if over {
-			status = "ALLOC"
-			drift++
+			fails = append(fails, "ALLOC")
 		}
 		bytesDelta, over := allocGate(r.AllocBytesPerOp, b.AllocBytesPerOp)
 		if over {
-			status = "BYTES"
+			fails = append(fails, "BYTES")
+		}
+		status := "ok"
+		if len(fails) > 0 {
+			status = strings.Join(fails, "+")
 			drift++
 		}
 		wallDelta := "n/a"

@@ -104,9 +104,9 @@ func (s *Server) schedulable(j *Job) bool {
 
 // queue returns j's queue, nil when its Queue names none. The skip
 // check asks for every queued job on every scheduling pass, so this is
-// an index, not a hash of the name; queues are never removed. The
-// index is kept apart from the exported Queue.Name, which callers may
-// rewrite.
+// an index, not a hash of the name; queues are never removed. It reads
+// the name each queue was created with (Queue.sym), not the exported
+// Queue.Name, which callers may rewrite.
 func (s *Server) queue(j *Job) *Queue {
 	if int(j.Queue) < len(s.queueAt) {
 		return s.queueAt[j.Queue]
