@@ -17,6 +17,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/osid"
+	"repro/internal/simtime"
 	"repro/internal/workload"
 )
 
@@ -99,7 +100,12 @@ type Result struct {
 // topology is a one-member grid whose member has no name; its Result
 // takes the Summary, AppStats, Controller stats and event log from
 // that member and leaves Members nil.
-func Run(sc Scenario) (Result, error) {
+func Run(sc Scenario) (Result, error) { return RunOn(simtime.NewEngine(), sc) }
+
+// RunOn is Run on the caller's engine, which must be new or Reset.
+// The Result holds nothing of the engine, so the caller may Reset it
+// for the next scenario as soon as RunOn returns.
+func RunOn(eng *simtime.Engine, sc Scenario) (Result, error) {
 	if err := sc.Trace.Validate(); err != nil {
 		return Result{}, fmt.Errorf("core: %w", err)
 	}
@@ -120,7 +126,7 @@ func Run(sc Scenario) (Result, error) {
 			specs[i].Config.Latency = sc.Latency
 		}
 	}
-	g, err := grid.New(sc.Topology.Routing, specs)
+	g, err := grid.NewOn(eng, sc.Topology.Routing, specs)
 	if err != nil {
 		return Result{}, err
 	}

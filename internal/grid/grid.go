@@ -118,15 +118,21 @@ type MemberSpec struct {
 	Config cluster.Config
 }
 
-// New assembles a grid; all members share the grid's engine. Member
-// order follows the spec order and is the routing tie-break order.
-// Members need distinct names, except that a sole member may go
-// unnamed: that is how a single cluster runs.
+// New assembles a grid on a new engine; all members share the grid's
+// engine. Member order follows the spec order and is the routing
+// tie-break order. Members need distinct names, except that a sole
+// member may go unnamed: that is how a single cluster runs.
 func New(policy RoutingPolicy, specs []MemberSpec) (*Grid, error) {
+	return NewOn(simtime.NewEngine(), policy, specs)
+}
+
+// NewOn is New on the caller's engine, which must be new or Reset: a
+// sweep worker runs its cells one after another on one engine.
+func NewOn(eng *simtime.Engine, policy RoutingPolicy, specs []MemberSpec) (*Grid, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("grid: no members")
 	}
-	g := &Grid{Eng: simtime.NewEngine(), policy: policy}
+	g := &Grid{Eng: eng, policy: policy}
 	for i, spec := range specs {
 		if spec.Name == "" && len(specs) > 1 {
 			return nil, fmt.Errorf("grid: member needs a name")

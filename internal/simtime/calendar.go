@@ -57,10 +57,26 @@ type calendar struct {
 }
 
 func newCalendar() *calendar {
-	return &calendar{
-		horizon: time.Duration(calBuckets) * calWidth,
-		buckets: make([]bucket, calBuckets),
+	c := &calendar{buckets: make([]bucket, calBuckets)}
+	c.reset()
+	return c
+}
+
+// reset kills every queued event and puts the window back at its
+// start. The bucket array is kept, zeroed, so no bucket carries its
+// old capacity into the next run; the far heap is dropped.
+func (c *calendar) reset() {
+	for i := range c.buckets {
+		b := &c.buckets[i]
+		for _, ev := range b.evs[b.head:] {
+			ev.kill()
+		}
 	}
+	for _, ev := range c.far {
+		ev.kill()
+	}
+	clear(c.buckets)
+	*c = calendar{horizon: time.Duration(calBuckets) * calWidth, buckets: c.buckets}
 }
 
 // push enqueues an event. due is immutable after insertion.

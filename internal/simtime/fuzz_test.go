@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -124,7 +125,10 @@ func calendarDiffers(script []byte) error {
 	var seq uint64 // the engine's next seq, tracked by hand
 	checked := 0   // fired entries already compared
 	for i := 0; i+2 < len(script); i += 3 {
-		op, a, b := script[i]%9, script[i+1], script[i+2]
+		op, a, b := script[i]%10, script[i+1], script[i+2]
+		if op == 9 && a%8 != 0 {
+			op = 5 // a reset, one time in eight; otherwise one event
+		}
 		switch op {
 		case 0, 1, 2, 3: // schedule
 			at := e.Now() + fuzzDelay(a, b)
@@ -159,6 +163,16 @@ func calendarDiffers(script []byte) error {
 			seq += uint64(n)
 			e.Chain(n, due, func(i int) { fired = append(fired, base+uint64(i)) })
 			m.chain(base, n, due)
+		case 9: // reset: the engine starts over and the model with it
+			e.Reset()
+			if c := e.queue; !reflect.DeepEqual(c, newCalendar()) || e.free != nil {
+				return fmt.Errorf("op %d: Reset left window [%v, %v) cur %d, %d near, %d queued, %d far, %d free",
+					i/3, c.base, c.horizon, c.cur, c.inNear, c.size, c.far.Len(), len(e.free))
+			}
+			for _, ev := range model {
+				ev.dead = true // no handle issued before may stop anything
+			}
+			m = &heapModel{fired: m.fired}
 		}
 		if err := sameState(e, m, fired, &checked); err != nil {
 			return fmt.Errorf("op %d: %v", i/3, err)
@@ -194,10 +208,10 @@ func sameState(e *Engine, m *heapModel, fired []uint64, checked *int) error {
 // FuzzCalendarMatchesHeap checks the calendar queue against a plain
 // container/heap with the same (due, seq) order under schedules (due
 // now, within a bucket, across the near window's edge, far past it),
-// chains, Timer.Stop (on recycled events too), single steps and
-// RunUntil jumps: the same callbacks run in the same order at the same
-// instants, every Stop reports the same, and Pending and NextEventAt
-// agree after every op.
+// chains, Timer.Stop (on recycled events too), single steps, RunUntil
+// jumps and Resets (after which the model starts over): the same
+// callbacks run in the same order at the same instants, every Stop
+// reports the same, and Pending and NextEventAt agree after every op.
 func FuzzCalendarMatchesHeap(f *testing.F) {
 	// Two events due exactly at the first window's edge, a far one,
 	// then steps.
@@ -209,6 +223,12 @@ func FuzzCalendarMatchesHeap(f *testing.F) {
 	// Chains tied with plain events at one instant (gap zero), then a
 	// chain 31 ms apart across a plain event, then a drain.
 	f.Add([]byte{0, 0, 0, 8, 3, 0, 0, 0, 0, 5, 0, 0, 8, 11, 4, 1, 0, 2, 5, 0, 0, 7, 1, 31, 5, 0, 0})
+	// A reset once the window has moved to 15 h, with a live and a
+	// cancelled event in the far heap and a chain with three links to
+	// go queued; then Stop on a handle from before it, and a new
+	// schedule, chain, step and jump on the reset engine.
+	f.Add([]byte{3, 3, 5, 3, 3, 7, 3, 3, 15, 4, 0, 1, 8, 27, 8, 7, 3, 1, 9, 0, 0,
+		4, 0, 0, 0, 1, 3, 8, 19, 8, 5, 0, 0, 7, 3, 1})
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 3*(200+rng.Intn(400)))

@@ -62,8 +62,7 @@ func (t Timer) Stop() bool {
 	if ev == nil || ev.seq != t.seq || ev.dead {
 		return false
 	}
-	ev.dead = true
-	ev.fn, ev.call, ev.arg = nil, nil, nil
+	ev.kill()
 	t.eng.live--
 	return true
 }
@@ -86,6 +85,21 @@ type Engine struct {
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return &Engine{queue: newCalendar()}
+}
+
+// Reset returns the engine to the state NewEngine leaves it in, so
+// that one engine can run many simulations in turn: the clock, the
+// callback count and the live count restart at zero, and every queued
+// event is marked dead and dropped. The bucket array is kept but
+// zeroed, and the far heap and the free list are dropped, so what a
+// run allocates never depends on the runs before it. Seqs keep
+// counting: a Timer, Ticker or Chain issued before the Reset can
+// neither fire nor stop anything after it, and pop order depends only
+// on relative (due, seq). Call it between runs, not from a callback.
+func (e *Engine) Reset() {
+	e.queue.reset()
+	e.now, e.ran, e.live, e.stopped = 0, 0, 0, false
+	e.free = nil
 }
 
 // Now returns the current virtual time.
@@ -137,9 +151,14 @@ func (e *Engine) push(x event) *event {
 // reuse. It is marked dead so that a Timer still holding it stops
 // nothing until a new seq is written over it.
 func (e *Engine) recycle(ev *event) {
+	ev.kill()
+	e.free = append(e.free, ev)
+}
+
+// kill marks an event dead and drops its callback.
+func (ev *event) kill() {
 	ev.dead = true
 	ev.fn, ev.call, ev.arg = nil, nil, nil
-	e.free = append(e.free, ev)
 }
 
 // After schedules fn d after the current virtual time. Negative d is

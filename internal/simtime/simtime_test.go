@@ -494,3 +494,53 @@ func TestAfterArgMatchesAfter(t *testing.T) {
 		t.Fatalf("callbacks ran %d times, want %d", n, 64*21)
 	}
 }
+
+// Reset orphans every handle issued before it: a Timer (near and far),
+// a Ticker and a half-run Chain neither fire after it nor stop
+// anything, Pending does not move when they are stopped, and the
+// clock and the callback count restart at zero.
+func TestResetOrphansTimers(t *testing.T) {
+	e := NewEngine()
+	old := 0
+	count := func() { old++ }
+	near := e.After(5*time.Minute, count)
+	far := e.After(40*time.Hour, count)
+	cancelled := e.After(time.Hour, count)
+	cancelled.Stop()
+	tk := e.Every(time.Minute, count)
+	e.Chain(4, func(i int) time.Duration { return time.Duration(i) * 3 * time.Hour }, func(int) { old++ })
+	e.RunUntil(90 * time.Second) // chain link 0 and one tick
+	if old != 2 || e.Pending() != 4 {
+		t.Fatalf("before Reset: %d callbacks, %d pending; want 2 and 4", old, e.Pending())
+	}
+
+	e.Reset()
+	if e.Now() != 0 || e.EventsRun() != 0 || e.Pending() != 0 {
+		t.Fatalf("after Reset: Now %v, EventsRun %d, Pending %d; want all zero", e.Now(), e.EventsRun(), e.Pending())
+	}
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("after Reset: an event is still queued")
+	}
+	fresh := 0
+	e.After(time.Minute, func() { fresh++ })
+	keep := e.After(2*time.Minute, func() { fresh++ })
+	for _, tm := range []Timer{near, far, cancelled} {
+		if tm.Stop() {
+			t.Fatal("a Timer issued before Reset stopped something")
+		}
+	}
+	tk.Stop()
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d after stopping old handles, want 2", e.Pending())
+	}
+	e.Run()
+	if old != 2 || fresh != 2 {
+		t.Fatalf("after Reset: %d old callbacks (want 2), %d new (want 2)", old, fresh)
+	}
+	if e.Now() != 2*time.Minute || e.EventsRun() != 2 {
+		t.Fatalf("after the second run: Now %v, EventsRun %d; want 2m0s and 2", e.Now(), e.EventsRun())
+	}
+	if keep.Stop() {
+		t.Fatal("Stop on a fired timer returned true")
+	}
+}

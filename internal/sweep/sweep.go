@@ -27,8 +27,9 @@
 // axis and the cluster seed only on the environment axes (node count,
 // trace, failure rate), so cells compared across the mode and policy
 // treatment axes face identical job streams and RNG draws.
-// Each cell builds its own simtime.Engine, its own cluster, and a
-// fresh controller policy instance, so no simulation state is shared
+// Each cell builds its own cluster and a fresh controller policy
+// instance, and runs on an engine no other worker touches until the
+// cell is done and the engine reset, so no simulation state is shared
 // across workers. Results land at the cell's expansion index. The
 // aggregate output of a sweep is therefore bit-identical regardless of
 // worker count or completion order.
@@ -52,6 +53,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/osid"
+	"repro/internal/simtime"
 	"repro/internal/workload"
 )
 
@@ -831,9 +833,11 @@ var ErrCanceled = errors.New("sweep: canceled")
 // Config configures one sweep execution.
 type Config struct {
 	Grid Grid
-	// Workers bounds concurrent cell runs (default 4). Each worker
-	// owns the engine of whichever cell it is running; workers share
-	// nothing but the work queue and the result slots.
+	// Workers bounds concurrent cell runs (default 4). A sweep that
+	// runs any cell builds one engine per worker and resets it between
+	// cells; a worker owns the engine of whichever cell it is running,
+	// and workers share nothing but the work queue, the engine pool
+	// and the result slots.
 	Workers int
 
 	// Progress, when non-nil, is called once per finished cell — run
@@ -903,6 +907,7 @@ func Run(cfg Config) (*Outcome, error) {
 		cfg.Progress(r)
 		progressMu.Unlock()
 	}
+	engines := &enginePool{workers: workers}
 	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -926,16 +931,17 @@ func Run(cfg Config) (*Outcome, error) {
 						continue
 					}
 				}
-				// Scenario() builds a private engine, cluster and
-				// policy instance per cell; the only shared write is
+				// Scenario() builds a private cluster and policy
+				// instance per cell, and the engine is this worker's
+				// until it goes back reset; the only shared write is
 				// this cell's own result slot.
+				eng := engines.take()
 				sc, err := cells[i].Scenario()
-				if err != nil {
-					results[i] = CellResult{Cell: cells[i], Err: err}
-					report(results[i])
-					continue
+				var res core.Result
+				if err == nil {
+					res, err = core.RunOn(eng, sc)
 				}
-				res, err := core.Run(sc)
+				engines.put(eng)
 				results[i] = CellResult{Cell: cells[i], Res: res, Err: err}
 				report(results[i])
 			}
@@ -947,6 +953,33 @@ func Run(cfg Config) (*Outcome, error) {
 	close(work)
 	wg.Wait()
 	return &Outcome{Results: results}, nil
+}
+
+// enginePool holds the engines of one sweep. Cells run on engines
+// that outlive them: the first cell that has to run fills the pool
+// with one engine per worker, and each cell takes one and resets it
+// before putting it back. A sweep whose cells are all cached builds
+// none, and the count never depends on worker scheduling, so
+// allocation counts stay deterministic.
+type enginePool struct {
+	workers int
+	fill    sync.Once
+	free    chan *simtime.Engine
+}
+
+func (p *enginePool) take() *simtime.Engine {
+	p.fill.Do(func() {
+		p.free = make(chan *simtime.Engine, p.workers)
+		for range p.workers {
+			p.free <- simtime.NewEngine()
+		}
+	})
+	return <-p.free
+}
+
+func (p *enginePool) put(eng *simtime.Engine) {
+	eng.Reset()
+	p.free <- eng
 }
 
 // Select returns the results whose cells satisfy pred, in expansion
